@@ -80,8 +80,9 @@ def measure_setup(samples: int, warm_up: bool) -> list[float]:
 def per_op_median(passes: list[list]) -> float:
     """Sum over ops of each op's median time across the given passes.
 
-    The host's speed drifts within seconds; the per-op median discards an
-    op execution that a slow stretch hit, where a pass total keeps it.
+    The host's speed drifts over seconds to minutes; the per-op median
+    discards an op execution that a short slow stretch hit, where a pass
+    total keeps it.
     """
     return sum(median(run.seconds for run in col) for col in zip(*passes))
 
