@@ -10,10 +10,12 @@ One process drives ``lelab.cli.main(argv)`` in-process, one op after the
 other (a closed loop with one client). A round is a cold pass over the
 workload's op list against an empty cache, then warm passes over the same
 list against the cache it filled. A run makes as many whole rounds as fit
-in ``--seconds``, and at least one. Set-up time is measured apart, in fresh interpreters. Every artifact
-must be byte-identical to the first cold pass, and the first cold pass is
-checked against independent oracles (``oracles.py``) once the timed rounds
-are over. With ``--trace 1`` the rounds run with the tracer of
+in ``--seconds``, and at least one. Set-up time is measured apart, in
+fresh interpreters. Every time is stated at a fixed reference host speed,
+from calibration probes sampled while the run goes on (``speed.py``).
+Every artifact must be byte-identical to the first cold pass, and the first
+cold pass is checked against independent oracles (``oracles.py``) once the
+timed rounds are over. With ``--trace 1`` the rounds run with the tracer of
 ``tracing.py`` installed and the per-layer metrics are reported instead.
 
 The last line of standard output is one JSON object with the keys
@@ -47,44 +49,36 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-from workloads import FAULTS, WORKLOADS, Op  # noqa: E402
+from speed import Speedometer  # noqa: E402
+from workloads import (CALIBRATION, FAULTS, GENERIC,  # noqa: E402
+                       WARM_PASSES, WORKLOADS, Op)
 
-WARM_PASSES = 2     # warm passes per round
 SETUP_SAMPLES = 7   # fresh interpreters timed per run
 SETUP_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "import lelab.cli; lelab.cli.main(['--version'])")
 
 
-def measure_setup(samples: int, warm_up: bool) -> list[float]:
-    """Wall times from process start to a parsed first command.
+def measure_setup(samples: int, warm_up: bool, meter: Speedometer) -> list[float]:
+    """Times from process start to a parsed first command.
 
     The child imports ``lelab.cli`` (numpy and scipy with it), builds the
     parser and handles ``--version``. With ``warm_up``, one untimed start
     first fills the bytecode cache, which users do not pay on every run.
+    The parent waits meanwhile, so the meter samples the host beside it.
     """
     times = []
     for i in range(samples + warm_up):
-        t0 = time.perf_counter()
+        mark = meter.mark(GENERIC)  # imports run interpreted code
         done = subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               timeout=120)
-        dt = time.perf_counter() - t0
+        dt = meter.normalized(mark)
         if done.returncode != 0:
             raise RuntimeError("lelab does not import: "
                                + done.stderr.decode(errors="replace")[-400:])
         if i or not warm_up:
             times.append(dt)
     return times
-
-
-def per_op_median(passes: list[list]) -> float:
-    """Sum over ops of each op's median time across the given passes.
-
-    The host's speed drifts over seconds to minutes; the per-op median
-    discards an op execution that a short slow stretch hit, where a pass
-    total keeps it.
-    """
-    return sum(median(run.seconds for run in col) for col in zip(*passes))
 
 
 class OpRun:
@@ -113,8 +107,9 @@ def _file_digest(path: Path, h) -> None:
 
 
 def run_pass(cli, ops: list[Op], out: Path, cache: Path, tracer, tag: str,
-             keep_stdout: bool = False):
-    """One closed-loop pass; returns (wall seconds, [OpRun]).
+             meter: Speedometer, probes: tuple, keep_stdout: bool = False):
+    """One closed-loop pass; returns (wall seconds, seconds at the reference
+    speed as calibrated by ``probes``, [OpRun]).
 
     Each op's stdout and artifacts are reduced to a digest. Only the first
     cold pass keeps stdout, for the checks, so that the runs held in memory
@@ -122,6 +117,7 @@ def run_pass(cli, ops: list[Op], out: Path, cache: Path, tracer, tag: str,
     """
     os.environ["LEL_CACHE_DIR"] = str(cache)
     runs: list[OpRun] = []
+    mark = meter.mark(probes)
     t_pass = time.perf_counter()
     for i, op in enumerate(ops):
         argv = list(op.argv)
@@ -144,6 +140,7 @@ def run_pass(cli, ops: list[Op], out: Path, cache: Path, tracer, tag: str,
         runs.append(OpRun(op, rc, so.getvalue(), se.getvalue(),
                           time.perf_counter() - t0))
     wall = time.perf_counter() - t_pass
+    seconds = meter.normalized(mark)
     for run in runs:
         h = hashlib.sha256(run.stdout.encode())
         base = run.base(out)
@@ -153,7 +150,7 @@ def run_pass(cli, ops: list[Op], out: Path, cache: Path, tracer, tag: str,
         run.digest = h.hexdigest()
         if not keep_stdout:
             run.stdout = None
-    return wall, runs
+    return wall, seconds, runs
 
 
 def _tree_bytes(*dirs: Path) -> int:
@@ -215,9 +212,19 @@ def attribute(run: OpRun, ref: OpRun, problems) -> tuple[bool, str | None]:
 def run_workload(name: str, seed: int, seconds: float, trace: bool,
                  smoke: bool) -> dict:
     ops = WORKLOADS[name](seed)
-    # set-up samples are split between the start and the end of the run so
-    # that their median spans the same stretch of host load as the passes
-    setup = measure_setup(1 if smoke else SETUP_SAMPLES // 2 + 1, True)
+    warm_passes = 1 if smoke else WARM_PASSES[name]
+    probes = CALIBRATION[name]
+    meter = Speedometer()
+    meter.start()
+    try:
+        # set-up samples are split between the start and the end of the run
+        # so that their median spans the same stretch of host load as the
+        # passes
+        setup = measure_setup(1 if smoke else SETUP_SAMPLES // 2 + 1, True,
+                              meter)
+    except BaseException:
+        meter.stop()
+        raise
 
     sys.path.insert(0, str(SRC))
     import lelab.cli as cli
@@ -238,18 +245,24 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             cache = work / tag / "cache"
             cold_out = work / tag / "cold" if colds else first_out
             colds.append(run_pass(cli, ops, cold_out, cache, tracer,
-                                  f"{tag}.cold", keep_stdout=not colds))
+                                  f"{tag}.cold", meter, probes,
+                                  keep_stdout=not colds))
             if len(colds) == 1:
                 bytes_written = _tree_bytes(cold_out, cache)
-            for w in range(1 if smoke else WARM_PASSES):
-                warms.append(run_pass(cli, ops, work / tag / f"warm{w}", cache,
-                                      tracer, f"{tag}.warm{w}"))
-                if tracer is not None and w == 0:
-                    hits = {run.op.label: (run.seconds if run.hit else None)
-                            for run in warms[-1][1] if run.op.kind != "classify"}
-                    layer_rounds.append(pass_metrics(
-                        tracer, {f"{tag}.cold.{i}" for i in range(len(ops))},
-                        hits, bytes_written))
+            # every warm pass writes into the same directory, as a user who
+            # runs the study again does; with a fresh directory per pass,
+            # the warm passes grew slower through a run
+            for w in range(warm_passes):
+                warms.append(run_pass(cli, ops, work / tag / "warm", cache,
+                                      tracer, f"{tag}.warm{w}", meter,
+                                      probes))
+            if tracer is not None:
+                hits = {run.op.label: (run.seconds if run.hit else None)
+                        for run in warms[-warm_passes][2]
+                        if run.op.kind != "classify"}
+                layer_rounds.append(pass_metrics(
+                    tracer, {f"{tag}.cold.{i}" for i in range(len(ops))},
+                    hits, bytes_written))
             shutil.rmtree(work / tag, ignore_errors=True)
             # start another round only if it should end within the budget
             elapsed = time.perf_counter() - t_start
@@ -257,20 +270,23 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
                 break
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if not smoke:
-            setup += measure_setup(SETUP_SAMPLES // 2, False)
+            setup += measure_setup(SETUP_SAMPLES // 2, False, meter)
+        meter.stop()
+        host_speed = meter.mean_speed()
         if tracer is not None:
             tracer.write(ROOT / ".bench_work" / f"spans-{name}-seed{seed}.jsonl")
-        ref = colds[0][1]
+        ref = colds[0][2]
         eig_errs: list = []
         problems = check_first_pass(ref, first_out, seed, eig_errs)
     finally:
+        meter.stop()
         if tracer is not None:
             tracer.uninstall()
         shutil.rmtree(work, ignore_errors=True)
 
     attempted = failed = 0
     unnamed, named = [], {}
-    for _wall, runs in colds + warms:
+    for _wall, _seconds, runs in colds + warms:
         for i, run in enumerate(runs):
             attempted += 1
             bad, why = attribute(run, ref[i], problems.get(i))
@@ -284,8 +300,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
 
     e2e = {
         "setup_s": median(setup),
-        "cold_s": per_op_median([runs for _wall, runs in colds]),
-        "warm_s": per_op_median([runs for _wall, runs in warms]),
+        "cold_s": median(seconds for _wall, seconds, _runs in colds),
+        "warm_s": median(seconds for _wall, seconds, _runs in warms),
         "peak_rss_mb": peak_rss_mb,
     }
     if tracer is not None:
@@ -298,8 +314,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         "name": name, "seed": seed, "rounds": len(colds), "trace": trace,
         "correct": not unnamed, "attempted": attempted, "failed": failed,
         "metrics": metrics, "e2e": e2e, "named": named, "unnamed": unnamed,
-        "cold_walls": [wall for wall, _runs in colds],
-        "warm_walls": [wall for wall, _runs in warms],
+        "cold_walls": [wall for wall, _seconds, _runs in colds],
+        "warm_walls": [wall for wall, _seconds, _runs in warms],
+        "host_speed": host_speed,
     }
 
 
@@ -312,10 +329,11 @@ def _units() -> dict:
 
 def report(res: dict) -> None:
     units = _units()
-    print(f"workload {res['name']}  seed {res['seed']}  rounds {res['rounds']}")
+    print(f"workload {res['name']}  seed {res['seed']}  rounds {res['rounds']}"
+          f"  mean host speed {res['host_speed']:.4g} x reference")
     for kind in ("cold", "warm"):
         walls = ", ".join("%.4g" % w for w in res[kind + "_walls"])
-        print(f"  {kind} pass walls: {walls} s")
+        print(f"  {kind} pass wall times, as measured: {walls} s")
     for k, v in res["metrics"].items():
         print(f"  {k:34s} {v:14.6g} {units.get(k, '')}")
     if res["trace"]:

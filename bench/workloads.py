@@ -112,6 +112,18 @@ def map_ops(seed: int) -> list[Op]:
     return ops
 
 
+# Warm passes per round. A warm pass of shoot serves ten cache hits in about
+# 35 ms, so its round runs 64 of them: their median then spans two seconds of
+# the host's speed swings, where two passes would span a tenth of one.
+WARM_PASSES = {"stability": 2, "shoot": 64, "map": 2}
+
+# Probes of speed.PROBES that calibrate each workload: the kind of work it
+# spends its time on. A stability pass is banded solves and dot products
+# (the eigen ladder; in a warm pass, F2's op runs again). A shoot or map
+# pass is interpreted float code, small numpy calls and float formatting.
+GENERIC = ("interp", "ufunc", "text")
+CALIBRATION = {"stability": ("banded",), "shoot": GENERIC, "map": GENERIC}
+
 WORKLOADS = {
     "stability": lambda seed: stability_ops(),
     "shoot": lambda seed: shoot_ops(),
