@@ -11,6 +11,7 @@ returned verbatim.  Exit codes: 0 success, 2 domain/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -57,9 +58,19 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir / ".lelab-cache"
 
 
+# Algorithm revision per cached command, part of the cache key: bump a
+# command's entry whenever its numbers change, so that entries written by the
+# older algorithm are not served.  eig 2: shifted inverse iteration in
+# ground-state variables; curve 2: the prescan ends exactly at p.
+_REVISION = {"curve": 2, "scan": 1, "solve": 1, "shoot": 1, "compare": 1,
+             "eig": 2}
+
+
 def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
     """Produce {relname: text} + stdout text, through the artifact cache."""
-    key = payload_hash({"version": __version__, "payload": payload})
+    key = payload_hash({"version": __version__,
+                        "revision": _REVISION[payload["cmd"]],
+                        "payload": payload})
     entry = _cache_root(cfg, out_dir) / key
     files: dict[str, str]
     stdout: str
@@ -365,7 +376,10 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--ladder", type=int, default=d)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than a cached command does."""
     ap = argparse.ArgumentParser(
         prog="lelab",
         description="Numerical laboratory for stable radial solutions of the "

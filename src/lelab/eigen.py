@@ -7,16 +7,29 @@ Computes
 over radial phi vanishing (together with psi = r^{2-gamma}(-Delta phi)) on
 the boundary of the annulus A.  The minimizer solves the cooperative system
 
-    -Delta phi = r^{gamma-2} psi,    -Delta psi = lambda r^{-gamma-2} phi,
+    -Delta phi = r^{gamma-2} psi,    -Delta psi = lambda r^{-gamma-2} phi.
 
-so lambda is the reciprocal of the dominant eigenvalue of the positive map
-B = A^{-1} W1 A^{-1} W2, where A is the Dirichlet radial Laplacian and
-W1, W2 the two weights.  In log-radius coordinates rho = log r the
-Laplacian is r^{-2}(d_rho^2 + (N-2) d_rho); it is discretized in
-conservative (flux) form on a uniform rho grid, which is second-order
-accurate, unconditionally an M-matrix (the iteration preserves positivity)
-and symmetrizable, so each application of A^{-1} is two triangular sweeps
-of a prefactored banded Cholesky.
+In log-radius coordinates rho = log r the Laplacian is
+r^{-2}(d_rho^2 + (N-2) d_rho); it is discretized in conservative (flux)
+form on a uniform rho grid of step h, which is second-order accurate.  With
+K the flux-form matrix, R = diag(r^{N+gamma-2}) and Q = diag(r^{N-gamma-2})
+the discrete problem is K R^{-1} K phi = lambda Q phi.  In the ground-state
+variables y = Q^{1/2} phi it becomes T T^T y = lambda y, where
+
+    T = Q^{-1/2} K R^{-1/2}
+      = h^{-2} tridiag(-e^{gamma h/2}, 2 cosh((N-2)h/2), -e^{-gamma h/2})
+
+has constant coefficients: no power of r is ever formed, so nothing
+overflows however large N log(r_outer/r_inner) is, and lambda is the
+squared smallest singular value of T.  The symmetric part of T exceeds
+
+    s_h = 4 sinh((N-2+gamma)h/4) sinh((N-2-gamma)h/4) / h^2 >= C_gamma^{1/2},
+
+the infimum of the symbol of T, so T T^T - s_h^2 is positive definite.
+s_h^2 is the discrete counterpart of C_gamma and tends to it as h -> 0.
+Since T is an irreducible M-matrix, the inverse of the shifted matrix is
+entrywise positive: inverse iteration at the shift s_h^2 keeps the iterate
+positive and converges in a few steps on any grid.
 
 lambda(A) decreases to the optimal constant C_gamma = [((N-2)^2-gamma^2)/4]^2
 as the annulus grows, and exceeds it on every finite annulus (the infimum
@@ -31,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ConvergenceError, DiscretizationError, DomainError
 from .exponents import (CurvePosition, ParameterTriple, classify,
@@ -113,115 +125,108 @@ class EigReport:
         return d
 
 
-def _dirichlet_laplacian_factor(annulus: Annulus, N: int):
-    """Prefactor the flux-form radial Laplacian on the log grid.
-
-    Returns (r interior nodes, solve) where solve(b) solves -Delta x = b
-    with Dirichlet conditions at both radii.
-    """
-    M = annulus.M
-    rho = np.linspace(math.log(annulus.r_inner), math.log(annulus.r_outer), M + 2)
-    h = rho[1] - rho[0]
-    rho_in = rho[1:-1]
-    # flux coefficients e^{(N-2) rho} at half nodes; row scaling e^{N rho}
-    ehalf = np.exp((N - 2.0) * 0.5 * (rho[:-1] + rho[1:]))
-    diag = (ehalf[:-1] + ehalf[1:]) / h**2
-    off = -ehalf[1:-1] / h**2
-    ab = np.zeros((2, M))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    cb = cholesky_banded(ab, lower=False)
-    row_scale = np.exp(N * rho_in)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((cb, False), row_scale * b)
-
-    return np.exp(rho_in), solve
-
-
 def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
-                         opts: EigOptions | None = None,
-                         x0: np.ndarray | None = None) -> EigReport:
-    """Inverse-power iteration for the smallest weighted quotient.
+                         opts: EigOptions | None = None) -> EigReport:
+    """Shifted inverse iteration for the smallest weighted quotient.
 
-    The iterate is phi_{k+1} = A^{-1}(w1 . A^{-1}(w2 . phi_k)) with
-    w1 = r^{gamma-2}, w2 = r^{-gamma-2}; the Rayleigh ratio of the map in
-    the L^2(w2 dx) inner product converges to 1/lambda.  Successive
-    eigenvalue estimates are Aitken-extrapolated (the iteration error is
-    geometric) and the loop stops when the extrapolated value moves by
-    less than ``tol`` relatively, or raises ConvergenceError at the
-    iteration cap.  The analytic leading mode r^{-(N-2)/2} sin(pi rho/L)
-    is the default start vector.
+    Each step solves (T T^T - s_h^2) y' = y with a banded Cholesky factor of
+    the pentadiagonal shifted matrix and normalizes y' (see the module
+    docstring for T and s_h).  The eigenvalue is the Rayleigh quotient
+    ||T^T y||^2, applied through the tridiagonal T: the formed pentadiagonal
+    matrix would limit its accuracy to about 1e-8.  The loop stops when
+    lambda moves by less than ``tol`` relatively, or raises
+    ConvergenceError at the iteration cap.  The start vector is the
+    analytic leading mode sin(pi rho/L), exact at gamma = 0.
+
+    ``phi`` and ``psi = r^{2-gamma}(-Delta phi)`` are returned with one
+    common scale, formed in log space, so that the larger of the two peaks
+    at 1; ``residual`` is ||T T^T y - lambda y|| / lambda at ||y|| = 1.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     opts = EigOptions() if opts is None else opts
     opts.validate()
     if int(N) != N or N < 3:
         raise DomainError(f"integer N >= 3 required, got {N}")
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}")
-    r, solve = _dirichlet_laplacian_factor(annulus, N)
-    w1 = r ** (gamma - 2.0)
-    w2 = r ** (-gamma - 2.0)
-    quad = w2 * r ** N  # L^2(w2 dx) weights on the uniform log grid
+    M = annulus.M
+    rho = np.linspace(math.log(annulus.r_inner), math.log(annulus.r_outer), M + 2)
+    h = rho[1] - rho[0]
+    rho = rho[1:-1]
+    # h^2 T has diagonal d, T[i+1, i] = lo and T[i, i+1] = up, with lo up = 1
+    d = 2.0 * math.cosh((N - 2.0) * h / 2.0)
+    lo = -math.exp(gamma * h / 2.0)
+    up = -math.exp(-gamma * h / 2.0)
+    h2_s = (4.0 * math.sinh((N - 2.0 + gamma) * h / 4.0)
+            * math.sinh((N - 2.0 - gamma) * h / 4.0))
 
-    if x0 is None:
-        L = annulus.log_width
-        s = np.log(r / annulus.r_inner)
-        x = r ** (-(N - 2.0) / 2.0) * np.sin(math.pi * s / L)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != r.shape:
-            raise DomainError("x0 has the wrong number of nodes")
-    x /= math.sqrt(float(np.dot(quad, x * x)))
+    def band(y: np.ndarray, sub: float, sup: float) -> np.ndarray:
+        z = d * y
+        z[1:] += sub * y[:-1]
+        z[:-1] += sup * y[1:]
+        return z
 
-    mu_hist: list[float] = []
-    ext_prev = None
+    # Cholesky's backward error on the formed matrix, about 16 eps, has to
+    # stay inside its smallest eigenvalue, which exceeds gap below; on finer
+    # grids the factor stops resolving the principal mode and lambda drifts
+    # up (1e-9 at 16 eps = 0.7 gap, 4e-7 at 2.8 gap)
+    q = 4.0 * math.cosh(gamma * h / 2.0) * math.sin(math.pi / (2.0 * (M + 1))) ** 2
+    gap = q * (2.0 * h2_s + q)
+    if 16.0 * np.finfo(float).eps > gap:
+        raise DiscretizationError(
+            f"grid too fine for the shifted factorization (h = {h:.3g}); "
+            "use fewer nodes per unit of log-radius"
+        )
+    # h^4 (T T^T - s_h^2) in upper banded storage
+    ab = np.empty((3, M))
+    ab[0, :] = 1.0
+    ab[1, :] = d * (lo + up)
+    ab[2, :] = d * d + lo * lo + up * up - h2_s * h2_s
+    ab[2, 0] -= lo * lo
+    ab[2, -1] -= up * up
+    try:
+        cb = cholesky_banded(ab, lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise DiscretizationError(
+            "shifted operator is not positive definite; refine the grid"
+        ) from exc
+
+    y = np.sin(math.pi * np.arange(1, M + 1) / (M + 1))
     lam = math.nan
-    iterations = 0
-    y = None
-    for k in range(1, opts.max_iter + 1):
-        iterations = k
-        y = solve(w2 * x)
-        z = solve(w1 * y)
-        mu = float(np.dot(quad, z * x))  # Rayleigh ratio, ||x||_w = 1
-        mu_hist.append(mu)
-        # Aitken extrapolation of the geometric tail
-        if len(mu_hist) >= 3:
-            m0, m1, m2 = mu_hist[-3], mu_hist[-2], mu_hist[-1]
-            den = m2 - 2.0 * m1 + m0
-            ext = m2 - (m2 - m1) ** 2 / den if den != 0.0 else m2
-        else:
-            ext = mu
-        nz = math.sqrt(float(np.dot(quad, z * z)))
-        if nz <= 0.0 or not math.isfinite(nz):
-            raise DiscretizationError("iterate collapsed; grid too coarse")
-        x = z / nz
-        if ext_prev is not None and abs(ext - ext_prev) <= opts.tol * abs(ext):
-            lam = 1.0 / ext
+    for iterations in range(1, opts.max_iter + 1):
+        y = cho_solve_banded((cb, False), y)
+        # numpy sums rather than BLAS dots: OpenBLAS threads a dot product
+        # past 10^4 entries, and the thread hand-off costs more than the sum
+        ny = math.sqrt(float(np.sum(y * y)))
+        if ny <= 0.0 or not math.isfinite(ny):
+            raise DiscretizationError("iterate collapsed; refine the grid")
+        y /= ny
+        w = band(y, up, lo)  # h^2 T^T y
+        lam_prev, lam = lam, float(np.sum(w * w)) / h**4
+        if abs(lam - lam_prev) <= opts.tol * lam:
             break
-        ext_prev = ext
     else:
         raise ConvergenceError(
             f"eigenvalue iteration did not converge in {opts.max_iter} steps "
-            f"(last lambda ~ {1.0 / mu_hist[-1]:.12g})"
+            f"(last lambda ~ {lam:.12g})"
         )
 
-    if np.any(x <= 0.0):
+    if np.any(y <= 0.0) or np.any(w <= 0.0):
         raise DiscretizationError(
-            "principal iterate lost positivity; refine the grid"
+            "principal eigenvector lost positivity; refine the grid"
         )
-    # residual of B x = mu x in the weighted norm
-    y = solve(w2 * x)
-    z = solve(w1 * y)
-    mu = float(np.dot(quad, z * x)) / float(np.dot(quad, x * x))
-    res = z - mu * x
-    residual = math.sqrt(float(np.dot(quad, res * res))
-                         / float(np.dot(quad, x * x))) / mu
-    psi = lam * y / math.sqrt(float(np.dot(quad, x * x)))
+    h4_lam = lam * h**4
+    res = band(w, lo, up) - h4_lam * y
+    residual = math.sqrt(float(np.sum(res * res))) / h4_lam
+    # phi = Q^{-1/2} y and psi = R^{-1/2} T^T y, scaled together in log space
+    log_phi = np.log(y) - 0.5 * (N - gamma - 2.0) * rho
+    log_psi = np.log(w / h**2) - 0.5 * (N + gamma - 2.0) * rho
+    top = max(float(np.max(log_phi)), float(np.max(log_psi)))
     return EigReport(
         annulus=annulus, N=int(N), gamma=float(gamma), lam=lam,
         iterations=iterations, residual=residual,
-        phi=x, psi=psi, r=r,
+        phi=np.exp(log_phi - top), psi=np.exp(log_psi - top), r=np.exp(rho),
     )
 
 
@@ -233,25 +238,9 @@ def default_ladder(k_max: int = 5, m_per_k: int = 1024) -> list[Annulus]:
 
 def eig_ladder(N: int, gamma: float, ladder: list[Annulus] | None = None,
                opts: EigOptions | None = None) -> list[EigReport]:
-    """Eigenvalues along a nested-annulus ladder, warm-starting each rung."""
+    """Eigenvalues along a nested-annulus ladder, each rung solved on its own."""
     ladder = default_ladder() if ladder is None else ladder
-    reports: list[EigReport] = []
-    prev: EigReport | None = None
-    for ann in ladder:
-        x0 = None
-        if prev is not None:
-            r, _ = _dirichlet_laplacian_factor(ann, N)
-            lr = np.log(r)
-            x0 = np.interp(lr, np.log(prev.r), prev.phi, left=0.0, right=0.0)
-            if not np.any(x0 > 0.0):
-                x0 = None
-            else:
-                # keep the start vector strictly positive inside
-                floor = float(np.max(x0)) * 1e-8
-                x0 = np.maximum(x0, floor)
-        reports.append(principal_eigenvalue(ann, N, gamma, opts, x0=x0))
-        prev = reports[-1]
-    return reports
+    return [principal_eigenvalue(ann, N, gamma, opts) for ann in ladder]
 
 
 def richardson_limit(reports: list[EigReport]) -> float:
@@ -327,20 +316,13 @@ def singular_stability_verdict(
     extended = 0
     if annulus is None:
         k = round(math.log10(reports[-1].annulus.r_outer))
-        relax = EigOptions(tol=max(opts.tol, 1e-9), max_iter=max(opts.max_iter, 30_000),
-                           verdict_band=opts.verdict_band)
         while (reports[-1].lam >= k1k2
                and reports[-1].lam - k1k2 < 2.0 * _gap_estimate(
                    params.N, sc.gamma, reports[-1].annulus.log_width)
                and k < extend_max_k):
             k += 1
             ann = Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
-            r, _ = _dirichlet_laplacian_factor(ann, params.N)
-            x0 = np.interp(np.log(r), np.log(reports[-1].r), reports[-1].phi,
-                           left=0.0, right=0.0)
-            floor = float(np.max(x0)) * 1e-8
-            x0 = np.maximum(x0, floor)
-            reports.append(principal_eigenvalue(ann, params.N, sc.gamma, relax, x0=x0))
+            reports.append(principal_eigenvalue(ann, params.N, sc.gamma, opts))
             extended += 1
     lam_min = min(rep.lam for rep in reports)
     unstable = lam_min < k1k2

@@ -317,6 +317,7 @@ def jl_curve_q(
     # nudge off the exact hyperbola so rounding cannot push alpha past N-2
     q_lo = min(p, q_lo * (1.0 + 1e-14) + 1e-300)
     qs = [q_lo + (p - q_lo) * i / (prescan - 1) for i in range(prescan)]
+    qs[-1] = p  # the formula can round 1 ulp past p, off the admissible slice
     ms = [_margin_at(N, p, q) for q in qs]
 
     band_end = tol_curve * max(1.0, abs(ms[-1]) + 1.0)

@@ -100,25 +100,18 @@ def _grid_cells(N, lo, hi, n=50):
     return cells
 
 
-def _eig_stable_top(N, sc, k_top, m_per_k, opts, warm):
+def _eig_stable_top(N, sc, k_top, m_per_k, opts):
     """Ladder-top comparison lambda vs K1K2, extending while undecided."""
-    ann = Annulus(10.0 ** -k_top, 10.0 ** k_top, m_per_k * k_top)
-    rep = principal_eigenvalue(ann, N, sc.gamma, opts, x0=warm.get(k_top))
-    warm[k_top] = rep.phi
-    lam, k = rep.lam, k_top
-    prev = rep
+    k = k_top
+    lam = principal_eigenvalue(Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k),
+                               N, sc.gamma, opts).lam
     while (lam >= sc.K1K2
            and lam - sc.K1K2 < 2.0 * _gap_estimate(N, sc.gamma,
                                                    2.0 * k * math.log(10.0))
            and k < 14):
         k += 1
-        ann = Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k)
-        rho = np.linspace(math.log(ann.r_inner), math.log(ann.r_outer),
-                          ann.M + 2)[1:-1]
-        x0 = np.interp(rho, np.log(prev.r), prev.phi, left=0.0, right=0.0)
-        x0 = np.maximum(x0, float(np.max(x0)) * 1e-8)
-        prev = principal_eigenvalue(ann, N, sc.gamma, opts, x0=x0)
-        lam = prev.lam
+        lam = principal_eigenvalue(Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k),
+                                   N, sc.gamma, opts).lam
     return lam >= sc.K1K2, lam, k
 
 
@@ -131,9 +124,7 @@ def test_c3_stability_equivalence_grid():
     mismatches = []
     for N, lo, hi in windows:
         cells = _grid_cells(N, lo, hi)
-        cells.sort(key=lambda c: c[2].gamma)
         opts = EigOptions(tol=1e-9, max_iter=40_000)
-        warm: dict = {}
         for p, q, sc in cells:
             total += 1
             band = 1e-6 * max(1.0, sc.K1K2)
@@ -143,7 +134,7 @@ def test_c3_stability_equivalence_grid():
             witness = supersolution_residuals(sc).stability_witness
             side = classify(ParameterTriple(p, q, N)).jl
             cls_stable = side in (CurvePosition.ABOVE, CurvePosition.ON)
-            eig_stable, lam, k = _eig_stable_top(N, sc, 5, 1024, opts, warm)
+            eig_stable, lam, k = _eig_stable_top(N, sc, 5, 1024, opts)
             if not (witness == cls_stable == eig_stable):
                 mismatches.append((N, p, q, witness, cls_stable, eig_stable,
                                    lam, sc.K1K2, k))

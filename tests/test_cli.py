@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lelab import cli
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
 from lelab.errors import ConfigError
@@ -90,6 +91,19 @@ class TestScanCommand:
         assert rc == 0
         csv3 = {f.name: f.read_bytes() for f in out3.glob("scan_*")}
         assert csv1 == csv3
+
+    def test_older_revision_not_served(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
+        args = ["--out", str(tmp_path), "--ladder", "1", "eig", "8", "8", "11"]
+        revision = cli._REVISION["eig"]
+        monkeypatch.setitem(cli._REVISION, "eig", revision - 1)
+        assert run_cli(args, capsys)[0] == 0
+        monkeypatch.setitem(cli._REVISION, "eig", revision)
+        rc, _, err = run_cli(args, capsys)
+        assert rc == 0
+        assert "cache hit" not in err
+        rc, _, err = run_cli(args, capsys)
+        assert "cache hit" in err
 
     def test_env_cache_dir(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cachehome"
@@ -182,6 +196,14 @@ class TestSolveCompareEig:
         qs = [r.split(",")[1] for r in rows]
         assert all(q for q in qs)  # every slice at p >= 7 crosses the curve
         assert float(qs[-1]) < 9.0
+
+    def test_curve_slices_ending_past_p(self, tmp_path, capsys):
+        # at p = 9.3015873 the prescan formula once rounded past p
+        out = tmp_path / "curve3"
+        rc, _, err = run_cli(["--out", str(out), "--no-cache", "curve", "11",
+                              "--p-min", "7", "--p-max", "12", "--steps",
+                              "64"], capsys)
+        assert rc == 0, err
 
     def test_annulus_flag(self, tmp_path, capsys):
         out = tmp_path / "ann"

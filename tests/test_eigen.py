@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from lelab import ConvergenceError, DomainError, ParameterTriple, \
-    hardy_rellich_constant, jl_curve_q
+from lelab import ConvergenceError, DiscretizationError, DomainError, \
+    ParameterTriple, hardy_rellich_constant, jl_curve_q
+from lelab.cli import main as cli_main
 from lelab.eigen import (Annulus, EigOptions, default_ladder, eig_ladder,
                          principal_eigenvalue, richardson_limit,
                          singular_stability_verdict)
@@ -18,7 +20,74 @@ def exact_zero_gamma_eigenvalue(N: int, annulus: Annulus) -> float:
     return (c + (math.pi / annulus.log_width) ** 2) ** 2
 
 
+def discrete_zero_gamma_eigenvalue(N: int, annulus: Annulus) -> float:
+    # gamma = 0: the flux-form operator in ground-state variables is
+    # h^-2 tridiag(-1, 2 cosh((N-2)h/2), -1) with sine eigenvectors; the
+    # half-angle forms of cosh - 1 and 1 - cos avoid cancellation
+    M = annulus.M
+    h = annulus.log_width / (M + 1)
+    s = (4.0 * math.sinh((N - 2.0) * h / 4.0) ** 2
+         + 4.0 * math.sin(math.pi / (2.0 * (M + 1))) ** 2) / h**2
+    return s * s
+
+
+def mp_flux_form_eigenvalue(N: int, gamma: float, annulus: Annulus) -> float:
+    """Smallest eigenvalue of Q^-1/2 K R^-1 K Q^-1/2 at 30 digits.
+
+    K is the flux-form radial operator on the uniform log grid, with
+    coefficients e^{(N-2) rho} at the half nodes; R = diag(r^{N+gamma-2}) and
+    Q = diag(r^{N-gamma-2}) at the interior nodes.
+    """
+    with mp.workdps(30):
+        M = annulus.M
+        a = mp.log(annulus.r_inner)
+        h = (mp.log(annulus.r_outer) - a) / (M + 1)
+        rho = [a + (i + 1) * h for i in range(M)]
+        flux = [mp.exp((N - 2) * (a + (i + mp.mpf(0.5)) * h))
+                for i in range(M + 1)]
+        K = mp.zeros(M, M)
+        for i in range(M):
+            K[i, i] = (flux[i] + flux[i + 1]) / h**2
+            if i + 1 < M:
+                K[i, i + 1] = K[i + 1, i] = -flux[i + 1] / h**2
+        r_inv = mp.diag([mp.exp(-(N + gamma - 2) * x) for x in rho])
+        q_inv_half = mp.diag([mp.exp(-(N - gamma - 2) * x / 2) for x in rho])
+        S = q_inv_half * K * r_inv * K * q_inv_half
+        return float(min(mp.eigsy(S, eigvals_only=True)))
+
+
 class TestPrincipalEigenvalue:
+    @pytest.mark.parametrize("N", [3, 11, 23, 40])
+    def test_matches_discrete_closed_form_at_zero_gamma(self, N):
+        # the cancellation left in ||T^T y||^2 grows as C_gamma shrinks
+        tol = 2e-10 if N <= 5 else 1e-11
+        for ann in default_ladder(14):
+            lam = principal_eigenvalue(ann, N, 0.0).lam
+            exact = discrete_zero_gamma_eigenvalue(N, ann)
+            assert lam == pytest.approx(exact, rel=tol), (N, ann)
+
+    @pytest.mark.parametrize("N, gamma", [(11, 0.4), (13, 2.0), (23, 5.5)])
+    def test_matches_mpmath_flux_form_eigenvalue(self, N, gamma):
+        # (23, 5.5) on this coarse grid: (N-2)h = 3, far from the continuum
+        ann = Annulus(1e-2, 1e2, 64)
+        lam = principal_eigenvalue(ann, N, gamma).lam
+        assert lam == pytest.approx(mp_flux_form_eigenvalue(N, gamma, ann),
+                                    rel=1e-10)
+
+    def test_wide_annulus_in_high_dimension_is_finite(self):
+        # r^N spans 10^{+-322} here: no weight may be formed in r itself
+        rep = principal_eigenvalue(Annulus(1e-14, 1e14, 14 * 1024), 23, 0.5)
+        assert math.isfinite(rep.lam)
+        assert rep.lam > hardy_rellich_constant(23, 0.5)
+        assert np.all(np.isfinite(rep.phi)) and np.all(np.isfinite(rep.psi))
+
+    def test_too_fine_grid_is_refused(self):
+        # here the formed shifted matrix no longer resolves the principal
+        # mode: lambda came out 5e-5 high instead of failing
+        with pytest.raises(DiscretizationError, match="too fine"):
+            principal_eigenvalue(Annulus(1e-2, 1e2, 102_400), 11, 0.4)
+        principal_eigenvalue(Annulus(1e-2, 1e2, 25_600), 11, 0.4)
+
     def test_matches_exact_solution_at_zero_gamma(self):
         ann = Annulus(1e-2, 1e2, 2048)
         rep = principal_eigenvalue(ann, 11, 0.0)
@@ -80,11 +149,11 @@ class TestLadder:
         assert all(lam > c for lam in lams)
         assert richardson_limit(reports) == pytest.approx(c, rel=0.01)
 
-    def test_warm_start_matches_cold(self):
+    def test_rung_matches_single_annulus(self):
         ann = default_ladder(3, 512)
-        warm = eig_ladder(11, 1.1, ann)[-1].lam
-        cold = principal_eigenvalue(ann[-1], 11, 1.1).lam
-        assert warm == pytest.approx(cold, rel=1e-8)
+        rung = eig_ladder(11, 1.1, ann)[-1].lam
+        single = principal_eigenvalue(ann[-1], 11, 1.1).lam
+        assert rung == single
 
 
 class TestStabilityVerdict:
@@ -124,6 +193,20 @@ class TestStabilityVerdict:
                                               ladder=ladder)
         assert unstable.verdict == "SingularUnstable"
         assert unstable.lecv_consistent
+
+    def test_extended_rungs_match_closed_form(self):
+        # near the curve at gamma = 0 the ladder extends to k = 14; every
+        # extended rung must be the eigenvalue of its own discrete operator
+        sr = singular_stability_verdict(ParameterTriple(6.9, 6.9, 11))
+        assert sr.extended > 0
+        for rep in sr.reports:
+            exact = discrete_zero_gamma_eigenvalue(11, rep.annulus)
+            assert rep.lam == pytest.approx(exact, rel=1e-10)
+
+    def test_high_dimension_ladder_cli(self, tmp_path):
+        rc = cli_main(["eig", "30", "20", "40", "--ladder", "8",
+                       "--out", str(tmp_path), "--no-cache"])
+        assert rc == 0
 
     def test_single_annulus_form(self):
         sr = singular_stability_verdict(ParameterTriple(3, 2, 11),

@@ -194,6 +194,14 @@ class TestCurveRootFinding:
         p_star = jl_diagonal(11)
         assert jl_curve_q(11, p_star) == pytest.approx(p_star, rel=1e-9)
 
+    def test_dense_slices_stay_admissible(self):
+        # the prescan's last node must be p itself: a node 1 ulp above p
+        # left the slice and raised DomainError for about 1 in 150 slices
+        for N in (11, 12, 13, 15, 20):
+            for p in np.linspace(1.0, 40.0, 400):
+                q_star = jl_curve_q(N, float(p))
+                assert q_star is None or q_star <= p
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             jl_curve_q(11, 0.5)
