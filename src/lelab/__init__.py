@@ -32,6 +32,7 @@ from .exponents import (
     ScalingData,
     SobolevClass,
     classify,
+    curve_margins,
     derive_scaling,
     hardy_rellich_constant,
     jl_curve_q,
@@ -47,6 +48,6 @@ __all__ = [
     "MisclassifiedProfile", "DiscretizationError",
     "ParameterTriple", "ScalingData", "RegionVerdict",
     "SobolevClass", "CurvePosition",
-    "derive_scaling", "classify", "sobolev_margin", "jl_margin",
+    "derive_scaling", "curve_margins", "classify", "sobolev_margin", "jl_margin",
     "hardy_rellich_constant", "jl_curve_q", "jl_diagonal",
 ]

@@ -61,9 +61,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # Algorithm revision per cached command, part of the cache key: bump a
 # command's entry whenever its numbers change, so that entries written by the
 # older algorithm are not served.  eig 2: shifted inverse iteration in
-# ground-state variables; curve 2: the prescan ends exactly at p.
-_REVISION = {"curve": 2, "scan": 1, "solve": 1, "shoot": 1, "compare": 1,
-             "eig": 2}
+# ground-state variables; curve 2: the prescan ends exactly at p; eig 3 and
+# curve 3: K1K2 and the curve margin are p q S T from the shared kernel.
+_REVISION = {"curve": 3, "scan": 1, "solve": 1, "shoot": 1, "compare": 1,
+             "eig": 3}
 
 
 def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
@@ -123,6 +124,8 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 def _cmd_curve(args, cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
+    if args.steps < 1:
+        raise DomainError("--steps must be >= 1")
     payload = {
         "cmd": "curve", "N": args.N, "p_min": args.p_min, "p_max": args.p_max,
         "steps": args.steps, "tol_curve": cfg.tol_curve,
@@ -149,14 +152,6 @@ def _cmd_curve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_rows(task):
-    """Worker for parallel scans: codes for a block of p rows."""
-    from .scan import region_codes
-    N, p_block, q_values, tol = task
-    return region_codes(np.asarray(p_block)[:, None],
-                        np.asarray(q_values)[None, :], N, tol)
-
-
 def _cmd_scan(args, cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     if args.resolution is not None and args.resolution < 1:
@@ -171,26 +166,14 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
 
     def produce():
         p_min, p_max, q_min, q_max = window
-        if args.jobs > 1 and resolution >= 2:
-            p_values = np.linspace(p_min, p_max, resolution)
-            q_values = np.linspace(q_min, q_max, resolution)
-            from concurrent.futures import ProcessPoolExecutor
-            blocks = np.array_split(p_values, min(args.jobs * 4, resolution))
-            tasks = [(args.N, blk.tolist(), q_values.tolist(), cfg.tol_curve)
-                     for blk in blocks if blk.size]
-            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                parts = list(ex.map(_scan_rows, tasks))
-            codes = np.vstack(parts)
-            from .scan import ScanResult
-            result = ScanResult(N=args.N, p_min=p_min, p_max=p_max,
-                                q_min=q_min, q_max=q_max,
-                                resolution=resolution, p=p_values, q=q_values,
-                                codes=codes, tol_curve=cfg.tol_curve)
-        else:
-            result = scan_codes(args.N, window, resolution, cfg.tol_curve)
+        result = scan_codes(args.N, window, resolution, cfg.tol_curve)
+        # each axis value is formatted once, not once per cell
+        p_cells = [fmt_float(x) for x in result.p.tolist()]
+        q_cells = [fmt_float(x) for x in result.q.tolist()]
         rows = (
-            (float(result.p[i]), float(result.q[j]), int(result.codes[i, j]))
-            for i in range(result.p.size) for j in range(result.q.size)
+            (pc, qc, code)
+            for pc, codes in zip(p_cells, result.codes)
+            for qc, code in zip(q_cells, codes.tolist())
         )
         csv = to_csv(["p", "q", "code"], rows)
         counts = np.bincount(result.codes.ravel(), minlength=3)
@@ -362,7 +345,6 @@ def _add_common(parser, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", type=str, default=d, help="key=value config file")
     parser.add_argument("--out", type=str, default=d, help="output directory")
-    parser.add_argument("--jobs", type=int, default=d, help="worker processes for scans")
     parser.add_argument("--no-cache", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="disable the artifact cache")
@@ -451,8 +433,6 @@ def main(argv=None) -> int:
         overrides: dict = {}
         if args.out is not None:
             overrides["out"] = args.out
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
         if args.no_cache:
             overrides["cache"] = False
         # --resolution stays a per-command argument: the config default must
@@ -464,7 +444,6 @@ def main(argv=None) -> int:
             if v is not None:
                 overrides[key] = v
         cfg = load_config(args.config, overrides)
-        args.jobs = cfg.jobs
         if not hasattr(args, "resolution"):
             args.resolution = None
         return _COMMANDS[args.command](args, cfg) or 0

@@ -34,7 +34,6 @@ class RunConfig:
     out: str = "."
     cache: bool = True
     cache_dir: str = ""
-    jobs: int = 1
 
     def validate(self) -> None:
         positive = ("rtol", "atol", "event_tol", "r_target", "decay_threshold",
@@ -45,7 +44,7 @@ class RunConfig:
                 raise ConfigError(f"config key '{name}' must be positive, got {v!r}")
         for name, lo in (("grid_nodes", 16), ("resolution", 16),
                          ("ladder_m_per_k", 16), ("ladder_kmax", 1),
-                         ("eig_max_iter", 1), ("jobs", 1)):
+                         ("eig_max_iter", 1)):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= lo):
                 raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")

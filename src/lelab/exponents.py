@@ -32,6 +32,7 @@ __all__ = [
     "CurvePosition",
     "RegionVerdict",
     "derive_scaling",
+    "curve_margins",
     "sobolev_margin",
     "jl_margin",
     "classify",
@@ -45,9 +46,10 @@ __all__ = [
 class ParameterTriple:
     """Exponents (p, q) and dimension N; the independent input everywhere.
 
-    The constructor enforces only p >= q > 0 and integer N >= 1; the
-    stronger hypotheses needed by the critical-curve machinery (p >= q >= 1,
-    pq > 1, N >= 3) are checked by the operations that require them.
+    The constructor enforces only p >= q > 0 with p q finite and integer
+    N >= 1; the stronger hypotheses needed by the critical-curve machinery
+    (p >= q >= 1, pq > 1, N >= 3) are checked by the operations that
+    require them.
     """
 
     p: float
@@ -66,6 +68,8 @@ class ParameterTriple:
             raise DomainError(
                 f"exponents must satisfy p >= q > 0, got p={self.p}, q={self.q}"
             )
+        if not math.isfinite(self.p * self.q):
+            raise DomainError(f"p q overflows: p={self.p}, q={self.q}")
 
 
 def _require_curve_hypotheses(params: ParameterTriple) -> None:
@@ -73,6 +77,16 @@ def _require_curve_hypotheses(params: ParameterTriple) -> None:
         raise DomainError(f"q >= 1 required, got q={params.q}")
     if params.p * params.q <= 1.0:
         raise DomainError(f"pq > 1 required, got pq={params.p * params.q}")
+    if params.N < 3:
+        raise DomainError(f"N >= 3 required for scaling data, got N={params.N}")
+
+
+def _require_singular_solution(alpha: float, N: int) -> None:
+    # the singular solution ceases to exist at alpha = N-2, where S vanishes
+    if alpha >= N - 2.0:
+        raise DomainError(
+            f"no singular solution: alpha={alpha:.6g} >= N-2={N - 2}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,7 @@ class ScalingData:
     T = beta(N-2-beta), a = (S T^p)^{1/(pq-1)}, b = (S^q T)^{1/(pq-1)}.
     K1 = p b^{p-1} with weight exponent ``weight_exp_K1`` = beta(p-1) = 2+gamma
     and K2 = q a^{q-1} with ``weight_exp_K2`` = alpha(q-1) = 2-gamma.
+    ``K1K2`` is the kernel's p q S T, which equals K1 K2 up to rounding.
     """
 
     p: float
@@ -98,13 +113,10 @@ class ScalingData:
     b: float
     K1: float
     K2: float
+    K1K2: float
     C_gamma: float
     weight_exp_K1: float
     weight_exp_K2: float
-
-    @property
-    def K1K2(self) -> float:
-        return self.K1 * self.K2
 
     def as_dict(self) -> dict:
         return {
@@ -125,7 +137,37 @@ def hardy_rellich_constant(N: int, gamma: float) -> float:
         raise DomainError(f"integer N >= 3 required, got {N}")
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}, N={N}")
-    return (((N - 2.0) ** 2 - gamma * gamma) / 4.0) ** 2
+    return _c_gamma(N, gamma)
+
+
+def _c_gamma(N, gamma):
+    c = ((N - 2.0) * (N - 2.0) - gamma * gamma) / 4.0
+    return c * c
+
+
+def _sobolev_margin(p, q, N):
+    return (1.0 - 2.0 / N) - 1.0 / (p + 1.0) - 1.0 / (q + 1.0)
+
+
+def _curve_algebra(p, q, N):
+    """alpha, beta, gamma, S, T, C_gamma and K1K2 = p q S T, in plain
+    arithmetic that runs on floats and numpy arrays alike.  Unchecked: the
+    values mean nothing unless pq > 1 and alpha < N-2."""
+    pq1 = p * q - 1.0
+    alpha = 2.0 * (p + 1.0) / pq1
+    beta = 2.0 * (q + 1.0) / pq1
+    gamma = alpha - beta
+    S = alpha * (N - 2.0 - alpha)
+    T = beta * (N - 2.0 - beta)
+    return alpha, beta, gamma, S, T, _c_gamma(N, gamma), p * q * S * T
+
+
+def curve_margins(p, q, N):
+    """The critical-curve kernel on floats or broadcast numpy arrays:
+    (Sobolev margin, C_gamma - K1K2, K1K2, alpha) with K1K2 = p q S T.
+    The caller checks pq > 1 and alpha < N-2 (see ``_curve_algebra``)."""
+    alpha, _, _, _, _, c_gamma, k1k2 = _curve_algebra(p, q, N)
+    return _sobolev_margin(p, q, N), c_gamma - k1k2, k1k2, alpha
 
 
 def derive_scaling(params: ParameterTriple) -> ScalingData:
@@ -142,18 +184,9 @@ def derive_scaling(params: ParameterTriple) -> ScalingData:
     """
     _require_curve_hypotheses(params)
     p, q, N = params.p, params.q, params.N
-    if N < 3:
-        raise DomainError(f"N >= 3 required for scaling data, got N={N}")
+    alpha, beta, gamma, S, T, C_gamma, K1K2 = _curve_algebra(p, q, N)
+    _require_singular_solution(alpha, N)
     pq1 = p * q - 1.0
-    alpha = 2.0 * (p + 1.0) / pq1
-    beta = 2.0 * (q + 1.0) / pq1
-    if alpha >= N - 2.0:
-        raise DomainError(
-            f"no singular solution: alpha={alpha:.6g} >= N-2={N - 2}"
-        )
-    gamma = alpha - beta
-    S = alpha * (N - 2.0 - alpha)
-    T = beta * (N - 2.0 - beta)
     log_S = math.log(S)
     log_T = math.log(T)
     a = math.exp((log_S + p * log_T) / pq1)
@@ -172,8 +205,7 @@ def derive_scaling(params: ParameterTriple) -> ScalingData:
         )
     return ScalingData(
         p=p, q=q, N=N, alpha=alpha, beta=beta, gamma=gamma, S=S, T=T,
-        a=a, b=b, K1=K1, K2=K2,
-        C_gamma=hardy_rellich_constant(N, gamma),
+        a=a, b=b, K1=K1, K2=K2, K1K2=K1K2, C_gamma=C_gamma,
         weight_exp_K1=e1, weight_exp_K2=e2,
     )
 
@@ -216,8 +248,7 @@ class RegionVerdict:
 
 
 def sobolev_margin(params: ParameterTriple) -> float:
-    p, q, N = params.p, params.q, params.N
-    return (1.0 - 2.0 / N) - 1.0 / (p + 1.0) - 1.0 / (q + 1.0)
+    return _sobolev_margin(params.p, params.q, params.N)
 
 
 def jl_margin(params: ParameterTriple) -> float:
@@ -225,8 +256,10 @@ def jl_margin(params: ParameterTriple) -> float:
 
     Raises DomainError where the scaling data is undefined.
     """
-    sc = derive_scaling(params)
-    return sc.C_gamma - sc.K1K2
+    _require_curve_hypotheses(params)
+    _, jm, _, alpha = curve_margins(params.p, params.q, params.N)
+    _require_singular_solution(alpha, params.N)
+    return jm
 
 
 def classify(params: ParameterTriple, tol_curve: float = 1e-9) -> RegionVerdict:
@@ -242,19 +275,20 @@ def classify(params: ParameterTriple, tol_curve: float = 1e-9) -> RegionVerdict:
         raise DomainError(f"classify requires p >= q >= 1, got q={params.q}")
     if tol_curve <= 0.0:
         raise DomainError("tol_curve must be positive")
-    sm = sobolev_margin(params)
+    p, q, N = params.p, params.q, params.N
+    if p * q > 1.0:
+        sm, jm, k1k2, alpha = curve_margins(p, q, N)
+    else:
+        sm, alpha = sobolev_margin(params), math.inf
     if abs(sm) <= tol_curve:
         sob = SobolevClass.CRITICAL
     elif sm > 0.0:
         sob = SobolevClass.SUPERCRITICAL
     else:
         sob = SobolevClass.SUBCRITICAL
-    try:
-        sc = derive_scaling(params)
-    except DomainError:
+    if not alpha < N - 2.0:  # also every N < 3, where N-2 <= 0 < alpha
         return RegionVerdict(sob, CurvePosition.UNDEFINED, sm, math.nan)
-    jm = sc.C_gamma - sc.K1K2
-    band = tol_curve * max(1.0, sc.K1K2)
+    band = tol_curve * max(1.0, k1k2)
     if abs(jm) <= band:
         jl = CurvePosition.ON
     elif jm > 0.0:
@@ -280,8 +314,31 @@ def _sobolev_q_lower(N: int, p: float) -> float:
     return max(1.0, 1.0 / s - 1.0)
 
 
-def _margin_at(N: int, p: float, q: float) -> float:
-    return jl_margin(ParameterTriple(p, q, N))
+def _prescan_bisect(f, xs, tol: float, max_iter: int):
+    """Prescan f on the nodes xs and bisect its first sign change.
+
+    Returns (root, values at xs, number of sign changes); the root is None
+    when f keeps one sign, else the midpoint of a bracket no wider than
+    tol * max(1, hi)."""
+    ms = [f(x) for x in xs]
+    flips = [i for i in range(len(ms) - 1)
+             if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
+    if not flips:
+        return None, ms, 0
+    lo, hi = xs[flips[0]], xs[flips[0] + 1]
+    m_lo = ms[flips[0]]
+    for _ in range(max_iter):
+        if hi - lo <= tol * max(1.0, hi):
+            return 0.5 * (lo + hi), ms, len(flips)
+        mid = 0.5 * (lo + hi)
+        m_mid = f(mid)
+        if (m_mid > 0.0) == (m_lo > 0.0):
+            lo, m_lo = mid, m_mid
+        else:
+            hi = mid
+    raise ConvergenceError(
+        f"bisection did not shrink the bracket below {tol} in {max_iter} steps"
+    )
 
 
 def jl_curve_q(
@@ -309,6 +366,8 @@ def jl_curve_q(
         raise DomainError(f"integer N >= 3 required, got {N}")
     if p < 1.0:
         raise DomainError(f"p >= 1 required, got {p}")
+    if not math.isfinite(p * p):
+        raise DomainError(f"p q overflows on the slice p={p}")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     q_lo = _sobolev_q_lower(N, p)
@@ -318,34 +377,16 @@ def jl_curve_q(
     q_lo = min(p, q_lo * (1.0 + 1e-14) + 1e-300)
     qs = [q_lo + (p - q_lo) * i / (prescan - 1) for i in range(prescan)]
     qs[-1] = p  # the formula can round 1 ulp past p, off the admissible slice
-    ms = [_margin_at(N, p, q) for q in qs]
-
-    band_end = tol_curve * max(1.0, abs(ms[-1]) + 1.0)
-    flips = [i for i in range(len(ms) - 1)
-             if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
-    if not flips:
-        if abs(ms[-1]) <= band_end:
-            return qs[-1]  # tangency at the diagonal endpoint
-        return None
-    if len(flips) > 1:
+    root, ms, flips = _prescan_bisect(
+        lambda q: curve_margins(p, q, N)[1], qs, tol, max_iter)
+    if flips > 1:
         raise ConvergenceError(
-            f"curve margin changes sign {len(flips)} times on the slice "
+            f"curve margin changes sign {flips} times on the slice "
             f"p={p}, N={N}; bisection bracket is ambiguous"
         )
-    lo, hi = qs[flips[0]], qs[flips[0] + 1]
-    m_lo = ms[flips[0]]
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, hi):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        m_mid = _margin_at(N, p, mid)
-        if (m_mid > 0.0) == (m_lo > 0.0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not shrink the bracket below {tol} in {max_iter} steps"
-    )
+    if root is None and abs(ms[-1]) <= tol_curve * max(1.0, abs(ms[-1]) + 1.0):
+        return qs[-1]  # tangency at the diagonal endpoint
+    return root
 
 
 def jl_diagonal(
@@ -369,27 +410,7 @@ def jl_diagonal(
     if p_lo >= p_hi:
         return None
 
-    def margin(p: float) -> float:
-        return _margin_at(N, p, p)
-
     # geometric pre-scan: the root can sit far out for N barely above 10
-    qs = [p_lo * (p_hi / p_lo) ** (i / (prescan - 1)) for i in range(prescan)]
-    ms = [margin(p) for p in qs]
-    flips = [i for i in range(len(ms) - 1)
-             if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
-    if not flips:
-        return None
-    lo, hi = qs[flips[0]], qs[flips[0] + 1]
-    m_lo = ms[flips[0]]
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, hi):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        m_mid = margin(mid)
-        if (m_mid > 0.0) == (m_lo > 0.0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not shrink the bracket below {tol} in {max_iter} steps"
-    )
+    ps = [p_lo * (p_hi / p_lo) ** (i / (prescan - 1)) for i in range(prescan)]
+    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1],
+                           ps, tol, max_iter)[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .exponents import curve_margins
 
 __all__ = ["ScanResult", "scan_codes", "region_codes"]
 
@@ -52,23 +53,15 @@ def region_codes(p: np.ndarray, q: np.ndarray, N: int,
     lo = np.minimum(p, q)
     if np.any(lo < 1.0):
         raise DomainError("scan window must satisfy p, q >= 1")
-    sob = (1.0 - 2.0 / N) - 1.0 / (hi + 1.0) - 1.0 / (lo + 1.0)
-    codes = np.zeros(np.broadcast(p, q).shape, dtype=np.int8)
+    # p q = 1 (alpha = inf) divides by zero and p q overflows on wide
+    # windows (margin nan): such cells fail the validity mask or the band
+    with np.errstate(all="ignore"):
+        sob, margin, k1k2, alpha = curve_margins(hi, lo, N)
+        on_or_above = (alpha < N - 2.0) & (
+            margin >= -tol_curve * np.maximum(1.0, k1k2))
     super_sob = sob >= -tol_curve
+    codes = np.zeros(np.broadcast(p, q).shape, dtype=np.int8)
     codes[super_sob] = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pq1 = hi * lo - 1.0
-        alpha = 2.0 * (hi + 1.0) / pq1
-        beta = 2.0 * (lo + 1.0) / pq1
-        valid = (pq1 > 0.0) & (alpha < N - 2.0)
-        S = alpha * (N - 2.0 - alpha)
-        T = beta * (N - 2.0 - beta)
-        gamma = alpha - beta
-        c_gamma = (((N - 2.0) ** 2 - gamma * gamma) / 4.0) ** 2
-        k1k2 = hi * lo * S * T
-        margin = c_gamma - k1k2
-        band = tol_curve * np.maximum(1.0, k1k2)
-        on_or_above = valid & (margin >= -band)
     codes[super_sob & on_or_above] = 2
     return codes
 

@@ -79,14 +79,17 @@ def to_json(obj: Any, indent: int = 2) -> str:
 
 
 def to_csv(header: list[str], rows) -> str:
-    """Deterministic CSV text; numeric cells rendered with fmt_float."""
+    """Deterministic CSV text; numeric cells rendered with fmt_float,
+    string cells (such as preformatted repeated values) written as given."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for c in row:
-            if isinstance(c, bool):
+            if isinstance(c, str):
+                cells.append(c)
+            elif isinstance(c, bool):
                 cells.append("true" if c else "false")
-            elif isinstance(c, (int,)) and not isinstance(c, bool):
+            elif isinstance(c, int):
                 cells.append(str(c))
             elif isinstance(c, float):
                 cells.append(fmt_float(c))
@@ -95,7 +98,8 @@ def to_csv(header: list[str], rows) -> str:
             else:
                 cells.append(str(c))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def payload_hash(payload: dict) -> str:

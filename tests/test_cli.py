@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="resolution"):
             load_config(cfg_file)
 
+    def test_jobs_key_unknown(self, tmp_path):
+        # the scan process pool and its setting are gone
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("jobs = 2\n")
+        with pytest.raises(ConfigError, match="unknown config key 'jobs'"):
+            load_config(cfg_file)
+        with pytest.raises(SystemExit):
+            main(["--jobs", "2", "scan", "11"])
+
 
 class TestClassifyCommand:
     def test_above_curve_json(self, capsys):
@@ -67,6 +77,12 @@ class TestClassifyCommand:
         rc, _, err = run_cli(["classify", "2", "3", "11"], capsys)
         assert rc == 2
         assert "p >= q" in err
+
+    def test_overflowing_pq_exits_2(self, capsys):
+        # p q = inf once made S = 0 and log(S) raised a bare ValueError
+        rc, _, err = run_cli(["classify", "1e200", "1e200", "11"], capsys)
+        assert rc == 2
+        assert "overflows" in err
 
 
 class TestScanCommand:
@@ -134,18 +150,25 @@ class TestScanCommand:
         csv = next(out.glob("scan_*.csv")).read_text().strip().splitlines()
         assert csv[1].split(",")[2] == "2"  # (8, 8, 11) is above the curve
 
-    def test_jobs_give_identical_bytes(self, tmp_path, capsys):
-        a, b = tmp_path / "j1", tmp_path / "j2"
-        base = ["scan", "11", "--window", "1", "12", "1", "12",
-                "--resolution", "48"]
-        rc, _, _ = run_cli(["--out", str(a), "--no-cache"] + base, capsys)
+    def test_scan_bytes_pinned(self, tmp_path, capsys):
+        # the hash of this scan in version 0.1.0 before the shared margin
+        # kernel, serial and with the former process pool alike
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", "11",
+                            "--window", "1", "12", "1", "12",
+                            "--resolution", "48"], capsys)
         assert rc == 0
-        rc, _, _ = run_cli(["--out", str(b), "--no-cache", "--jobs", "3"] + base,
-                           capsys)
-        assert rc == 0
-        fa = next(a.glob("scan_*.csv")).read_bytes()
-        fb = next(b.glob("scan_*.csv")).read_bytes()
-        assert fa == fb
+        csv = next(tmp_path.glob("scan_*.csv")).read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
+
+    def test_wide_window_is_quiet(self, tmp_path, capsys):
+        # p q overflows to inf on most of this window; numpy must not warn
+        # (the test suite turns RuntimeWarning into an error)
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "scan",
+                              "11", "--window", "1", "1e308", "1", "1e308",
+                              "--resolution", "16"], capsys)
+        assert rc == 0, err
+        assert "Warning" not in err
 
 
 class TestSolveCompareEig:
@@ -204,6 +227,27 @@ class TestSolveCompareEig:
                               "--p-min", "7", "--p-max", "12", "--steps",
                               "64"], capsys)
         assert rc == 0, err
+
+    def test_curve_rejects_overflowing_p(self, tmp_path, capsys):
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "curve",
+                              "11", "--p-min", "1", "--p-max", "1e308",
+                              "--steps", "3"], capsys)
+        assert rc == 2
+        assert "overflows" in err
+
+    def test_curve_rejects_nonpositive_steps(self, tmp_path, capsys):
+        for steps in ("0", "-3"):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache",
+                                  "curve", "11", "--steps", steps], capsys)
+            assert rc == 2
+            assert "--steps" in err
+        assert not list(tmp_path.glob("curve_*"))
+
+    def test_eig_rejects_overflowing_pq(self, tmp_path, capsys):
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
+                              "1e200", "1e200", "11"], capsys)
+        assert rc == 2
+        assert "overflows" in err
 
     def test_annulus_flag(self, tmp_path, capsys):
         out = tmp_path / "ann"

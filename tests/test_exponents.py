@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lelab import (CurvePosition, DomainError, ParameterTriple, SobolevClass,
-                   classify, derive_scaling, hardy_rellich_constant,
-                   jl_curve_q, jl_diagonal, jl_margin, sobolev_margin)
+                   classify, curve_margins, derive_scaling,
+                   hardy_rellich_constant, jl_curve_q, jl_diagonal, jl_margin,
+                   sobolev_margin)
 
 from conftest import valid_triples
 
@@ -68,7 +69,7 @@ class TestDeriveScaling:
         assume(p * q > 1.0 + 1e-9)
         assume(2.0 * (p + 1.0) / (p * q - 1.0) < N - 2.0 - 1e-12)
         sc = derive_scaling(ParameterTriple(p, q, N))
-        assert sc.K1K2 == pytest.approx(p * q * sc.S * sc.T, rel=1e-12)
+        assert sc.K1 * sc.K2 == pytest.approx(p * q * sc.S * sc.T, rel=1e-12)
         assert sc.alpha + 2.0 == pytest.approx(sc.beta * p, rel=1e-12)
         assert sc.beta + 2.0 == pytest.approx(sc.alpha * q, rel=1e-12)
         assert sc.beta * (p - 1.0) + sc.alpha * (q - 1.0) == \
@@ -217,7 +218,24 @@ def test_sobolev_margin_formula():
 def test_random_triples_all_identities(rng):
     for p, q, N in valid_triples(rng, 300):
         sc = derive_scaling(ParameterTriple(p, q, N))
-        assert abs(sc.K1K2 / (p * q * sc.S * sc.T) - 1.0) < 1e-12
+        assert abs(sc.K1 * sc.K2 / (p * q * sc.S * sc.T) - 1.0) < 1e-12
+
+
+def test_kernel_floats_match_arrays():
+    # scalar callers and the scan run the same kernel code: on floats and
+    # on 1-element arrays it must give the same bits
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        p = float(rng.uniform(1.0, 50.0))
+        q = float(rng.uniform(1.0, p))
+        N = int(rng.integers(3, 41))
+        if p * q <= 1.0:
+            continue
+        scalar = curve_margins(p, q, N)
+        vector = curve_margins(np.array([p]), np.array([q]), N)
+        for s, v in zip(scalar, vector):
+            assert isinstance(s, float)
+            assert np.float64(s).tobytes() == v[0].tobytes(), (p, q, N)
 
 
 def test_region_codes_match_classify(rng):
