@@ -11,9 +11,12 @@ returned verbatim.  Exit codes: 0 success, 2 domain/config error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +65,33 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # command's entry whenever its numbers change, so that entries written by the
 # older algorithm are not served.  eig 2: shifted inverse iteration in
 # ground-state variables; curve 2: the prescan ends exactly at p; eig 3 and
-# curve 3: K1K2 and the curve margin are p q S T from the shared kernel.
-_REVISION = {"curve": 3, "scan": 1, "solve": 1, "shoot": 1, "compare": 1,
+# curve 3: K1K2 and the curve margin are p q S T from the shared kernel;
+# solve 2 and shoot 2: unrolled stages with a compensated state update.
+_REVISION = {"curve": 3, "scan": 1, "solve": 2, "shoot": 2, "compare": 1,
              "eig": 3}
+
+
+def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
+    """Write a cache entry atomically: into a temporary directory under the
+    cache root, ``__stdout__`` last, then renamed onto the key.  A reader
+    therefore never sees a half-written entry."""
+    root.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
+    try:
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        (tmp / "__stdout__").write_text(stdout)
+        if entry.is_dir() and not (entry / "__stdout__").exists():
+            # left incomplete by an interrupted writer of an older version
+            shutil.rmtree(entry, ignore_errors=True)
+        try:
+            os.rename(tmp, entry)
+        except OSError as exc:
+            # a full directory at the key: another writer stored it first
+            if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # gone if the rename succeeded
 
 
 def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
@@ -72,7 +99,8 @@ def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
     key = payload_hash({"version": __version__,
                         "revision": _REVISION[payload["cmd"]],
                         "payload": payload})
-    entry = _cache_root(cfg, out_dir) / key
+    root = _cache_root(cfg, out_dir)
+    entry = root / key
     files: dict[str, str]
     stdout: str
     if cfg.cache and (entry / "__stdout__").exists():
@@ -85,10 +113,7 @@ def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
     else:
         files, stdout = producer()
         if cfg.cache:
-            entry.mkdir(parents=True, exist_ok=True)
-            for name, text in files.items():
-                (entry / name).write_text(text)
-            (entry / "__stdout__").write_text(stdout)
+            _store_entry(root, entry, files, stdout)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text)
@@ -226,9 +251,13 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
             res = shoot(params, args.u0, (args.v0_lo, args.v0_hi), opts,
                         polish=args.polish)
             profile = res.profile
+            # bisection alone may stop at v0_tol on a shot that has an event
+            reached = (profile.r_event is None
+                       and profile.r_max >= opts.r_target)
             extra = {"v0_star": res.v0, "iterations": res.iterations,
                      "bracket_width": res.bracket_width,
-                     "polished": res.polished}
+                     "polished": res.polished,
+                     "reached_target": reached}
         else:
             profile = integrate(params, InitialData(args.u0, args.v0),
                                 args.r_max or opts.r_target, opts)

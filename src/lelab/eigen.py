@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DiscretizationError, DomainError
-from .exponents import (CurvePosition, ParameterTriple, classify,
-                        derive_scaling, hardy_rellich_constant)
+from .exponents import (CurvePosition, ParameterTriple, check_dimension,
+                        classify, derive_scaling, hardy_rellich_constant)
 
 __all__ = [
     "Annulus",
@@ -146,8 +146,7 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
 
     opts = EigOptions() if opts is None else opts
     opts.validate()
-    if int(N) != N or N < 3:
-        raise DomainError(f"integer N >= 3 required, got {N}")
+    N = check_dimension(N, 3)
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}")
     M = annulus.M
@@ -224,7 +223,7 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
     log_psi = np.log(w / h**2) - 0.5 * (N + gamma - 2.0) * rho
     top = max(float(np.max(log_phi)), float(np.max(log_psi)))
     return EigReport(
-        annulus=annulus, N=int(N), gamma=float(gamma), lam=lam,
+        annulus=annulus, N=N, gamma=float(gamma), lam=lam,
         iterations=iterations, residual=residual,
         phi=np.exp(log_phi - top), psi=np.exp(log_psi - top), r=np.exp(rho),
     )

@@ -27,6 +27,7 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "ParameterTriple",
+    "check_dimension",
     "ScalingData",
     "SobolevClass",
     "CurvePosition",
@@ -61,15 +62,26 @@ class ParameterTriple:
         object.__setattr__(self, "q", float(self.q))
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise DomainError("exponents must be finite")
-        if int(self.N) != self.N or self.N < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", check_dimension(self.N, 1))
         if not (self.p >= self.q > 0.0):
             raise DomainError(
                 f"exponents must satisfy p >= q > 0, got p={self.p}, q={self.q}"
             )
         if not math.isfinite(self.p * self.q):
             raise DomainError(f"p q overflows: p={self.p}, q={self.q}")
+
+
+def check_dimension(N, least: int) -> int:
+    """N as an int, refused unless it is an integer >= least that a double
+    can hold: every formula downstream works on float(N)."""
+    try:
+        ok = int(N) == N and N >= least and math.isfinite(float(N))
+    except (OverflowError, ValueError):  # inf, nan, or an int past 1e308
+        ok = False
+    if not ok:
+        raise DomainError(f"integer N >= {least} within double range required, "
+                          f"got {N!r:.40}")
+    return int(N)
 
 
 def _require_curve_hypotheses(params: ParameterTriple) -> None:
@@ -133,8 +145,7 @@ class ScalingData:
 def hardy_rellich_constant(N: int, gamma: float) -> float:
     """Optimal radial constant [((N-2)^2 - gamma^2)/4]^2 of the weighted
     Hardy-Rellich inequality; requires N >= 3 and 0 <= gamma < N-2."""
-    if int(N) != N or N < 3:
-        raise DomainError(f"integer N >= 3 required, got {N}")
+    N = check_dimension(N, 3)
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}, N={N}")
     return _c_gamma(N, gamma)
@@ -362,8 +373,7 @@ def jl_curve_q(
     The scan is restricted to q on or above the Sobolev hyperbola; see
     ``_sobolev_q_lower``.
     """
-    if int(N) != N or N < 3:
-        raise DomainError(f"integer N >= 3 required, got {N}")
+    N = check_dimension(N, 3)
     if p < 1.0:
         raise DomainError(f"p >= 1 required, got {p}")
     if not math.isfinite(p * p):
@@ -404,8 +414,7 @@ def jl_diagonal(
     of the single equation. Returns None when the diagonal margin never
     changes sign (N <= 10: the margin tends to (N-2)^2[(N-2)^2/16 - 4] <= 0).
     """
-    if int(N) != N or N < 3:
-        raise DomainError(f"integer N >= 3 required, got {N}")
+    N = check_dimension(N, 3)
     p_lo = (N + 2.0) / (N - 2.0) * (1.0 + 1e-12)  # diagonal Sobolev exponent
     if p_lo >= p_hi:
         return None

@@ -28,7 +28,6 @@ for solver verification; it shares only the closed-form series start.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,21 +67,23 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# Dormand-Prince 5(4) tableau; the propagated solution is 5th order and the
-# last row of _A doubles as its weights (FSAL).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# quartic dense-output matrix (Shampine's interpolant for this pair)
-_PD = (
+# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.5).
+# Nodes C2..C5 (C1 = 0, C6 = C7 = 1); stage coefficients Aij; the 5th-order
+# weights B (B2 = 0) are also the last stage row (FSAL); E = B - B_hat is the
+# embedded error estimator (E2 = 0).
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                           -5103 / 18656)
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                          22 / 525, -1 / 40)
+# quartic dense-output matrix (Shampine's interpolant for this pair): row j
+# weights stage j, column c the power theta^(c+1) of the step fraction
+_PD = np.array([
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
     (0.0, 0.0, 0.0, 0.0),
     (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
@@ -90,7 +91,7 @@ _PD = (
     (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+])
 
 
 @dataclass(frozen=True)
@@ -232,16 +233,39 @@ def _make_rhs(params: ParameterTriple):
     return rhs
 
 
-class _Dense:
-    """Piecewise interpolant: series on [0, r_start], step quartics beyond."""
+def _horner(y0, h, th, c):
+    """Shampine's quartic on one step, y0 + h th (c0 + th (c1 + th (c2 + th c3)));
+    the one interpolation formula, on floats and on broadcast arrays alike."""
+    return y0 + h * th * (c[0] + th * (c[1] + th * (c[2] + th * c[3])))
 
-    def __init__(self, taylor: _TaylorStart, starts, steps, y0s, qmats):
+
+class _Dense:
+    """Piecewise interpolant: series on [0, r_start], step quartics beyond.
+
+    Built from the stored stages of the accepted steps: ``stages`` holds
+    4 x 7 slopes per step (component-major), flat.  The quartic coefficients
+    of all steps come from one (4n, 7) x (7, 4) product.
+    """
+
+    def __init__(self, taylor: _TaylorStart, starts: list, steps: list,
+                 y0s: list, stages: list):
+        n = len(starts)
         self.taylor = taylor
-        self.starts = starts    # list of step left endpoints
-        self.steps = steps      # list of step sizes
-        self.y0s = y0s
-        self.qmats = qmats      # per step: 4x4 rows=component, cols=theta powers
-        self.r_end = starts[-1] + steps[-1] if starts else taylor.r_start
+        self.starts = np.array(starts)     # step left endpoints
+        self.steps = np.array(steps)       # step sizes
+        self.y0s = np.array(y0s).reshape(n, 4)
+        # coef[i, d, c]: component d, power theta^(c+1), of step i
+        self.coef = (np.array(stages).reshape(4 * n, 7) @ _PD).reshape(n, 4, 4)
+        self.r_end = starts[-1] + steps[-1]
+
+    def grid(self, rs: np.ndarray) -> np.ndarray:
+        """(u, du, v, dv) at radii rs >= r_start as a (4, len(rs)) array."""
+        i = np.clip(np.searchsorted(self.starts, rs, side="right") - 1,
+                    0, self.starts.size - 1)
+        h = self.steps[i]
+        th = np.clip((rs - self.starts[i]) / h, 0.0, 1.0)[:, None]
+        c = self.coef[i].transpose(2, 0, 1)
+        return _horner(self.y0s[i], h[:, None], th, c).T
 
     def __call__(self, r: float) -> tuple:
         if r < self.taylor.r_start:
@@ -250,27 +274,35 @@ class _Dense:
             return self.taylor.eval(r)
         if r > self.r_end * (1.0 + 4.0 * _EPS):
             raise DomainError(f"radius {r} beyond integrated range {self.r_end}")
-        i = _bisect.bisect_right(self.starts, r) - 1
-        i = max(0, min(i, len(self.starts) - 1))
-        h = self.steps[i]
-        th = (r - self.starts[i]) / h
-        th = min(max(th, 0.0), 1.0)
-        y0 = self.y0s[i]
-        qm = self.qmats[i]
-        out = []
-        for d in range(4):
-            c = qm[d]
-            out.append(y0[d] + h * th * (c[0] + th * (c[1] + th * (c[2] + th * c[3]))))
-        return tuple(out)
+        return tuple(self.grid(np.array([float(r)]))[:, 0].tolist())
 
 
-def _interp_component(y0d: float, h: float, c: tuple, th: float) -> float:
-    return y0d + h * th * (c[0] + th * (c[1] + th * (c[2] + th * c[3])))
+def _first_zero(y0: float, h: float, c, event_tol: float) -> float:
+    """Step fraction of the first zero of one interpolated component that is
+    positive at the left end of the step and not at the right: bisection on
+    the interpolant down to a radius width of event_tol."""
+    a_th, b_th = 0.0, 1.0
+    for _ in range(200):
+        if (b_th - a_th) * h <= event_tol:
+            break
+        m_th = 0.5 * (a_th + b_th)
+        if _horner(y0, h, m_th, c) > 0.0:
+            a_th = m_th
+        else:
+            b_th = m_th
+    return b_th
 
 
 def integrate(params: ParameterTriple, init: InitialData, r_max: float,
               opts: SolverOptions | None = None) -> RadialProfile:
-    """Adaptive integration from the origin; see module docstring."""
+    """Adaptive integration from the origin; see module docstring.
+
+    Each step is plain float arithmetic: the seven stages are unrolled on the
+    four components (u, u', v, v') with the right-hand side inlined, and the
+    state update carries its rounding error to the next step (compensated
+    summation).  Accepted steps store only their stages; the dense output
+    is formed once, after the last step.
+    """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
     if not (r_max > 0.0 and math.isfinite(r_max)):
@@ -278,12 +310,20 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     taylor = _TaylorStart(params, init, opts)
     if taylor.r_start >= r_max:
         raise DomainError(f"r_max={r_max} is inside the series-start region")
-    rhs = _make_rhs(params)
+    p, q, nm1 = params.p, params.q, params.N - 1.0
     rtol, atol = opts.rtol, opts.atol
 
     r = taylor.r_start
-    y = taylor.eval(r)
-    f0 = rhs(r, y)
+    u, du, v, dv = taylor.eval(r)
+    # stage slopes are (u', u'', v', v''); the u' and v' slopes are the
+    # stage values of du and dv themselves, and x, y below are the stage
+    # values of u and v
+    inv = nm1 / r
+    k1du = -(v ** p if v > 0.0 else 0.0) - inv * du
+    k1dv = -(u ** q if u > 0.0 else 0.0) - inv * dv
+    k1u, k1v = du, dv
+    # compensation carries: the rounding error of the last state update
+    cu = cdu = cv = cdv = 0.0
     nfev = 1
     h = 0.1 * r
     facold = 1e-4
@@ -292,12 +332,9 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     hmax_seen = 0.0
     starts: list[float] = []
     steps: list[float] = []
-    y0s: list[tuple] = []
-    qmats: list[tuple] = []
-    event_kind: ProfileClass | None = None
-    r_event: float | None = None
-    y_end = y
-    r_end = r
+    y0s: list[float] = []
+    stages: list[float] = []
+    hit_zero = False
 
     while r < r_max:
         h = min(h, r_max - r)
@@ -308,69 +345,93 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
             )
         if naccept + nreject >= opts.max_steps:
             raise ConvergenceError(f"more than {opts.max_steps} steps")
-        K = [f0]
-        yi = y
-        for i in range(1, 7):
-            a = _A[i]
-            yi = tuple(
-                y[d] + h * math.fsum(a[j] * K[j][d] for j in range(i))
-                for d in range(4)
-            )
-            K.append(rhs(r + _C[i] * h, yi))
+        x = u + h * (A21 * k1u)
+        y = v + h * (A21 * k1v)
+        k2u = du + h * (A21 * k1du)
+        k2v = dv + h * (A21 * k1dv)
+        inv = nm1 / (r + C2 * h)
+        k2du = -(y ** p if y > 0.0 else 0.0) - inv * k2u
+        k2dv = -(x ** q if x > 0.0 else 0.0) - inv * k2v
+
+        x = u + h * (A31 * k1u + A32 * k2u)
+        y = v + h * (A31 * k1v + A32 * k2v)
+        k3u = du + h * (A31 * k1du + A32 * k2du)
+        k3v = dv + h * (A31 * k1dv + A32 * k2dv)
+        inv = nm1 / (r + C3 * h)
+        k3du = -(y ** p if y > 0.0 else 0.0) - inv * k3u
+        k3dv = -(x ** q if x > 0.0 else 0.0) - inv * k3v
+
+        x = u + h * (A41 * k1u + A42 * k2u + A43 * k3u)
+        y = v + h * (A41 * k1v + A42 * k2v + A43 * k3v)
+        k4u = du + h * (A41 * k1du + A42 * k2du + A43 * k3du)
+        k4v = dv + h * (A41 * k1dv + A42 * k2dv + A43 * k3dv)
+        inv = nm1 / (r + C4 * h)
+        k4du = -(y ** p if y > 0.0 else 0.0) - inv * k4u
+        k4dv = -(x ** q if x > 0.0 else 0.0) - inv * k4v
+
+        x = u + h * (A51 * k1u + A52 * k2u + A53 * k3u + A54 * k4u)
+        y = v + h * (A51 * k1v + A52 * k2v + A53 * k3v + A54 * k4v)
+        k5u = du + h * (A51 * k1du + A52 * k2du + A53 * k3du + A54 * k4du)
+        k5v = dv + h * (A51 * k1dv + A52 * k2dv + A53 * k3dv + A54 * k4dv)
+        inv = nm1 / (r + C5 * h)
+        k5du = -(y ** p if y > 0.0 else 0.0) - inv * k5u
+        k5dv = -(x ** q if x > 0.0 else 0.0) - inv * k5v
+
+        x = u + h * (A61 * k1u + A62 * k2u + A63 * k3u + A64 * k4u + A65 * k5u)
+        y = v + h * (A61 * k1v + A62 * k2v + A63 * k3v + A64 * k4v + A65 * k5v)
+        k6u = du + h * (A61 * k1du + A62 * k2du + A63 * k3du + A64 * k4du
+                        + A65 * k5du)
+        k6v = dv + h * (A61 * k1dv + A62 * k2dv + A63 * k3dv + A64 * k4dv
+                        + A65 * k5dv)
+        inv = nm1 / (r + h)
+        k6du = -(y ** p if y > 0.0 else 0.0) - inv * k6u
+        k6dv = -(x ** q if x > 0.0 else 0.0) - inv * k6v
+
+        # 5th-order update plus the carry; stage 7 is its slope (FSAL)
+        iu = h * (B1 * k1u + B3 * k3u + B4 * k4u + B5 * k5u + B6 * k6u) + cu
+        iv = h * (B1 * k1v + B3 * k3v + B4 * k4v + B5 * k5v + B6 * k6v) + cv
+        idu = h * (B1 * k1du + B3 * k3du + B4 * k4du + B5 * k5du
+                   + B6 * k6du) + cdu
+        idv = h * (B1 * k1dv + B3 * k3dv + B4 * k4dv + B5 * k5dv
+                   + B6 * k6dv) + cdv
+        u1, v1 = u + iu, v + iv
+        k7u, k7v = du + idu, dv + idv
+        k7du = -(v1 ** p if v1 > 0.0 else 0.0) - inv * k7u
+        k7dv = -(u1 ** q if u1 > 0.0 else 0.0) - inv * k7v
         nfev += 6
-        y1 = yi  # stage 6 uses the 5th-order weights
-        err = 0.0
-        for d in range(4):
-            e = h * math.fsum(_ERR[j] * K[j][d] for j in range(7))
-            sc = atol + rtol * max(abs(y[d]), abs(y1[d]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / 4.0)
+
+        e = h * (E1 * k1u + E3 * k3u + E4 * k4u + E5 * k5u + E6 * k6u
+                 + E7 * k7u) / (atol + rtol * max(abs(u), abs(u1)))
+        err = e * e
+        e = h * (E1 * k1du + E3 * k3du + E4 * k4du + E5 * k5du + E6 * k6du
+                 + E7 * k7du) / (atol + rtol * max(abs(du), abs(k7u)))
+        err += e * e
+        e = h * (E1 * k1v + E3 * k3v + E4 * k4v + E5 * k5v + E6 * k6v
+                 + E7 * k7v) / (atol + rtol * max(abs(v), abs(v1)))
+        err += e * e
+        e = h * (E1 * k1dv + E3 * k3dv + E4 * k4dv + E5 * k5dv + E6 * k6dv
+                 + E7 * k7dv) / (atol + rtol * max(abs(dv), abs(k7v)))
+        err = math.sqrt((err + e * e) / 4.0)
 
         if err <= 1.0:
-            # accept: store dense output for this step
-            qm = tuple(
-                tuple(
-                    math.fsum(K[j][d] * _PD[j][col] for j in range(7))
-                    for col in range(4)
-                )
-                for d in range(4)
-            )
             starts.append(r)
             steps.append(h)
-            y0s.append(y)
-            qmats.append(qm)
+            y0s += (u, du, v, dv)
+            stages += (k1u, k2u, k3u, k4u, k5u, k6u, k7u,
+                       k1du, k2du, k3du, k4du, k5du, k6du, k7du,
+                       k1v, k2v, k3v, k4v, k5v, k6v, k7v,
+                       k1dv, k2dv, k3dv, k4dv, k5dv, k6dv, k7dv)
             naccept += 1
             hmin_seen = min(hmin_seen, h)
             hmax_seen = max(hmax_seen, h)
-            r_new = r + h
-            # first zero crossing of u or v inside this step
-            hit = None
-            for comp, kind in ((0, ProfileClass.U_HITS_ZERO),
-                               (2, ProfileClass.V_HITS_ZERO)):
-                if y[comp] > 0.0 and y1[comp] <= 0.0:
-                    a_th, b_th = 0.0, 1.0
-                    for _ in range(200):
-                        if (b_th - a_th) * h <= opts.event_tol:
-                            break
-                        m_th = 0.5 * (a_th + b_th)
-                        val = _interp_component(y[comp], h, qm[comp], m_th)
-                        if val > 0.0:
-                            a_th = m_th
-                        else:
-                            b_th = m_th
-                    th_star = b_th
-                    if hit is None or th_star < hit[0]:
-                        hit = (th_star, kind)
-            if hit is not None:
-                th_star, event_kind = hit
-                r_event = r + th_star * h
-                y_end = tuple(
-                    _interp_component(y[d], h, qm[d], th_star) for d in range(4)
-                )
-                r_end = r_event
+            if (u > 0.0 and u1 <= 0.0) or (v > 0.0 and v1 <= 0.0):
+                hit_zero = True  # located on the interpolant below
                 break
-            r, y, f0 = r_new, y1, K[6]
-            r_end, y_end = r, y
+            cu, cdu = iu - (u1 - u), idu - (k7u - du)
+            cv, cdv = iv - (v1 - v), idv - (k7v - dv)
+            r += h
+            u, du, v, dv = u1, k7u, v1, k7v
+            k1u, k1du, k1v, k1dv = k7u, k7du, k7v, k7dv
             facold = max(err, 1e-4)
             fac11 = err ** 0.17 if err > 0.0 else 1e-20
             fac = fac11 / facold ** 0.04
@@ -384,23 +445,32 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
         steps=naccept, rejected=nreject,
         min_step=hmin_seen if naccept else 0.0, max_step=hmax_seen, nfev=nfev,
     )
-    dense = _Dense(taylor, starts, steps, y0s, qmats)
-    grid = np.geomspace(taylor.r_start, r_end, opts.grid_nodes)
-    grid[0] = taylor.r_start
-    grid[-1] = r_end
-    vals = np.empty((4, grid.size))
-    for i, rr in enumerate(grid):
-        vals[:, i] = dense(float(rr))
-    if event_kind is not None:
-        classification = event_kind
+    dense = _Dense(taylor, starts, steps, y0s, stages)
+    r_event: float | None = None
+    r_end = r
+    if hit_zero:
+        # first zero crossing of u or v inside the last step
+        hit = None
+        for comp, y0, y1, kind in ((0, u, u1, ProfileClass.U_HITS_ZERO),
+                                   (2, v, v1, ProfileClass.V_HITS_ZERO)):
+            if y0 > 0.0 and y1 <= 0.0:
+                th = _first_zero(y0, h, dense.coef[-1, comp].tolist(),
+                                 opts.event_tol)
+                if hit is None or th < hit[0]:
+                    hit = (th, kind)
+        th_star, classification = hit
+        r_event = r_end = r + th_star * h
     else:
         thr = opts.decay_threshold * max(init.u0, init.v0)
-        decayed = (y_end[0] < thr and y_end[2] < thr
-                   and y_end[1] < 0.0 and y_end[3] < 0.0)
+        decayed = u < thr and v < thr and du < 0.0 and dv < 0.0
         if r_end >= min(r_max, opts.r_target) and r_max >= opts.r_target and decayed:
             classification = ProfileClass.ENTIRE_POSITIVE
         else:
             classification = ProfileClass.TRUNCATED
+    grid = np.geomspace(taylor.r_start, r_end, opts.grid_nodes)
+    grid[0] = taylor.r_start
+    grid[-1] = r_end
+    vals = dense.grid(grid)
     return RadialProfile(
         p=params.p, q=params.q, N=params.N, u0=init.u0, v0=init.v0,
         r=grid, u=vals[0], v=vals[2], du=vals[1], dv=vals[3],

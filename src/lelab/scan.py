@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponents import curve_margins
+from .exponents import check_dimension, curve_margins
 
 __all__ = ["ScanResult", "scan_codes", "region_codes"]
 
@@ -69,8 +69,7 @@ def region_codes(p: np.ndarray, q: np.ndarray, N: int,
 def scan_codes(N: int, window, resolution: int,
                tol_curve: float = 1e-9) -> ScanResult:
     """Region codes on a resolution^2 lattice over the given window."""
-    if int(N) != N or N < 1:
-        raise DomainError("integer N >= 1 required")
+    N = check_dimension(N, 1)
     p_min, p_max, q_min, q_max = map(float, window)
     if not (1.0 <= p_min < p_max and 1.0 <= q_min < q_max):
         raise DomainError("window must satisfy 1 <= min < max on both axes")
@@ -80,7 +79,7 @@ def scan_codes(N: int, window, resolution: int,
     q = np.linspace(q_min, q_max, resolution) if resolution > 1 else np.array([q_min])
     codes = region_codes(p[:, None], q[None, :], N, tol_curve)
     return ScanResult(
-        N=int(N), p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max,
+        N=N, p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max,
         resolution=int(resolution), p=p, q=q, codes=codes,
         tol_curve=tol_curve,
     )

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -78,6 +80,19 @@ class TestClassifyCommand:
         assert rc == 2
         assert "p >= q" in err
 
+    def test_dimension_past_double_exits_2(self, tmp_path, capsys):
+        # N is parsed as an unbounded int; its first float conversion used
+        # to end in an OverflowError traceback
+        big = "1" + "0" * 400
+        for argv in (["classify", "8", "8", big],
+                     ["scan", big, "--resolution", "4"],
+                     ["curve", big, "--steps", "2"]):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache"] + argv,
+                                 capsys)
+            assert rc == 2
+            assert "double range" in err
+            assert "Traceback" not in err
+
     def test_overflowing_pq_exits_2(self, capsys):
         # p q = inf once made S = 0 and log(S) raised a bare ValueError
         rc, _, err = run_cli(["classify", "1e200", "1e200", "11"], capsys)
@@ -110,16 +125,63 @@ class TestScanCommand:
 
     def test_older_revision_not_served(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
-        args = ["--out", str(tmp_path), "--ladder", "1", "eig", "8", "8", "11"]
-        revision = cli._REVISION["eig"]
-        monkeypatch.setitem(cli._REVISION, "eig", revision - 1)
+        solve = ["solve", "8", "8", "11", "--u0", "1"]
+        for cmd, argv in (
+                ("eig", ["--ladder", "1", "eig", "8", "8", "11"]),
+                ("solve", solve + ["--v0", "1", "--r-max", "100"]),
+                ("shoot", solve + ["--shoot", "--v0-lo", "0.5", "--v0-hi", "2"])):
+            args = ["--out", str(tmp_path / cmd)] + argv
+            revision = cli._REVISION[cmd]
+            monkeypatch.setitem(cli._REVISION, cmd, revision - 1)
+            assert run_cli(args, capsys)[0] == 0
+            monkeypatch.setitem(cli._REVISION, cmd, revision)
+            rc, _, err = run_cli(args, capsys)
+            assert rc == 0
+            assert "cache hit" not in err
+            rc, _, err = run_cli(args, capsys)
+            assert "cache hit" in err
+
+    def test_incomplete_entry_recomputed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
+        args = ["--out", str(tmp_path), "solve", "3", "3", "11",
+                "--u0", "1", "--v0", "1", "--r-max", "100"]
         assert run_cli(args, capsys)[0] == 0
-        monkeypatch.setitem(cli._REVISION, "eig", revision)
-        rc, _, err = run_cli(args, capsys)
+        cache = tmp_path / ".lelab-cache"
+        (entry,) = [d for d in cache.iterdir()]
+        # an entry as a writer interrupted before __stdout__ would leave it
+        (entry / "__stdout__").unlink()
+        csv = next(entry.glob("*.csv"))
+        csv.write_text("r,u,v,du,dv\n")
+        rc, out, err = run_cli(args, capsys)
         assert rc == 0
         assert "cache hit" not in err
+        assert out.endswith("Truncated\n")
+        assert len((tmp_path / csv.name).read_text().splitlines()) == 2049
         rc, _, err = run_cli(args, capsys)
         assert "cache hit" in err
+        assert [d.name for d in cache.iterdir()] == [entry.name]
+
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
+        args = ["--out", str(tmp_path), "solve", "3", "3", "11",
+                "--u0", "1", "--v0", "1", "--r-max", "100"]
+        write_text = pathlib.Path.write_text
+
+        def disk_full(path, text, *a, **kw):
+            if path.name == "__stdout__":
+                path.touch()  # the file exists, its text never arrives
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, text, *a, **kw)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+        assert run_cli(args, capsys)[0] == 4
+        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+        assert list((tmp_path / ".lelab-cache").iterdir()) == []
+        rc, out, err = run_cli(args, capsys)
+        assert rc == 0
+        assert "cache hit" not in err
+        assert out.endswith("Truncated\n")
 
     def test_env_cache_dir(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cachehome"
@@ -195,6 +257,26 @@ class TestSolveCompareEig:
         fa = next(a.glob("profile_*.csv")).read_bytes()
         fb = next(b.glob("profile_*.csv")).read_bytes()
         assert fa == fb
+
+    def test_shoot_reports_reached_target(self, tmp_path, capsys):
+        # bisection alone stops at a coarse v0_tol on a shot that crashes
+        rc, out, _ = run_cli(
+            ["--out", str(tmp_path / "coarse"), "--no-cache", "--tol-v0", "0.1",
+             "solve", "6", "4", "11", "--u0", "1", "--shoot",
+             "--v0-lo", "0.2", "--v0-hi", "5"], capsys)
+        assert rc == 0
+        meta = json.loads(next((tmp_path / "coarse").glob("*.json")).read_text())
+        assert meta["classification"] in ("UHitsZero", "VHitsZero")
+        assert meta["shoot"]["reached_target"] is False
+        # a polished shot above the curve stays positive through r_target
+        rc, out, _ = run_cli(
+            ["--out", str(tmp_path / "polish"), "--no-cache", "solve", "9", "6",
+             "11", "--u0", "1", "--shoot", "--v0-lo", "0.2", "--v0-hi", "5",
+             "--polish"], capsys)
+        assert rc == 0
+        meta = json.loads(next((tmp_path / "polish").glob("*.json")).read_text())
+        assert meta["classification"] == "EntirePositive"
+        assert meta["shoot"]["reached_target"] is True
 
     def test_eig_ladder_monotone(self, tmp_path, capsys):
         out = tmp_path / "eig"

@@ -11,9 +11,9 @@ from lelab import BracketError, DomainError, InvalidOptions, ParameterTriple, \
 from lelab.closed_form import SingularSolution
 from lelab.errors import MisclassifiedProfile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
-                          RadialProfile, SolverOptions, decay_identity_check,
-                          integrate, ode_residual, profile_from_text,
-                          profile_metadata, profile_to_csv,
+                          RadialProfile, SolverOptions, _horner,
+                          decay_identity_check, integrate, ode_residual,
+                          profile_from_text, profile_metadata, profile_to_csv,
                           reference_integrate, rescale, shoot)
 from lelab.serialize import to_json
 
@@ -75,10 +75,11 @@ class TestIntegrate:
                 assert sup < 1e-6
 
     def test_dense_output_matches_grid(self, symmetric_entire):
+        # the vectorized grid and the scalar interpolant agree to 1 ulp
         prof = symmetric_entire
-        for i in (10, 500, 1500):
-            u, du, v, dv = prof.dense(float(prof.r[i]))
-            assert u == pytest.approx(prof.u[i], rel=1e-13)
+        scalar = np.array([prof.dense(float(r)) for r in prof.r]).T
+        for got, want in zip((prof.u, prof.du, prof.v, prof.dv), scalar):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_truncated_when_target_not_reached(self):
         prof = integrate(P33, InitialData(1.0, 1.0), 100.0)
@@ -98,12 +99,64 @@ class TestIntegrate:
                       SolverOptions(min_step=0.5))
 
 
+class TestStepper:
+    def test_agrees_with_scipy_dop853(self, symmetric_entire):
+        # independent oracle: scipy's DOP853 in t = log r from the same start
+        from scipy.integrate import solve_ivp
+
+        prof = symmetric_entire
+        p, q, nm1 = prof.p, prof.q, prof.N - 1.0
+
+        def rhs(t, y):
+            r = math.exp(t)
+            u, du, v, dv = y
+            return [r * du, -r * max(v, 0.0) ** p - nm1 * du,
+                    r * dv, -r * max(u, 0.0) ** q - nm1 * dv]
+
+        lr = np.log(prof.r)
+        y0 = [prof.u[0], prof.du[0], prof.v[0], prof.dv[0]]
+        sol = solve_ivp(rhs, (lr[0], lr[-1]), y0, method="DOP853",
+                        rtol=1e-12, atol=0.0, t_eval=lr)
+        assert sol.success
+        for got, want in zip((prof.u, prof.du, prof.v, prof.dv), sol.y):
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
+
+    def test_quartics_join_at_step_ends(self, symmetric_entire):
+        # each step's quartic at theta = 1 is the 5th-order update, which
+        # the next step starts from up to the compensation carry
+        dense = symmetric_entire.dense
+        ends = _horner(dense.y0s[:-1], dense.steps[:-1, None], 1.0,
+                       dense.coef[:-1].transpose(2, 0, 1))
+        starts = dense.y0s[1:]
+        assert np.all(np.abs(ends - starts) <= 8.0 * np.spacing(np.abs(starts)))
+
+    @pytest.mark.parametrize("u0,v0,kind", [
+        (1.0, 1000.0, ProfileClass.U_HITS_ZERO),
+        (1000.0, 1.0, ProfileClass.V_HITS_ZERO),
+        (1.0, 1.2, ProfileClass.U_HITS_ZERO),
+        (1.0, 0.8, ProfileClass.V_HITS_ZERO),
+    ])
+    def test_event_radius_at_a_sign_change(self, u0, v0, kind):
+        opts = SolverOptions()
+        prof = integrate(P32, InitialData(u0, v0), 1e3, opts)
+        assert prof.classification is kind
+        comp = 0 if kind is ProfileClass.U_HITS_ZERO else 2
+        r_ev = prof.r_event
+        assert prof.r[-1] == r_ev
+        assert prof.dense(r_ev)[comp] <= 0.0 < prof.dense(r_ev - opts.event_tol)[comp]
+        # the other field is still positive there
+        assert prof.dense(r_ev)[2 - comp] > 0.0
+
+
 class TestShoot:
     def test_symmetric_shortcut(self):
         res = shoot(P33, 1.0, (0.5, 2.0), SolverOptions(r_target=1e4))
         assert res.v0 == 1.0
         assert res.iterations == 0
         assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
+        # the diagonal shot is symmetric bit for bit
+        assert np.array_equal(res.profile.u, res.profile.v)
+        assert np.array_equal(res.profile.du, res.profile.dv)
 
     def test_asymmetric_below_curve(self):
         opts = SolverOptions(r_target=1000.0)
