@@ -28,7 +28,7 @@ from .errors import (BracketError, ConfigError, ConvergenceError,
                      InvalidOptions, MisclassifiedProfile, StepUnderflow)
 from .eigen import Annulus, EigOptions, default_ladder, singular_stability_verdict
 from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
-from .profiles import compare as compare_profiles
+from .profiles import DEFAULT_BAND, compare as compare_profiles
 from .radial import (InitialData, SolverOptions, integrate, profile_from_text,
                      profile_metadata, profile_to_csv, shoot)
 from .scan import scan_codes
@@ -66,8 +66,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # older algorithm are not served.  eig 2: shifted inverse iteration in
 # ground-state variables; curve 2: the prescan ends exactly at p; eig 3 and
 # curve 3: K1K2 and the curve margin are p q S T from the shared kernel;
-# solve 2 and shoot 2: unrolled stages with a compensated state update.
-_REVISION = {"curve": 3, "scan": 1, "solve": 2, "shoot": 2, "compare": 1,
+# solve 2 and shoot 2: unrolled stages with a compensated state update;
+# shoot 3: the polished shot bisects the matching functional to 4 ulp;
+# compare 2: the dead band is floored at the profile's rtol.
+_REVISION = {"curve": 3, "scan": 1, "solve": 2, "shoot": 3, "compare": 2,
              "eig": 3}
 
 
@@ -436,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_triple(sp)
     sp.add_argument("--profile", type=str, required=True,
                     help="basename (or .csv path) of a stored profile")
-    sp.add_argument("--band", type=float, default=1e-12)
+    sp.add_argument("--band", type=float, default=DEFAULT_BAND,
+                    help="relative dead band, floored at the profile's rtol")
 
     sp = sub.add_parser("eig", parents=[parent],
                         help="annulus eigenvalue ladder and stability verdict")

@@ -325,6 +325,34 @@ def _sobolev_q_lower(N: int, p: float) -> float:
     return max(1.0, 1.0 / s - 1.0)
 
 
+def _bisect(side, a: float, b: float, tol: float, max_iter: int):
+    """Halve the bracket between a and b (either order) around a root.
+
+    ``side(x)`` is +1 when x lies on a's side of the root, -1 on b's side,
+    and 0 at a root, which ends the search with (x, x).  Stops when
+    |b - a| <= tol * max(1, |b|) or when no double lies between a and b,
+    and returns the bracket (a, b) in the given orientation; raises
+    ConvergenceError when max_iter evaluations of side do not get there.
+    The one bracketed root finder of the package."""
+    n = 0
+    while abs(b - a) > tol * max(1.0, abs(b)):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if n == max_iter:
+            raise ConvergenceError(f"bisection did not shrink the bracket "
+                                   f"below {tol} in {max_iter} steps")
+        n += 1
+        s = side(m)
+        if s == 0:
+            return m, m
+        if s > 0:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
 def _prescan_bisect(f, xs, tol: float, max_iter: int):
     """Prescan f on the nodes xs and bisect its first sign change.
 
@@ -336,20 +364,11 @@ def _prescan_bisect(f, xs, tol: float, max_iter: int):
              if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
     if not flips:
         return None, ms, 0
-    lo, hi = xs[flips[0]], xs[flips[0] + 1]
-    m_lo = ms[flips[0]]
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, hi):
-            return 0.5 * (lo + hi), ms, len(flips)
-        mid = 0.5 * (lo + hi)
-        m_mid = f(mid)
-        if (m_mid > 0.0) == (m_lo > 0.0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not shrink the bracket below {tol} in {max_iter} steps"
-    )
+    i = flips[0]
+    pos_lo = ms[i] > 0.0
+    lo, hi = _bisect(lambda x: 1 if (f(x) > 0.0) == pos_lo else -1,
+                     xs[i], xs[i + 1], tol, max_iter)
+    return 0.5 * (lo + hi), ms, len(flips)
 
 
 def jl_curve_q(

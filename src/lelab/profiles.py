@@ -6,7 +6,8 @@ Newtonian-potential chain M1 <= M2^p, M2 <= M1^q for ordered profiles.
 
 Sign changes are counted with a dead band relative to |u_s| so that
 rounding-level oscillations of a trajectory that has locked onto the
-singular asymptote are not reported as crossings.  Suprema over the
+singular asymptote are not reported as crossings.  The band is never
+narrower than the relative tolerance the profile was integrated to.  Suprema over the
 unbounded domain are necessarily truncated at the profile's outer radius;
 profiles that are not entire-positive are flagged interior-only.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .closed_form import SingularSolution
 from .errors import DomainError, GridTooCoarse
-from .exponents import ScalingData
+from .exponents import ScalingData, _bisect
 from .radial import ProfileClass, RadialProfile
 
 __all__ = ["ComparisonReport", "RatioReport", "compare", "ratio_suprema",
@@ -98,16 +99,9 @@ def _field_dense(profile: RadialProfile, comp_idx: int):
 
 def _refine_crossing(f, sing_val, a: float, b: float) -> float:
     """Bisect f(r) - sing_val(r) = 0 on [a, b] using the dense output."""
-    fa = f(a) - sing_val(a)
-    for _ in range(200):
-        if (b - a) <= 1e-10 * b:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m) - sing_val(m)
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
-        else:
-            b = m
+    pos_a = f(a) - sing_val(a) > 0.0
+    a, b = _bisect(lambda r: 1 if (f(r) - sing_val(r) > 0.0) == pos_a else -1,
+                   a, b, 1e-10, 200)
     return 0.5 * (a + b)
 
 
@@ -173,9 +167,14 @@ def _refine_max(ratio, r, i, f_dense, sing_val):
 
 def compare(profile: RadialProfile, scaling: ScalingData,
             band_rel: float = DEFAULT_BAND) -> ComparisonReport:
-    """Sign-change count and ratio suprema of a profile against (u_s, v_s)."""
+    """Sign-change count and ratio suprema of a profile against (u_s, v_s).
+
+    The dead band is band_rel floored at the profile's own rtol: below it a
+    sign of u/u_s - 1 is the solver's error, not the solution's; the report
+    carries the band used."""
     if band_rel <= 0.0:
         raise DomainError("band_rel must be positive")
+    band_rel = max(band_rel, profile.rtol)
     r = profile.r
     if np.any(r <= 0.0):
         raise DomainError("profile grid must be positive")

@@ -21,6 +21,12 @@ decay threshold is classified entire-positive; true entirety is not
 decidable numerically and is certified separately by the decay identity
 u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
+``shoot`` finds the v0 of an entire profile by bisection: on the
+classification at r_target, or with ``polish`` on the sign of a matching
+functional at a probe radius.  Its ``iterations`` counts the bisection
+probes and ``bracket_width`` is the final bracket (0 for the exact
+diagonal shot and for a probe that stays positive through r_target).
+
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval by default) serves as the independent reference
 for solver verification; it shares only the closed-form series start.
@@ -43,7 +49,7 @@ from .errors import (
     MisclassifiedProfile,
     StepUnderflow,
 )
-from .exponents import ParameterTriple, ScalingData, derive_scaling
+from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
 from .serialize import to_csv
 
 __all__ = [
@@ -281,16 +287,8 @@ def _first_zero(y0: float, h: float, c, event_tol: float) -> float:
     """Step fraction of the first zero of one interpolated component that is
     positive at the left end of the step and not at the right: bisection on
     the interpolant down to a radius width of event_tol."""
-    a_th, b_th = 0.0, 1.0
-    for _ in range(200):
-        if (b_th - a_th) * h <= event_tol:
-            break
-        m_th = 0.5 * (a_th + b_th)
-        if _horner(y0, h, m_th, c) > 0.0:
-            a_th = m_th
-        else:
-            b_th = m_th
-    return b_th
+    return _bisect(lambda th: 1 if _horner(y0, h, th, c) > 0.0 else -1,
+                   0.0, 1.0, event_tol / h, 200)[1]
 
 
 def integrate(params: ParameterTriple, init: InitialData, r_max: float,
@@ -528,24 +526,32 @@ class ShootResult:
     polished: bool
 
 
-def _positive_through_target(profile: RadialProfile) -> bool:
-    return profile.r_event is None
-
-
 def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
           opts: SolverOptions | None = None, *, polish: bool = False) -> ShootResult:
-    """Bisect v0 until the trajectory stays positive through r_target.
+    """Find v0 whose trajectory stays positive through r_target.
 
-    The bracket endpoints must fail in opposite ways (one u-zero, one
-    v-zero), else BracketError.  Stops at the first midpoint whose
-    positivity interval exceeds ``opts.r_target``, or when the bracket is
-    narrower than v0_tol (the midpoint profile is returned as-is).
+    The bracket endpoints must fail in opposite ways at r_target (one
+    u-zero, one v-zero), else BracketError.  On the diagonal p = q with u0
+    inside the bracket, v0 = u0 is exact (u equals v bit for bit); that
+    profile is returned with ``iterations`` 0 and ``bracket_width`` 0,
+    polished or not.
 
-    ``polish=True`` runs a bracketed-secant refinement of v0 on the smooth
-    matching functional u(R)/u_s(R) - v(R)/v_s(R) at a probe radius, which
-    places v0 on the entire-solution manifold to a few ulp; this sharpens
-    the trustworthy tail far beyond what classification bisection can do.
-    Requires the scaling data to exist.
+    Otherwise, without ``polish``, v0 is bisected on the classification at
+    r_target.  The search stops at the first probe that stays positive
+    through r_target, or when the bracket is narrower than v0_tol, and that
+    last probe and its profile are returned as they are.  ``iterations``
+    counts the probes; ``bracket_width`` is the final bracket, 0 when a
+    probe stayed positive.
+
+    ``polish=True`` bisects instead the sign of the smooth matching
+    functional u(R)/u_s(R) - v(R)/v_s(R) at a probe radius R (a trajectory
+    that hits zero before R counts on the side of the field that does)
+    over the whole bracket, down to 4 ulp, and integrates the midpoint
+    once to r_target.  This places v0 on the entire-solution manifold to a
+    few ulp and sharpens the trustworthy tail far beyond what the
+    classification can.  ``iterations`` counts the probes to R and
+    ``bracket_width`` is the final bracket.  Requires the scaling data to
+    exist.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
@@ -555,104 +561,66 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     if u0 <= 0.0:
         raise DomainError("u0 must be positive")
 
+    calls = 0
+
     def run(v0: float, r_max: float | None = None) -> RadialProfile:
+        nonlocal calls
+        calls += 1
         return integrate(params, InitialData(u0, v0),
                          opts.r_target if r_max is None else r_max, opts)
 
-    prof_lo = run(lo)
-    prof_hi = run(hi)
-    kinds = {prof_lo.classification, prof_hi.classification}
-    if kinds != {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO}:
+    kind_lo = run(lo).classification
+    kind_hi = run(hi).classification
+    if {kind_lo, kind_hi} != {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO}:
         raise BracketError(
             f"bracket endpoints must fail in opposite ways, got "
-            f"{prof_lo.classification.value} at {lo} and "
-            f"{prof_hi.classification.value} at {hi}"
+            f"{kind_lo.value} at {lo} and {kind_hi.value} at {hi}"
         )
-    kind_lo = prof_lo.classification
 
-    result: ShootResult | None = None
     if params.p == params.q and lo < u0 < hi:
         # the diagonal is invariant: v0 = u0 gives u identical to v
         prof = run(u0)
-        if _positive_through_target(prof):
-            result = ShootResult(u0, prof, 0, 0.0, False)
+        if prof.r_event is None:
+            return ShootResult(u0, prof, 0, 0.0, polish)
 
-    it = 0
-    if result is None:
-        a, b = lo, hi
-        while True:
-            it += 1
-            if it > opts.shoot_max_iter:
-                raise ConvergenceError(
-                    f"shooting did not converge in {opts.shoot_max_iter} bisections"
-                )
-            mid = 0.5 * (a + b)
-            prof = run(mid)
-            if _positive_through_target(prof):
-                result = ShootResult(mid, prof, it, b - a, False)
-                break
-            if prof.classification == kind_lo:
-                a = mid
-            else:
-                b = mid
-            if (b - a) <= opts.v0_tol * max(1.0, abs(b)):
-                result = ShootResult(mid, prof, it, b - a, False)
-                break
-
+    calls = 0  # from here on, the probes of the bisection
     if not polish:
-        return result
+        last: list = []  # the latest probe only: (v0, profile)
+
+        def side(v0: float) -> int:
+            prof = run(v0)
+            last[:] = (v0, prof)
+            if prof.r_event is None:
+                return 0
+            return 1 if prof.classification == kind_lo else -1
+
+        a, b = _bisect(side, lo, hi, opts.v0_tol, opts.shoot_max_iter)
+        if not last:  # the bracket was narrower than v0_tol to begin with
+            side(0.5 * (a + b))
+        return ShootResult(last[0], last[1], calls, b - a, False)
 
     scaling = derive_scaling(params)
     probe = opts.polish_probe or min(opts.r_target, 1e4)
     lg_a = math.log(scaling.a)
     lg_b = math.log(scaling.b)
 
-    def match(v0: float) -> float:
+    def match(v0: float) -> int:
+        # +1 on the side where v falls first (small v0), -1 where u does
         prof = run(v0, r_max=probe)
         if prof.classification == ProfileClass.U_HITS_ZERO:
-            return -1e3
+            return -1
         if prof.classification == ProfileClass.V_HITS_ZERO:
-            return 1e3
+            return 1
         rr = float(prof.r[-1])
         uh = math.log(prof.u[-1]) + scaling.alpha * math.log(rr) - lg_a
         vh = math.log(prof.v[-1]) + scaling.beta * math.log(rr) - lg_b
-        return uh - vh
+        return (uh > vh) - (uh < vh)
 
-    # orient the bracket so that f(a) > 0 (small v0 side) > f(b)
-    a, b = lo, hi
-    if kind_lo == ProfileClass.U_HITS_ZERO:
-        a, b = hi, lo
-    center = result.v0
-    half = max(abs(result.bracket_width), 64.0 * _EPS * max(1.0, center))
-    cand_a = center - math.copysign(half, b - a) * 8.0
-    cand_b = center + math.copysign(half, b - a) * 8.0
-    fa, fb = match(cand_a), match(cand_b)
-    if not (fa > 0.0 > fb):
-        cand_a, cand_b, fa, fb = a, b, match(a), match(b)
-        if not (fa > 0.0 > fb):
-            raise BracketError("matching functional has no sign change; "
-                               "cannot polish this bracket")
-    for _ in range(200):
-        if abs(cand_b - cand_a) <= 4.0 * _EPS * max(1.0, abs(cand_b)):
-            break
-        if abs(fa) < 1e2 and abs(fb) < 1e2 and fa != fb:
-            x = cand_a + fa * (cand_a - cand_b) / (fb - fa)
-            lo_, hi_ = min(cand_a, cand_b), max(cand_a, cand_b)
-            if not (lo_ < x < hi_):
-                x = 0.5 * (cand_a + cand_b)
-        else:
-            x = 0.5 * (cand_a + cand_b)
-        fx = match(x)
-        if fx > 0.0:
-            cand_a, fa = x, fx
-        elif fx < 0.0:
-            cand_b, fb = x, fx
-        else:
-            cand_a = cand_b = x
-            break
-    v0_star = 0.5 * (cand_a + cand_b)
-    prof = run(v0_star)
-    return ShootResult(v0_star, prof, it, abs(cand_b - cand_a), True)
+    a, b = (lo, hi) if kind_lo == ProfileClass.V_HITS_ZERO else (hi, lo)
+    a, b = _bisect(match, a, b, 4.0 * _EPS, opts.shoot_max_iter)
+    v0_star = 0.5 * (a + b)
+    probes = calls
+    return ShootResult(v0_star, run(v0_star), probes, abs(b - a), True)
 
 
 def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialProfile:

@@ -17,10 +17,7 @@ __all__ = ["fmt_float", "to_json", "to_csv", "payload_hash"]
 
 
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """%.17g; it renders NaN and infinities as nan, inf and -inf."""
     return "%.17g" % x
 
 

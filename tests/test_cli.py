@@ -1,7 +1,10 @@
 import errno
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +281,24 @@ class TestSolveCompareEig:
         assert meta["classification"] == "EntirePositive"
         assert meta["shoot"]["reached_target"] is True
 
+    def test_compare_band_floored_at_rtol(self, tmp_path, capsys):
+        # the diagonal shot sits on the singular asymptote to about 3e-11
+        # beyond r ~ 1e3, below the solver's rtol 1e-10; the old default
+        # band 1e-12 counted 468 rounding-level crossings per field there
+        out = tmp_path / "diag"
+        rc, stdout, _ = run_cli(
+            ["--out", str(out), "--no-cache", "solve", "8", "8", "11", "--u0",
+             "1", "--shoot", "--v0-lo", "0.5", "--v0-hi", "2"], capsys)
+        assert rc == 0
+        rc, _, _ = run_cli(
+            ["--out", str(out), "--no-cache", "compare", "8", "8", "11",
+             "--profile", str(out / stdout.split()[0])], capsys)
+        assert rc == 0
+        rep = json.loads(next(out.glob("compare_*.json")).read_text())["report"]
+        assert rep["band_rel"] == 1e-10
+        assert rep["crossings_u"] == [] and rep["crossings_v"] == []
+        assert rep["ordered"] is True
+
     def test_eig_ladder_monotone(self, tmp_path, capsys):
         out = tmp_path / "eig"
         rc, _, _ = run_cli(["--out", str(out), "--no-cache", "--ladder", "3",
@@ -374,3 +395,15 @@ class TestSolveCompareEig:
         rc, _, err = run_cli(["--out", str(tmp_path), "compare", "3", "3", "11",
                               "--profile", str(tmp_path / "nope.csv")], capsys)
         assert rc == 4
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about a tenth of a second to import; only the eigen
+    # solver and the test oracles may load it, on first use
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, lelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -9,6 +9,8 @@ from lelab import (CurvePosition, DomainError, ParameterTriple, SobolevClass,
                    classify, curve_margins, derive_scaling,
                    hardy_rellich_constant, jl_curve_q, jl_diagonal, jl_margin,
                    sobolev_margin)
+from lelab.errors import ConvergenceError
+from lelab.exponents import _bisect
 
 from conftest import valid_triples
 
@@ -208,6 +210,53 @@ class TestCurveRootFinding:
             jl_curve_q(11, 0.5)
         with pytest.raises(DomainError):
             jl_curve_q(2, 3.0)
+
+
+class TestBisect:
+    ROOT = math.sqrt(2.0)
+
+    def side(self, x):
+        # +1 below the root, -1 above it
+        return 1 if x * x < 2.0 else -1
+
+    def test_both_orientations(self):
+        a, b = _bisect(self.side, 1.0, 2.0, 1e-12, 100)
+        assert a < b and b - a <= 1e-12 * b
+        assert a <= self.ROOT <= b
+        # the same search with the ends swapped: a keeps its side
+        a2, b2 = _bisect(lambda x: -self.side(x), 2.0, 1.0, 1e-12, 100)
+        assert (a2, b2) == (b, a)
+
+    def test_zero_ends_the_search(self):
+        seen = []
+
+        def side(x):
+            seen.append(x)
+            return 0 if x == 0.75 else (1 if x < 0.75 else -1)
+
+        assert _bisect(side, 0.0, 1.0, 1e-15, 100) == (0.75, 0.75)
+        assert seen == [0.5, 0.75]
+
+    def test_adjacent_doubles_stop_without_evaluation(self):
+        a = 1.0
+        b = math.nextafter(a, 2.0)
+        calls = []
+        # tol 0 can never be met: only the no-progress stop ends the search
+        assert _bisect(lambda x: calls.append(x) or 1, a, b, 0.0, 5) == (a, b)
+        assert calls == []
+        lo, hi = _bisect(self.side, 1.0, 2.0, 0.0, 100)
+        assert hi == math.nextafter(lo, 2.0) and lo <= self.ROOT <= hi
+
+    def test_cap_raises(self):
+        calls = []
+
+        def side(x):
+            calls.append(x)
+            return self.side(x)
+
+        with pytest.raises(ConvergenceError):
+            _bisect(side, 1.0, 2.0, 1e-12, 10)
+        assert len(calls) == 10
 
 
 def test_sobolev_margin_formula():

@@ -180,6 +180,41 @@ class TestShoot:
         assert res.bracket_width < 1e-13
 
 
+    def test_polished_probe_count(self, monkeypatch):
+        # one halving per probe over the whole bracket down to 4 ulp: the
+        # two endpoint checks plus ceil(log2(width / (4 ulp v0))) probes,
+        # then one run to r_target
+        from lelab import radial
+
+        radii = []
+        real = radial.integrate
+
+        def counted(params, init, r_max, opts=None):
+            radii.append(r_max)
+            return real(params, init, r_max, opts)
+
+        monkeypatch.setattr(radial, "integrate", counted)
+        lo, hi = 0.2, 5.0
+        res = shoot(ParameterTriple(9, 6, 11), 1.0, (lo, hi), SolverOptions(),
+                    polish=True)
+        probes = len(radii) - 1
+        bound = 2 + math.ceil(math.log2((hi - lo) / (4 * np.finfo(float).eps
+                                                     * res.v0)))
+        assert probes <= bound
+        assert res.iterations == probes - 2
+        assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e4}
+        assert res.bracket_width <= 4 * np.finfo(float).eps * res.v0
+        assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
+
+    def test_polished_diagonal_is_exact(self):
+        res = shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), SolverOptions(),
+                    polish=True)
+        assert res.v0 == 1.0
+        assert res.polished and res.iterations == 0
+        assert np.array_equal(res.profile.u, res.profile.v)
+        assert np.array_equal(res.profile.du, res.profile.dv)
+
+
 class TestRescale:
     def test_identity_at_unit_scale(self, symmetric_entire):
         sc = derive_scaling(P33)
