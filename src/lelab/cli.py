@@ -67,9 +67,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # ground-state variables; curve 2: the prescan ends exactly at p; eig 3 and
 # curve 3: K1K2 and the curve margin are p q S T from the shared kernel;
 # solve 2 and shoot 2: unrolled stages with a compensated state update;
-# shoot 3: the polished shot bisects the matching functional to 4 ulp;
+# shoot 3: the polished shot bisects the matching functional to 4 ulp, and
+# solve 3 with it: the PI step controller reads the previous step's error;
 # compare 2: the dead band is floored at the profile's rtol.
-_REVISION = {"curve": 3, "scan": 1, "solve": 2, "shoot": 3, "compare": 2,
+_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 3, "compare": 2,
              "eig": 3}
 
 

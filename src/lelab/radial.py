@@ -430,9 +430,10 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
             r += h
             u, du, v, dv = u1, k7u, v1, k7v
             k1u, k1du, k1v, k1dv = k7u, k7du, k7v, k7dv
-            facold = max(err, 1e-4)
+            # PI control: the previous step's error damps the new step
             fac11 = err ** 0.17 if err > 0.0 else 1e-20
             fac = fac11 / facold ** 0.04
+            facold = max(err, 1e-4)
             h = h / max(0.1, min(5.0, fac / 0.9))
         else:
             nreject += 1
