@@ -7,9 +7,10 @@ Newtonian-potential chain M1 <= M2^p, M2 <= M1^q for ordered profiles.
 Sign changes are counted with a dead band relative to |u_s| so that
 rounding-level oscillations of a trajectory that has locked onto the
 singular asymptote are not reported as crossings.  The band is never
-narrower than the relative tolerance the profile was integrated to.  Suprema over the
-unbounded domain are necessarily truncated at the profile's outer radius;
-profiles that are not entire-positive are flagged interior-only.
+narrower than the relative tolerance the profile was integrated to.
+Suprema over the unbounded domain are necessarily truncated at the
+profile's outer radius; profiles that are not entire-positive are flagged
+interior-only.
 """
 
 from __future__ import annotations

@@ -167,6 +167,13 @@ class TestShoot:
         # and 1.10 (u hits zero)
         assert 1.05 < res.v0 < 1.10
 
+    def test_bracket_already_narrow(self):
+        # a bracket inside v0_tol still gets one probe, at its midpoint
+        opts = SolverOptions(r_target=1000.0, v0_tol=10.0)
+        res = shoot(P32, 1.0, (0.05, 5.0), opts)
+        assert (res.v0, res.iterations, res.bracket_width) == (2.525, 1, 4.95)
+        assert res.profile.v0 == 2.525
+
     def test_bracket_error(self):
         opts = SolverOptions(r_target=1000.0)
         with pytest.raises(BracketError):
