@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import math
 import os
 import shutil
 import sys
@@ -69,8 +70,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # solve 2 and shoot 2: unrolled stages with a compensated state update;
 # shoot 3: the polished shot bisects the matching functional to 4 ulp, and
 # solve 3 with it: the PI step controller reads the previous step's error;
-# compare 2: the dead band is floored at the profile's rtol.
-_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 3, "compare": 2,
+# compare 2: the dead band is floored at the profile's rtol; shoot 4: every
+# shot bisects the matching functional, and polish only sets the stopping
+# width.
+_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 4, "compare": 2,
              "eig": 3}
 
 
@@ -254,7 +257,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
             res = shoot(params, args.u0, (args.v0_lo, args.v0_hi), opts,
                         polish=args.polish)
             profile = res.profile
-            # bisection alone may stop at v0_tol on a shot that has an event
+            # a shot stopped at v0_tol may still hit zero before r_target
             reached = (profile.r_event is None
                        and profile.r_max >= opts.r_target)
             extra = {"v0_star": res.v0, "iterations": res.iterations,
@@ -263,7 +266,8 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
                      "reached_target": reached}
         else:
             profile = integrate(params, InitialData(args.u0, args.v0),
-                                args.r_max or opts.r_target, opts)
+                                opts.r_target if args.r_max is None
+                                else args.r_max, opts)
             extra = None
         meta = profile_metadata(profile)
         meta["version"] = __version__
@@ -321,9 +325,13 @@ def _cmd_eig(args, cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     params = ParameterTriple(args.p, args.q, args.N)
     opts = _eig_options(cfg)
-    kmax = args.ladder or cfg.ladder_kmax
+    kmax = cfg.ladder_kmax if args.ladder is None else args.ladder
+    if kmax < 1:
+        raise DomainError("--ladder must be >= 1")
     if args.annulus:
         r_in, r_out, m = args.annulus
+        if not math.isfinite(m):
+            raise DomainError("the annulus node count must be finite")
         ladder = [Annulus(float(r_in), float(r_out), int(m))]
     else:
         ladder = default_ladder(kmax, cfg.ladder_m_per_k)

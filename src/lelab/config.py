@@ -42,6 +42,10 @@ class RunConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"config key '{name}' must be positive, got {v!r}")
+        for name in ("rtol", "tol_curve", "eig_tol"):  # relative tolerances
+            v = getattr(self, name)
+            if not v < 1.0:
+                raise ConfigError(f"config key '{name}' must be below 1, got {v!r}")
         for name, lo in (("grid_nodes", 16), ("resolution", 16),
                          ("ladder_m_per_k", 16), ("ladder_kmax", 1),
                          ("eig_max_iter", 1)):

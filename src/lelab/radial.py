@@ -21,11 +21,11 @@ decay threshold is classified entire-positive; true entirety is not
 decidable numerically and is certified separately by the decay identity
 u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
-``shoot`` finds the v0 of an entire profile by bisection: on the
-classification at r_target, or with ``polish`` on the sign of a matching
-functional at a probe radius.  Its ``iterations`` counts the bisection
+``shoot`` finds the v0 of an entire profile by bisection on the sign of a
+matching functional at a probe radius; ``polish`` only narrows the final
+bracket from v0_tol to 4 ulp.  Its ``iterations`` counts the bisection
 probes and ``bracket_width`` is the final bracket (0 for the exact
-diagonal shot and for a probe that stays positive through r_target).
+diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval by default) serves as the independent reference
@@ -531,31 +531,25 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
           opts: SolverOptions | None = None, *, polish: bool = False) -> ShootResult:
     """Find v0 whose trajectory stays positive through r_target.
 
-    The bracket endpoints must fail in opposite ways at r_target (one
-    u-zero, one v-zero), else BracketError.  On the diagonal p = q with u0
-    inside the bracket, v0 = u0 is exact (u equals v bit for bit); that
-    profile is returned with ``iterations`` 0 and ``bracket_width`` 0,
-    polished or not.
+    Needs the singular pair (``derive_scaling``), else DomainError before
+    any integration.  The bracket endpoints must fail in opposite ways at
+    r_target (one u-zero, one v-zero), else BracketError.  On the diagonal
+    p = q with u0 inside the bracket, v0 = u0 is exact (u equals v bit for
+    bit); that profile is returned with ``iterations`` 0 and
+    ``bracket_width`` 0.
 
-    Otherwise, without ``polish``, v0 is bisected on the classification at
-    r_target.  The search stops at the first probe that stays positive
-    through r_target, or when the bracket is narrower than v0_tol, and that
-    last probe and its profile are returned as they are.  ``iterations``
-    counts the probes; ``bracket_width`` is the final bracket, 0 when a
-    probe stayed positive.
-
-    ``polish=True`` bisects instead the sign of the smooth matching
-    functional u(R)/u_s(R) - v(R)/v_s(R) at a probe radius R (a trajectory
-    that hits zero before R counts on the side of the field that does)
-    over the whole bracket, down to 4 ulp, and integrates the midpoint
-    once to r_target.  This places v0 on the entire-solution manifold to a
-    few ulp and sharpens the trustworthy tail far beyond what the
-    classification can.  ``iterations`` counts the probes to R and
-    ``bracket_width`` is the final bracket.  Requires the scaling data to
-    exist.
+    Otherwise v0 is bisected over the whole bracket on the sign of the
+    smooth matching functional u(R)/u_s(R) - v(R)/v_s(R) at a probe radius
+    R (a trajectory that hits zero before R counts on the side of the field
+    that does), and the midpoint of the final bracket is integrated once to
+    r_target.  ``polish`` only sets where the bisection stops: at 4 ulp,
+    which places v0 on the entire-solution manifold to a few ulp, or at
+    v0_tol.  ``iterations`` counts the probes to R and ``bracket_width`` is
+    the final bracket.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
+    scaling = derive_scaling(params)
     lo, hi = float(v0_bracket[0]), float(v0_bracket[1])
     if not (0.0 < lo < hi):
         raise DomainError("need 0 < lo < hi in the v0 bracket")
@@ -585,22 +579,6 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
             return ShootResult(u0, prof, 0, 0.0, polish)
 
     calls = 0  # from here on, the probes of the bisection
-    if not polish:
-        last: list = []  # the latest probe only: (v0, profile)
-
-        def side(v0: float) -> int:
-            prof = run(v0)
-            last[:] = (v0, prof)
-            if prof.r_event is None:
-                return 0
-            return 1 if prof.classification == kind_lo else -1
-
-        a, b = _bisect(side, lo, hi, opts.v0_tol, opts.shoot_max_iter)
-        if not last:  # the bracket was narrower than v0_tol to begin with
-            side(0.5 * (a + b))
-        return ShootResult(last[0], last[1], calls, b - a, False)
-
-    scaling = derive_scaling(params)
     probe = opts.polish_probe or min(opts.r_target, 1e4)
     lg_a = math.log(scaling.a)
     lg_b = math.log(scaling.b)
@@ -618,10 +596,11 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
         return (uh > vh) - (uh < vh)
 
     a, b = (lo, hi) if kind_lo == ProfileClass.V_HITS_ZERO else (hi, lo)
-    a, b = _bisect(match, a, b, 4.0 * _EPS, opts.shoot_max_iter)
+    a, b = _bisect(match, a, b, 4.0 * _EPS if polish else opts.v0_tol,
+                   opts.shoot_max_iter)
     v0_star = 0.5 * (a + b)
     probes = calls
-    return ShootResult(v0_star, run(v0_star), probes, abs(b - a), True)
+    return ShootResult(v0_star, run(v0_star), probes, abs(b - a), polish)
 
 
 def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialProfile:

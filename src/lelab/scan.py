@@ -17,6 +17,7 @@ K1 K2 -> 0 lies below the hyperbola and does not belong to the curve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ def scan_codes(N: int, window, resolution: int,
     """Region codes on a resolution^2 lattice over the given window."""
     N = check_dimension(N, 1)
     p_min, p_max, q_min, q_max = map(float, window)
-    if not (1.0 <= p_min < p_max and 1.0 <= q_min < q_max):
-        raise DomainError("window must satisfy 1 <= min < max on both axes")
+    if not (1.0 <= p_min < p_max < math.inf and 1.0 <= q_min < q_max < math.inf):
+        raise DomainError("window must satisfy 1 <= min < max < inf on both axes")
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     p = np.linspace(p_min, p_max, resolution) if resolution > 1 else np.array([p_min])

@@ -55,6 +55,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="resolution"):
             load_config(cfg_file)
 
+    def test_relative_tolerances_below_one(self, tmp_path):
+        # a relative tolerance of 1 or more accepts anything, and at 1e308
+        # the eigen stopping test overflows
+        cfg_file = tmp_path / "lab.cfg"
+        for key in ("rtol", "tol_curve", "eig_tol"):
+            cfg_file.write_text(f"{key} = 1e308\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(cfg_file)
+
     def test_jobs_key_unknown(self, tmp_path):
         # the scan process pool and its setting are gone
         cfg_file = tmp_path / "lab.cfg"
@@ -345,6 +354,41 @@ class TestSolveCompareEig:
             assert rc == 2
             assert "--steps" in err
         assert not list(tmp_path.glob("curve_*"))
+
+    def test_eig_rejects_ladder_below_one(self, tmp_path, capsys):
+        # an empty ladder has no verdict, and 0 is not a request for the
+        # config's ladder
+        for k in ("0", "-1"):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache",
+                                  "--ladder", k, "eig", "8", "8", "11"], capsys)
+            assert rc == 2
+            assert "--ladder" in err
+        assert not list(tmp_path.glob("eig_*"))
+
+    def test_eig_rejects_non_finite_annulus_nodes(self, tmp_path, capsys):
+        for m in ("nan", "inf"):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
+                                  "3", "2", "11", "--annulus", "0.1", "10", m],
+                                 capsys)
+            assert rc == 2, err
+
+    def test_solve_rejects_zero_r_max(self, tmp_path, capsys):
+        # 0 is not a request for the default r_target
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
+                              "3", "3", "11", "--u0", "1", "--v0", "1",
+                              "--r-max", "0"], capsys)
+        assert rc == 2
+        assert "r_max must be positive" in err
+        assert not list(tmp_path.glob("profile_*"))
+
+    def test_shoot_without_singular_pair_exits_2(self, tmp_path, capsys):
+        # alpha >= N - 2: compare and eig refuse this triple, and so does
+        # the shot, before it integrates anything
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
+                              "1.2", "1.1", "5", "--u0", "1", "--shoot",
+                              "--v0-lo", "0.05", "--v0-hi", "5"], capsys)
+        assert rc == 2
+        assert not list(tmp_path.glob("profile_*"))
 
     def test_eig_rejects_overflowing_pq(self, tmp_path, capsys):
         rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",

@@ -168,11 +168,13 @@ class TestShoot:
         assert 1.05 < res.v0 < 1.10
 
     def test_bracket_already_narrow(self):
-        # a bracket inside v0_tol still gets one probe, at its midpoint
+        # a bracket inside v0_tol needs no probe: its midpoint is integrated
+        # once, to r_target
         opts = SolverOptions(r_target=1000.0, v0_tol=10.0)
         res = shoot(P32, 1.0, (0.05, 5.0), opts)
-        assert (res.v0, res.iterations, res.bracket_width) == (2.525, 1, 4.95)
+        assert (res.v0, res.iterations, res.bracket_width) == (2.525, 0, 4.95)
         assert res.profile.v0 == 2.525
+        assert res.profile.r_max == 1000.0 or res.profile.r_event is not None
 
     def test_bracket_error(self):
         opts = SolverOptions(r_target=1000.0)
@@ -212,6 +214,46 @@ class TestShoot:
         assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e4}
         assert res.bracket_width <= 4 * np.finfo(float).eps * res.v0
         assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
+
+    def test_polish_sets_only_the_stopping_width(self, monkeypatch):
+        # with and without polish the shot bisects the same functional at
+        # the same probe radius; only the final bracket differs
+        from lelab import radial
+
+        real = radial.integrate
+        radii = []
+
+        def counted(params, init, r_max, opts=None):
+            radii.append(r_max)
+            return real(params, init, r_max, opts)
+
+        monkeypatch.setattr(radial, "integrate", counted)
+        shots = {}
+        for polish in (False, True):
+            radii.clear()
+            res = shots[polish] = shoot(ParameterTriple(9, 6, 11), 1.0,
+                                        (0.2, 5.0), polish=polish)
+            assert res.polished is polish
+            # two endpoint runs, the probes, one run to r_target
+            assert res.iterations == len(radii) - 3
+            assert radii[:2] == [1e6, 1e6] and radii[-1] == 1e6
+            assert set(radii[2:-1]) == {1e4}
+        plain, polished = shots[False], shots[True]
+        assert abs(plain.v0 - polished.v0) <= \
+            SolverOptions().v0_tol * max(1.0, polished.v0)
+        assert plain.bracket_width > polished.bracket_width
+        assert plain.iterations < polished.iterations
+
+    def test_no_singular_pair_refused_before_integrating(self, monkeypatch):
+        # alpha = 13.75 >= N - 2: no singular pair to match, so no shot
+        from lelab import radial
+
+        radii = []
+        monkeypatch.setattr(radial, "integrate",
+                            lambda *a, **k: radii.append(a[2]))
+        with pytest.raises(DomainError):
+            shoot(ParameterTriple(1.2, 1.1, 5), 1.0, (0.05, 5.0))
+        assert radii == []
 
     def test_polished_diagonal_is_exact(self):
         res = shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), SolverOptions(),
