@@ -72,8 +72,9 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # solve 3 with it: the PI step controller reads the previous step's error;
 # compare 2: the dead band is floored at the profile's rtol; shoot 4: every
 # shot bisects the matching functional, and polish only sets the stopping
-# width.
-_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 4, "compare": 2,
+# width; shoot 5: the search interpolates the value of the matching
+# functional (Dekker-Brent) instead of halving on its sign.
+_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 5, "compare": 2,
              "eig": 3}
 
 
@@ -236,6 +237,9 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
             raise DomainError("--shoot requires --v0-lo and --v0-hi")
+        if args.v0 is not None or args.r_max is not None:
+            raise DomainError("--shoot finds v0 and integrates to r_target; "
+                              "--v0 and --r-max are for a plain solve")
         payload = {
             "cmd": "shoot", "p": args.p, "q": args.q, "N": args.N,
             "u0": args.u0, "v0_lo": args.v0_lo, "v0_hi": args.v0_hi,

@@ -20,6 +20,8 @@ of C_gamma - K1 K2.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,20 +187,22 @@ def indicial_exponents(scaling: ScalingData) -> np.ndarray:
 
         (kappa^2 - A1 kappa - S)(kappa^2 - A2 kappa - T) = K1 K2,
 
-    with A1 = N-2-2 alpha, A2 = N-2-2 beta.  Roots with positive real part
-    decay relative to the singular solution; a negative real root is the
-    transverse growth rate that makes shooting onto the entire-solution
-    manifold ill conditioned.  Returns the four roots sorted by real part.
+    with A1 = N-2-2 alpha, A2 = N-2-2 beta.  The quartic is even about
+    m = (N-2-alpha-beta)/2: with n = N-2 and kappa = m + t it reads
+    (t^2 - h)^2 = d^2, h = (n^2 + gamma^2)/4, d^2 = (n gamma/2)^2 + K1 K2,
+    and h^2 - d^2 = C_gamma - K1 K2.  So the outer pair m +- sqrt(h + d)
+    is real for every triple, and kappa_min = m - sqrt(h + d) < 0 because
+    h > m^2; the inner pair m +- sqrt(h - d) is real on and above the
+    critical curve and complex below it.  Roots with positive real part
+    decay relative to the singular solution; kappa_min is the transverse
+    growth rate that makes shooting onto the entire-solution manifold ill
+    conditioned.  Returns the four roots sorted by real part.
     """
     s = scaling
-    A1 = s.N - 2.0 - 2.0 * s.alpha
-    A2 = s.N - 2.0 - 2.0 * s.beta
-    coeffs = [
-        1.0,
-        -(A1 + A2),
-        A1 * A2 - s.S - s.T,
-        A1 * s.T + A2 * s.S,
-        -s.S * s.T * (s.p * s.q - 1.0),
-    ]
-    roots = np.roots(coeffs)
-    return roots[np.argsort(roots.real)]
+    n = s.N - 2.0
+    m = 0.5 * (n - s.alpha - s.beta)
+    h = 0.25 * (n * n + s.gamma * s.gamma)
+    d = math.sqrt(0.25 * (n * s.gamma) ** 2 + s.K1K2)
+    outer = math.sqrt(h + d)
+    inner = cmath.sqrt(h - d)
+    return np.array([m - outer, m - inner, m + inner, m + outer])

@@ -325,31 +325,80 @@ def _sobolev_q_lower(N: int, p: float) -> float:
     return max(1.0, 1.0 / s - 1.0)
 
 
-def _bisect(side, a: float, b: float, tol: float, max_iter: int):
-    """Halve the bracket between a and b (either order) around a root.
+def _bisect(f, a: float, b: float, tol: float, max_iter: int,
+            fa: float = 1.0, fb: float = -1.0):
+    """Shrink the bracket between a and b (either order) around a root of f.
 
-    ``side(x)`` is +1 when x lies on a's side of the root, -1 on b's side,
-    and 0 at a root, which ends the search with (x, x).  Stops when
-    |b - a| <= tol * max(1, |b|) or when no double lies between a and b,
-    and returns the bracket (a, b) in the given orientation; raises
-    ConvergenceError when max_iter evaluations of side do not get there.
-    The one bracketed root finder of the package."""
+    ``f(x)`` is positive on a's side of the root, negative on b's side and
+    0 at a root, which ends the search with (x, x); ``fa`` and ``fb`` are
+    its values at a and b.  A caller that knows only the side returns +-1
+    and keeps the default ends.
+
+    Each step interpolates the inverse of f through the latest iterates,
+    which may lie on one side of the root (Dekker-Brent; Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 4): quadratic
+    through the last three when their values differ, else the secant
+    through the last two.  A point within half the stopping width of an
+    end moves to that distance, so that a point next to the root closes
+    the bracket.  The step is the midpoint instead when the point is
+    outside the bracket, when the last two steps together did not halve
+    the bracket, or when the evaluations so far reach 2 log2(w0 / w) + 2
+    for the initial and current widths w0 and w; so a search takes at most
+    about twice the evaluations of bisection.  On +-1 values every step is
+    the midpoint, bit for bit: the secant is tried only through values of
+    different magnitude, and quadratic interpolation only through three
+    distinct values.
+
+    Stops when |b - a| <= tol * max(1, |b|) or when no double lies between
+    a and b, and returns the bracket (a, b) in the given orientation;
+    raises ConvergenceError when max_iter evaluations of f do not get
+    there.  The one bracketed root finder of the package."""
+    # the last three iterates, newest first (the ends count as iterates),
+    # and the widths before the last two steps
+    x1, f1, x2, f2, x3, f3 = b, fb, a, fa, None, None
+    w0 = abs(b - a)
+    w1 = w2 = math.inf
     n = 0
-    while abs(b - a) > tol * max(1.0, abs(b)):
+    while True:
+        w = abs(b - a)
+        if w <= tol * max(1.0, abs(b)):
+            break
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
         if n == max_iter:
-            raise ConvergenceError(f"bisection did not shrink the bracket "
-                                   f"below {tol} in {max_iter} steps")
+            raise ConvergenceError(f"the bracket did not shrink below {tol} "
+                                   f"in {max_iter} evaluations")
+        x = m
+        if (f1 != f2 and f1 != -f2 and w < 0.5 * w2
+                and n < 2.0 * math.log2(w0 / w) + 2.0):
+            try:
+                if f3 is not None and f3 != f1 and f3 != f2:
+                    y = (x1 * f2 * f3 / ((f1 - f2) * (f1 - f3))
+                         + x2 * f1 * f3 / ((f2 - f1) * (f2 - f3))
+                         + x3 * f1 * f2 / ((f3 - f1) * (f3 - f2)))
+                else:
+                    y = x1 - f1 * (x1 - x2) / (f1 - f2)
+            except ZeroDivisionError:  # a product of tiny differences
+                y = m
+            lo, hi = (a, b) if a < b else (b, a)
+            if lo <= y <= hi:
+                d = 0.5 * tol * max(1.0, abs(b))
+                y = min(max(y, lo + d), hi - d)
+                if lo < y < hi:
+                    x = y
         n += 1
-        s = side(m)
-        if s == 0:
-            return m, m
-        if s > 0:
-            a = m
+        fx = f(x)
+        if fx == 0:
+            return x, x
+        if fx > 0:
+            a = x
         else:
-            b = m
+            b = x
+        x3, f3 = x2, f2
+        x2, f2 = x1, f1
+        x1, f1 = x, fx
+        w2, w1 = w1, w
     return a, b
 
 

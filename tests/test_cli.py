@@ -390,6 +390,18 @@ class TestSolveCompareEig:
         assert rc == 2
         assert not list(tmp_path.glob("profile_*"))
 
+    def test_shoot_refuses_plain_solve_options(self, tmp_path, capsys):
+        # a shot finds its own v0 and integrates to r_target, so --v0 and
+        # --r-max would be ignored without a word: they are refused
+        shot = ["solve", "8", "8", "11", "--u0", "1", "--shoot",
+                "--v0-lo", "0.5", "--v0-hi", "2"]
+        for extra in (["--r-max", "0"], ["--r-max", "5"], ["--v0", "3"]):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache",
+                                  *shot, *extra], capsys)
+            assert rc == 2, extra
+            assert "--shoot" in err
+        assert not list(tmp_path.glob("profile_*"))
+
     def test_eig_rejects_overflowing_pq(self, tmp_path, capsys):
         rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
                               "1e200", "1e200", "11"], capsys)

@@ -119,6 +119,22 @@ class TestIndicialExponents:
                     - sc.K1K2
                 assert abs(val) < 1e-6 * max(1.0, sc.K1K2)
 
+    def test_transverse_root_real_negative_and_matches_companion(self, rng):
+        # kappa_min is real and negative on both sides of the curve; all
+        # four roots agree with numpy's companion-matrix eigenvalues
+        for p, q, N in valid_triples(rng, 200):
+            sc = derive_scaling(ParameterTriple(p, q, N))
+            A1 = N - 2.0 - 2.0 * sc.alpha
+            A2 = N - 2.0 - 2.0 * sc.beta
+            roots = indicial_exponents(sc)
+            assert roots[0].imag == 0.0 and roots[0].real < 0.0
+            oracle = np.roots([1.0, -(A1 + A2), A1 * A2 - sc.S - sc.T,
+                               A1 * sc.T + A2 * sc.S,
+                               -sc.S * sc.T * (sc.p * sc.q - 1.0)])
+            oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
+            ours = roots[np.lexsort((roots.imag, roots.real))]
+            assert np.allclose(ours, oracle, rtol=1e-8, atol=1e-8), (p, q, N)
+
     def test_symmetric_case_closed_form(self):
         # p = q: perturbation modes r^-m solve m(N-2-m) = +-pS, and the
         # quartic roots are kappa = m - alpha for those four m

@@ -259,6 +259,97 @@ class TestBisect:
         assert len(calls) == 10
 
 
+def halving_probes(side, a, b, tol, max_iter):
+    """The probes of plain bisection on the sign of side, written out
+    apart from the package: the reference for callers that pass +-1."""
+    probes = []
+    while abs(b - a) > tol * max(1.0, abs(b)) and len(probes) < max_iter:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        probes.append(m)
+        s = side(m)
+        if s == 0:
+            break
+        if s > 0:
+            a = m
+        else:
+            b = m
+    return probes
+
+
+class TestValueSearch:
+    EPS = np.finfo(float).eps
+
+    def counted(self, f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g, calls
+
+    @pytest.mark.parametrize("a,b,tol", [
+        (1.0, 2.0, 1e-12), (2.0, 1.0, 1e-12), (0.2, 5.0, 4 * 2.0 ** -52),
+        (-3.0, 7.5, 0.0), (1e3, 1e-3, 1e-9),
+        # where b - (b - a) / 2 rounds away from the midpoint
+        (-952627.2616173717, 376.51990783147744, 1e-9)])
+    def test_sign_callers_keep_the_halving_sequence(self, a, b, tol):
+        root = 1.2345678901234567
+
+        def side(x):
+            return 1 if (x < root) == (a < b) else -1
+
+        g, calls = self.counted(side)
+        _bisect(g, a, b, tol, 200)
+        assert calls == halving_probes(side, a, b, tol, 200)
+        assert len(calls) > 10
+
+    def test_smooth_function_in_few_evaluations(self):
+        root = 2.0 ** (1.0 / 3.0)
+        f = lambda x: 2.0 - x ** 3  # noqa: E731
+        g, calls = self.counted(f)
+        lo, hi = _bisect(g, 1.0, 2.0, 4 * self.EPS, 100, f(1.0), f(2.0))
+        assert lo <= root <= hi and hi - lo <= 4 * self.EPS * hi
+        assert len(calls) <= 12  # bisection takes 51
+
+    @pytest.mark.parametrize("name,f,a,b", [
+        # flat at the root: secants creep from one side
+        ("ninth power", lambda x: math.copysign(abs(1.3 - x) ** 9, 1.3 - x),
+         1.0, 2.0),
+        # a jump of 600 decades across the root
+        ("step", lambda x: 1e-300 if x < 1.3 else -1e300, 1.0, 2.0),
+        # slopes 1e24 apart on the two sides
+        ("kink", lambda x: (1.3 - x) * (1e-12 if x < 1.3 else 1e12),
+         1.0, 2.0),
+        ("saturated", lambda x: math.atan(1e6 * (1.3 - x)), -50.0, 100.0),
+        # products of value differences underflow to 0
+        ("tiny", lambda x: 1e-170 * math.copysign(abs(1.3 - x) ** 3, 1.3 - x),
+         1.0, 2.0),
+    ])
+    @pytest.mark.parametrize("tol", [4 * 2.0 ** -52, 1e-13, 1e-6])
+    def test_badly_scaled_function_within_twice_bisection(self, name, f, a,
+                                                         b, tol):
+        g, calls = self.counted(f)
+        lo, hi = _bisect(g, a, b, tol, 400, f(a), f(b))
+        assert lo <= 1.3 <= hi
+        assert len(calls) <= 2 * math.ceil(math.log2((b - a) / tol)) + 2, name
+
+    def test_exact_root_ends_the_search(self):
+        # the secant through (0, 0.75) and (1, -0.25) lands on 0.75
+        g, calls = self.counted(lambda x: 0.75 - x)
+        assert _bisect(g, 0.0, 1.0, 1e-15, 100, 0.75, -0.25) == (0.75, 0.75)
+        assert calls == [0.75]
+
+    def test_cap_raises_on_values(self):
+        g, calls = self.counted(
+            lambda x: math.copysign(abs(1.3 - x) ** 9, 1.3 - x))
+        with pytest.raises(ConvergenceError):
+            _bisect(g, 1.0, 2.0, 1e-15, 10, 0.3 ** 9, -0.7 ** 9)
+        assert len(calls) == 10
+
+
 def test_sobolev_margin_formula():
     t = ParameterTriple(5, 5, 3)
     assert sobolev_margin(t) == pytest.approx((1 - 2 / 3) - 2 / 6, abs=1e-15)

@@ -1,18 +1,20 @@
 """Public-surface fuzz of ``lelab.cli.main``.
 
-Each example takes a valid, cheap argv of one of the six subcommands and
-breaks one slot of it: a value becomes an edge token (0, -1, nan, +-inf,
-1e308, a 400-digit integer), or a flag or positional goes missing.  Windows
-and p-ranges also come reversed.  The space is small enough that the search
-covers it.
+Each example takes a cheap argv of one of the six subcommands and breaks
+one slot of it: a value becomes an edge token (0, -1, nan, +-inf, 1e308, a
+400-digit integer), or a flag or positional goes missing.  Every base argv
+is valid but one: a shot that carries a plain solve's ``--v0`` and
+``--r-max``.  Windows and p-ranges also come reversed.  The space is small
+enough that the search covers it.
 
 Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
 solve, ``--ladder``, ``--steps`` or ``--resolution`` below 1) must be refused
-with exit 2.  Sizes stay bounded: ``--resolution`` <= 64, ``--ladder`` <= 3,
-``--steps`` <= 16, no huge ``--r-max`` or annulus node count, and a small
-config keeps every integration short.
+with exit 2, and so must a shot with ``--v0`` or ``--r-max``, which only a
+plain solve reads.  Sizes stay bounded: ``--resolution`` <= 64,
+``--ladder`` <= 3, ``--steps`` <= 16, no huge ``--r-max`` or annulus node
+count, and a small config keeps every integration short.
 """
 
 import math
@@ -55,6 +57,9 @@ def bases(profile):
         [["solve"], ["8"], ["8"], ["11"], ["--u0", "1"], ["--shoot"],
          ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--polish"],
          ["--tol-v0", "1e-6"]],
+        [["solve"], ["8"], ["8"], ["11"], ["--u0", "1"], ["--shoot"],
+         ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--v0", "1"],
+         ["--r-max", "10"]],
         [["compare"], ["3"], ["3"], ["11"], ["--profile", profile],
          ["--band", "1e-10"]],
         [["eig"], ["9"], ["6"], ["11"], ["--ladder", "3"],
@@ -104,7 +109,9 @@ def must_refuse(argv) -> bool:
     """Whether argv carries a value its command documents as invalid."""
     cmd = argv[0]
     if cmd == "solve":
-        tok = None if "--shoot" in argv else _value(argv, "--r-max")
+        if "--shoot" in argv:
+            return "--v0" in argv or "--r-max" in argv
+        tok = _value(argv, "--r-max")
         return tok is not None and _invalid(tok, integer=False)
     flag = {"eig": "--ladder", "curve": "--steps", "scan": "--resolution"}.get(cmd)
     tok = _value(argv, flag) if flag else None

@@ -190,9 +190,10 @@ class TestShoot:
 
 
     def test_polished_probe_count(self, monkeypatch):
-        # one halving per probe over the whole bracket down to 4 ulp: the
-        # two endpoint checks plus ceil(log2(width / (4 ulp v0))) probes,
-        # then one run to r_target
+        # the search reads the matching functional's value: about half the
+        # ceil(log2(width / (4 ulp v0))) = 53 probes of bisection over the
+        # whole bracket down to 4 ulp, after the two endpoint checks; then
+        # one run to r_target
         from lelab import radial
 
         radii = []
@@ -207,16 +208,29 @@ class TestShoot:
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (lo, hi), SolverOptions(),
                     polish=True)
         probes = len(radii) - 1
-        bound = 2 + math.ceil(math.log2((hi - lo) / (4 * np.finfo(float).eps
-                                                     * res.v0)))
-        assert probes <= bound
+        assert probes - 2 <= 26
         assert res.iterations == probes - 2
         assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e4}
         assert res.bracket_width <= 4 * np.finfo(float).eps * res.v0
         assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
 
+    def test_plain_probe_count_below_curve(self):
+        # below the curve too the transverse mode is real (kappa_min =
+        # -2.47 on (6,4,11)), and the search reads values: bisection to
+        # v0_tol takes 46 probes
+        res = shoot(ParameterTriple(6, 4, 11), 1.0, (0.2, 5.0))
+        assert res.iterations <= 24
+        assert res.bracket_width <= SolverOptions().v0_tol * res.v0
+
+    def test_bracket_end_near_blowup(self):
+        # at v0 = 1e33 u hits zero at r = 1.9e-148, whose value
+        # (r_ev / R)^kappa_min would overflow a double
+        res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 1e33),
+                    SolverOptions(v0_tol=1e-6))
+        assert res.v0 == pytest.approx(1.0357844085, abs=1e-5)
+
     def test_polish_sets_only_the_stopping_width(self, monkeypatch):
-        # with and without polish the shot bisects the same functional at
+        # with and without polish the shot searches the same functional at
         # the same probe radius; only the final bracket differs
         from lelab import radial
 
@@ -262,6 +276,31 @@ class TestShoot:
         assert res.polished and res.iterations == 0
         assert np.array_equal(res.profile.u, res.profile.v)
         assert np.array_equal(res.profile.du, res.profile.dv)
+
+
+class TestTransverseModel:
+    def test_event_radius_scales_with_the_indicial_exponent(self):
+        # the shot's value model: off the manifold by d = v0 - v0*, a
+        # trajectory deviates like |d| r^-kappa_min and hits zero where that
+        # is O(1), so log r_ev against log |d| has slope 1/kappa_min on
+        # each side of v0*; kappa_min comes from the closed-form quartic
+        from lelab.closed_form import indicial_exponents
+
+        params = ParameterTriple(9, 6, 11)
+        v0_star = 1.0357844085117758  # bisected to 4 ulp at default options
+        kappa = indicial_exponents(derive_scaling(params))[0]
+        assert kappa.imag == 0.0 and kappa.real < 0.0
+        d = np.logspace(-4, -8, 5)
+        for sign, kind in ((1.0, ProfileClass.U_HITS_ZERO),
+                           (-1.0, ProfileClass.V_HITS_ZERO)):
+            r_ev = []
+            for dd in d:
+                prof = integrate(params, InitialData(1.0, v0_star + sign * dd),
+                                 1e4)
+                assert prof.classification is kind
+                r_ev.append(prof.r_event)
+            slope = np.polyfit(np.log(d), np.log(r_ev), 1)[0]
+            assert slope * kappa.real == pytest.approx(1.0, abs=0.05)
 
 
 class TestRescale:
