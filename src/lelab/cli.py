@@ -294,8 +294,11 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         prof_base = prof_base.with_suffix("")
     csv_path = prof_base.with_suffix(".csv")
     json_path = prof_base.with_suffix(".json")
-    csv_text = csv_path.read_text()
-    json_text = json_path.read_text()
+    try:
+        csv_text = csv_path.read_text()
+        json_text = json_path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"malformed stored profile: {exc}") from exc
     payload = {
         "cmd": "compare", "p": args.p, "q": args.q, "N": args.N,
         "profile_hash": payload_hash({"csv": csv_text, "json": json_text}),

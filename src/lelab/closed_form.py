@@ -97,9 +97,9 @@ def singular_residuals(scaling: ScalingData, r):
     return res_u, res_v
 
 
-def default_sample_radii(n: int = 64, lo: float = 1e-3, hi: float = 1e3):
-    """Logarithmically spaced sample radii used by the residual checks."""
-    return np.geomspace(lo, hi, n)
+def default_sample_radii(n: int = 64):
+    """n logarithmically spaced radii on [1e-3, 1e3] for the residual checks."""
+    return np.geomspace(1e-3, 1e3, n)
 
 
 @dataclass(frozen=True)

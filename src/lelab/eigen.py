@@ -41,7 +41,7 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,10 +83,9 @@ class Annulus:
 class EigOptions:
     tol: float = 1e-11
     max_iter: int = 10_000
-    verdict_band: float = 1e-6
 
     def validate(self):
-        if self.tol <= 0.0 or self.max_iter < 1 or self.verdict_band <= 0.0:
+        if self.tol <= 0.0 or self.max_iter < 1:
             raise DomainError("bad eigensolver options")
 
 
@@ -105,8 +104,8 @@ class EigReport:
     k1k2: float | None = None
     marginal: bool | None = None
 
-    def as_dict(self, with_fields: bool = False) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "r_inner": self.annulus.r_inner,
             "r_outer": self.annulus.r_outer,
             "M": self.annulus.M,
@@ -119,10 +118,6 @@ class EigReport:
             "K1K2": self.k1k2,
             "marginal": self.marginal,
         }
-        if with_fields:
-            d["phi"] = [float(x) for x in self.phi]
-            d["psi"] = [float(x) for x in self.psi]
-        return d
 
 
 def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
@@ -256,6 +251,14 @@ def richardson_limit(reports: list[EigReport]) -> float:
     return (x1 * r2.lam - x2 * r1.lam) / (x1 - x2)
 
 
+# rungs appended while the verdict is undecided: [10^-k, 10^k] up to k = 14,
+# with 1024 k interior nodes
+_EXTEND_MAX_K = 14
+_EXTEND_M_PER_K = 1024
+# |lambda - K1K2| within this share of max(1, K1K2) at the top rung is marginal
+_VERDICT_BAND = 1e-6
+
+
 # closed-form gap model 2 sqrt(C_gamma) (pi/L)^2: used only to decide when a
 # wider annulus could still flip the verdict near the critical curve
 def _gap_estimate(N: int, gamma: float, L: float) -> float:
@@ -280,71 +283,55 @@ class StabilityReport:
 
 def singular_stability_verdict(
     params: ParameterTriple,
-    annulus: Annulus | None = None,
-    opts: EigOptions | None = None,
-    *,
     ladder: list[Annulus] | None = None,
-    extend_max_k: int = 14,
-    m_per_k: int = 1024,
+    opts: EigOptions | None = None,
 ) -> StabilityReport:
     """Stability of the singular solution via the annulus eigenvalue test.
 
     An annulus with lambda < K1 K2 certifies instability; if every tested
-    annulus has lambda >= K1 K2 the verdict is stable.  Because
-    lambda -> C_gamma with a known O(1/L^2) gap, the ladder is extended
-    (up to ``extend_max_k``) while the top-rung margin lambda - K1K2 is
+    annulus has lambda >= K1 K2 the verdict is stable.  The rungs are
+    ``ladder`` (``default_ladder()`` when None).  Because lambda -> C_gamma
+    with a known O(1/L^2) gap, rungs [10^-k, 10^k] with 1024 k nodes are
+    appended (up to k = 14) while the top-rung margin lambda - K1K2 is
     positive but smaller than twice the gap estimate, i.e. while a wider
     annulus could still flip the comparison.  ``marginal`` is set when the
-    comparison remains inside the verdict band (relative to K1K2) at the
-    final rung, or undecided at the extension cap.
+    comparison remains inside the verdict band (1e-6 relative to
+    max(1, K1K2)) at the final rung, or undecided at the extension cap.
 
     The closed-form inequality C_gamma >= K1K2 is evaluated independently
     and recorded in ``lecv_consistent`` as a cross-check; it never feeds
     the verdict.
     """
     opts = EigOptions() if opts is None else opts
+    N = params.N
     sc = derive_scaling(params)
     k1k2 = sc.K1K2
-    if annulus is not None:
-        rungs = [annulus]
-    elif ladder is not None:
-        rungs = list(ladder)
-    else:
-        rungs = default_ladder(m_per_k=m_per_k)
-    reports = eig_ladder(params.N, sc.gamma, rungs, opts)
+    reports = eig_ladder(N, sc.gamma, ladder, opts)
+    k = round(math.log10(reports[-1].annulus.r_outer))
     extended = 0
-    if annulus is None:
-        k = round(math.log10(reports[-1].annulus.r_outer))
-        while (reports[-1].lam >= k1k2
-               and reports[-1].lam - k1k2 < 2.0 * _gap_estimate(
-                   params.N, sc.gamma, reports[-1].annulus.log_width)
-               and k < extend_max_k):
-            k += 1
-            ann = Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
-            reports.append(principal_eigenvalue(ann, params.N, sc.gamma, opts))
-            extended += 1
-    lam_min = min(rep.lam for rep in reports)
-    unstable = lam_min < k1k2
+    while True:
+        top = reports[-1]
+        close = (top.lam >= k1k2 and top.lam - k1k2 < 2.0 * _gap_estimate(
+            N, sc.gamma, top.annulus.log_width))
+        if not close or k >= _EXTEND_MAX_K:
+            break
+        k += 1
+        ann = Annulus(10.0 ** (-k), 10.0 ** k, _EXTEND_M_PER_K * k)
+        reports.append(principal_eigenvalue(ann, N, sc.gamma, opts))
+        extended += 1
+    unstable = min(rep.lam for rep in reports) < k1k2
     verdict = "SingularUnstable" if unstable else "SingularStable"
-    band = opts.verdict_band * max(1.0, k1k2)
-    undecided = (not unstable
-                 and reports[-1].lam - k1k2 < 2.0 * _gap_estimate(
-                     params.N, sc.gamma, reports[-1].annulus.log_width))
-    marginal = bool(abs(reports[-1].lam - k1k2) <= band or undecided)
+    band = _VERDICT_BAND * max(1.0, k1k2)
+    # still close at the cap, on a ladder none of whose rungs is unstable
+    undecided = close and not unstable
+    marginal = bool(abs(top.lam - k1k2) <= band or undecided)
     side = classify(params).jl
     lecv_holds = side in (CurvePosition.ABOVE, CurvePosition.ON)
     consistent = (verdict == "SingularStable") == lecv_holds
-    tagged = [
-        EigReport(
-            annulus=rep.annulus, N=rep.N, gamma=rep.gamma, lam=rep.lam,
-            iterations=rep.iterations, residual=rep.residual,
-            phi=rep.phi, psi=rep.psi, r=rep.r,
-            verdict=verdict, k1k2=k1k2, marginal=marginal,
-        )
-        for rep in reports
-    ]
     return StabilityReport(
-        params=params, k1k2=k1k2, gamma=sc.gamma, reports=tagged,
+        params=params, k1k2=k1k2, gamma=sc.gamma,
+        reports=[replace(rep, verdict=verdict, k1k2=k1k2, marginal=marginal)
+                 for rep in reports],
         verdict=verdict, marginal=marginal, lecv_consistent=consistent,
         extended=extended,
     )

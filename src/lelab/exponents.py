@@ -402,12 +402,12 @@ def _bisect(f, a: float, b: float, tol: float, max_iter: int,
     return a, b
 
 
-def _prescan_bisect(f, xs, tol: float, max_iter: int):
+def _prescan_bisect(f, xs, tol: float):
     """Prescan f on the nodes xs and bisect its first sign change.
 
     Returns (root, values at xs, number of sign changes); the root is None
     when f keeps one sign, else the midpoint of a bracket no wider than
-    tol * max(1, hi)."""
+    tol * max(1, hi); the bisection may take 200 evaluations of f."""
     ms = [f(x) for x in xs]
     flips = [i for i in range(len(ms) - 1)
              if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
@@ -416,27 +416,20 @@ def _prescan_bisect(f, xs, tol: float, max_iter: int):
     i = flips[0]
     pos_lo = ms[i] > 0.0
     lo, hi = _bisect(lambda x: 1 if (f(x) > 0.0) == pos_lo else -1,
-                     xs[i], xs[i + 1], tol, max_iter)
+                     xs[i], xs[i + 1], tol, 200)
     return 0.5 * (lo + hi), ms, len(flips)
 
 
-def jl_curve_q(
-    N: int,
-    p: float,
-    tol: float = 1e-12,
-    *,
-    tol_curve: float = 1e-9,
-    prescan: int = 64,
-    max_iter: int = 200,
-) -> float | None:
+def jl_curve_q(N: int, p: float, tol: float = 1e-12, *,
+               tol_curve: float = 1e-9) -> float | None:
     """Solve the critical-curve equality for q on the slice [1, p] at fixed p.
 
     Returns the root q* of C_gamma - K1 K2 = 0 located by bisection on a
-    sign-changing bracket found by a pre-scan (which also verifies the
-    margin changes sign exactly once), or None when the margin has constant
-    sign on the admissible part of [1, p] (the curve does not cross this
-    slice; in particular for every p when N <= 10).  ``tol`` is the bracket
-    width in q at which bisection stops.
+    sign-changing bracket found by a pre-scan of 64 nodes (which also
+    verifies the margin changes sign exactly once), or None when the margin
+    has constant sign on the admissible part of [1, p] (the curve does not
+    cross this slice; in particular for every p when N <= 10).  ``tol`` is
+    the bracket width in q at which bisection stops.
 
     The scan is restricted to q on or above the Sobolev hyperbola; see
     ``_sobolev_q_lower``.
@@ -453,10 +446,10 @@ def jl_curve_q(
         return None
     # nudge off the exact hyperbola so rounding cannot push alpha past N-2
     q_lo = min(p, q_lo * (1.0 + 1e-14) + 1e-300)
-    qs = [q_lo + (p - q_lo) * i / (prescan - 1) for i in range(prescan)]
+    qs = [q_lo + (p - q_lo) * i / 63 for i in range(64)]
     qs[-1] = p  # the formula can round 1 ulp past p, off the admissible slice
     root, ms, flips = _prescan_bisect(
-        lambda q: curve_margins(p, q, N)[1], qs, tol, max_iter)
+        lambda q: curve_margins(p, q, N)[1], qs, tol)
     if flips > 1:
         raise ConvergenceError(
             f"curve margin changes sign {flips} times on the slice "
@@ -467,27 +460,18 @@ def jl_curve_q(
     return root
 
 
-def jl_diagonal(
-    N: int,
-    tol: float = 1e-12,
-    *,
-    p_hi: float = 1e4,
-    prescan: int = 256,
-    max_iter: int = 200,
-) -> float | None:
+def jl_diagonal(N: int, tol: float = 1e-12) -> float | None:
     """Intersection of the critical curve with the diagonal p = q.
 
     On the diagonal gamma = 0 and the margin reduces to
     ((N-2)^2/4)^2 - (p S)^2; its zero is the classical critical exponent
-    of the single equation. Returns None when the diagonal margin never
-    changes sign (N <= 10: the margin tends to (N-2)^2[(N-2)^2/16 - 4] <= 0).
+    of the single equation, searched on [p_S, 1e4] above the diagonal
+    Sobolev exponent p_S = (N+2)/(N-2). Returns None when the diagonal
+    margin never changes sign there (N <= 10: the margin tends to
+    (N-2)^2[(N-2)^2/16 - 4] <= 0).
     """
     N = check_dimension(N, 3)
     p_lo = (N + 2.0) / (N - 2.0) * (1.0 + 1e-12)  # diagonal Sobolev exponent
-    if p_lo >= p_hi:
-        return None
-
     # geometric pre-scan: the root can sit far out for N barely above 10
-    ps = [p_lo * (p_hi / p_lo) ** (i / (prescan - 1)) for i in range(prescan)]
-    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1],
-                           ps, tol, max_iter)[0]
+    ps = [p_lo * (1e4 / p_lo) ** (i / 255) for i in range(256)]
+    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1], ps, tol)[0]

@@ -170,11 +170,17 @@ def compare(profile: RadialProfile, scaling: ScalingData,
             band_rel: float = DEFAULT_BAND) -> ComparisonReport:
     """Sign-change count and ratio suprema of a profile against (u_s, v_s).
 
-    The dead band is band_rel floored at the profile's own rtol: below it a
-    sign of u/u_s - 1 is the solver's error, not the solution's; the report
-    carries the band used."""
-    if band_rel <= 0.0:
-        raise DomainError("band_rel must be positive")
+    The profile must belong to the scaling's triple (p, q, N).  The dead
+    band is band_rel (positive and finite) floored at the profile's own
+    rtol: below it a sign of u/u_s - 1 is the solver's error, not the
+    solution's; the report carries the band used."""
+    if (profile.p, profile.q, profile.N) != (scaling.p, scaling.q, scaling.N):
+        raise DomainError(
+            f"profile of (p, q, N) = ({profile.p:g}, {profile.q:g}, "
+            f"{profile.N}) compared against the singular pair of "
+            f"({scaling.p:g}, {scaling.q:g}, {scaling.N})")
+    if not 0.0 < band_rel < math.inf:
+        raise DomainError("band_rel must be positive and finite")
     band_rel = max(band_rel, profile.rtol)
     r = profile.r
     if np.any(r <= 0.0):
@@ -215,28 +221,26 @@ def compare(profile: RadialProfile, scaling: ScalingData,
     )
 
 
-def ratio_suprema(profile: RadialProfile, scaling: ScalingData,
-                  band_rel: float = DEFAULT_BAND,
-                  chain_tol: float = 0.0) -> RatioReport:
+def ratio_suprema(profile: RadialProfile, scaling: ScalingData) -> RatioReport:
     """Refined suprema plus the Newtonian-potential chain diagnostics.
 
-    When the profile is ordered below the singular solution the chain
-    M1 <= M2^p and M2 <= M1^q holds for the true suprema over (0, inf);
-    with grid-truncated suprema the signed deficits M1 - M2^p and
-    M2 - M1^q are reported, with a diagnostic entry when one exceeds
-    ``chain_tol``.
+    When the profile is ordered below the singular solution (``compare``
+    at the default band) the chain M1 <= M2^p and M2 <= M1^q holds for the
+    true suprema over (0, inf); with grid-truncated suprema the signed
+    deficits M1 - M2^p and M2 - M1^q are reported, with a diagnostic entry
+    when one is positive.
     """
-    rep = compare(profile, scaling, band_rel)
+    rep = compare(profile, scaling)
     diagnostics: list = []
     deficit_p = deficit_q = None
     if rep.ordered:
         deficit_p = rep.m1 - rep.m2 ** scaling.p
         deficit_q = rep.m2 - rep.m1 ** scaling.q
-        if deficit_p > chain_tol:
+        if deficit_p > 0.0:
             diagnostics.append(
                 f"M1 <= M2^p violated by {deficit_p:.3e} (truncated suprema)"
             )
-        if deficit_q > chain_tol:
+        if deficit_q > 0.0:
             diagnostics.append(
                 f"M2 <= M1^q violated by {deficit_q:.3e} (truncated suprema)"
             )

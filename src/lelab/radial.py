@@ -30,7 +30,7 @@ final bracket from v0_tol to 4 ulp.  Its ``iterations`` counts the probes
 and ``bracket_width`` is the final bracket (0 for the exact diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
-substeps per node interval by default) serves as the independent reference
+substeps per node interval) serves as the independent reference
 for solver verification; it shares only the closed-form series start.
 """
 
@@ -482,19 +482,18 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
 
 
 def reference_integrate(params: ParameterTriple, init: InitialData,
-                        r_nodes, substeps: int = 10,
-                        opts: SolverOptions | None = None) -> np.ndarray:
+                        r_nodes) -> np.ndarray:
     """Classical fixed-step RK4 across the given nodes (independent oracle).
 
     Starts from the same closed-form series state at r_nodes[0] and takes
-    ``substeps`` equal steps per node interval; returns a (4, len(nodes))
-    array of (u, du, v, dv).
+    10 equal steps per node interval; returns a (4, len(nodes)) array of
+    (u, du, v, dv).
     """
-    opts = SolverOptions() if opts is None else opts
     r_nodes = np.asarray(r_nodes, dtype=float)
     if r_nodes.ndim != 1 or r_nodes.size < 2 or np.any(np.diff(r_nodes) <= 0):
         raise DomainError("r_nodes must be strictly increasing")
-    taylor = _TaylorStart(params, init, opts)
+    # only the series is read here, not the r_start the options size
+    taylor = _TaylorStart(params, init, SolverOptions())
     rhs = _make_rhs(params)
     r = float(r_nodes[0])
     y = taylor.eval(r)
@@ -502,8 +501,8 @@ def reference_integrate(params: ParameterTriple, init: InitialData,
     out[:, 0] = y
     for k in range(1, r_nodes.size):
         rb = float(r_nodes[k])
-        hh = (rb - r) / substeps
-        for _ in range(substeps):
+        hh = (rb - r) / 10
+        for _ in range(10):
             k1 = rhs(r, y)
             y2 = tuple(y[d] + 0.5 * hh * k1[d] for d in range(4))
             k2 = rhs(r + 0.5 * hh, y2)
@@ -652,8 +651,7 @@ class DecayReport:
     fitted_slope: float
 
 
-def decay_identity_check(profile: RadialProfile,
-                         params: ParameterTriple | None = None) -> DecayReport:
+def decay_identity_check(profile: RadialProfile) -> DecayReport:
     """Certify global positivity and decay through the potential identity
 
         u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
@@ -665,8 +663,7 @@ def decay_identity_check(profile: RadialProfile,
     and ``tail_share`` tells the caller how much of the estimate came from
     extrapolation.  Event-terminated profiles are rejected.
     """
-    p = profile.p if params is None else params.p
-    N = profile.N if params is None else params.N
+    p, N = profile.p, profile.N
     if N < 3:
         raise DomainError("the potential identity needs N >= 3")
     if not math.isfinite(profile.u0):
@@ -760,29 +757,38 @@ def profile_to_csv(profile: RadialProfile) -> str:
 
 
 def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
+    """The profile that ``profile_to_csv`` and ``profile_metadata`` stored;
+    DomainError for a document that is not one (cut short, non-numeric,
+    keys missing)."""
     import json as _json
 
-    meta = _json.loads(json_text)
-    if meta.get("kind") != "radial_profile":
-        raise DomainError("not a radial-profile metadata document")
-    lines = csv_text.strip().split("\n")
-    if lines[0] != "r,u,v,du,dv":
-        raise DomainError("unexpected CSV header for a radial profile")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    stats = meta["stats"]
-    return RadialProfile(
-        p=float(meta["params"]["p"]), q=float(meta["params"]["q"]),
-        N=int(meta["params"]["N"]),
-        u0=float(meta["u0"]), v0=float(meta["v0"]),
-        r=data[:, 0], u=data[:, 1], v=data[:, 2], du=data[:, 3], dv=data[:, 4],
-        classification=ProfileClass(meta["classification"]),
-        r_event=None if meta["r_event"] is None else float(meta["r_event"]),
-        r_max=float(meta["r_max"]),
-        rtol=float(meta["rtol"]), atol=float(meta["atol"]),
-        stats=IntegratorStats(
-            steps=int(stats["steps"]), rejected=int(stats["rejected"]),
-            min_step=float(stats["min_step"]), max_step=float(stats["max_step"]),
-            nfev=int(stats["nfev"]),
-        ),
-        dense=None,
-    )
+    try:
+        meta = _json.loads(json_text)
+        if not isinstance(meta, dict) or meta.get("kind") != "radial_profile":
+            raise DomainError("not a radial-profile metadata document")
+        lines = csv_text.strip().split("\n")
+        if lines[0] != "r,u,v,du,dv":
+            raise DomainError("unexpected CSV header for a radial profile")
+        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        if data.ndim != 2 or data.shape[1] != 5:
+            raise DomainError("a radial-profile CSV needs rows of 5 numbers")
+        stats = meta["stats"]
+        return RadialProfile(
+            p=float(meta["params"]["p"]), q=float(meta["params"]["q"]),
+            N=int(meta["params"]["N"]),
+            u0=float(meta["u0"]), v0=float(meta["v0"]),
+            r=data[:, 0], u=data[:, 1], v=data[:, 2], du=data[:, 3],
+            dv=data[:, 4],
+            classification=ProfileClass(meta["classification"]),
+            r_event=None if meta["r_event"] is None else float(meta["r_event"]),
+            r_max=float(meta["r_max"]),
+            rtol=float(meta["rtol"]), atol=float(meta["atol"]),
+            stats=IntegratorStats(
+                steps=int(stats["steps"]), rejected=int(stats["rejected"]),
+                min_step=float(stats["min_step"]),
+                max_step=float(stats["max_step"]), nfev=int(stats["nfev"]),
+            ),
+            dense=None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed stored profile: {exc!r}") from exc

@@ -453,6 +453,81 @@ class TestSolveCompareEig:
         assert rc == 4
 
 
+@pytest.fixture(scope="module")
+def stored_profile(tmp_path_factory):
+    """The CSV and JSON text of a short stored (3,3,11) profile."""
+    out = tmp_path_factory.mktemp("stored")
+    (out / "small.cfg").write_text("grid_nodes = 64\n")
+    assert main(["--out", str(out), "--no-cache", "--config",
+                 str(out / "small.cfg"), "solve", "3", "3", "11", "--u0", "1",
+                 "--v0", "1", "--r-max", "10"]) == 0
+    csv = next(out.glob("profile_*.csv"))
+    return csv.read_text(), csv.with_suffix(".json").read_text()
+
+
+def _compare(tmp_path, capsys, triple, csv, json_text, *extra):
+    """Store csv (text or bytes) and json_text as a profile and compare it."""
+    base = tmp_path / "profile"
+    csv = csv.encode() if isinstance(csv, str) else csv
+    base.with_suffix(".csv").write_bytes(csv)
+    base.with_suffix(".json").write_text(json_text)
+    return run_cli(["--out", str(tmp_path / "out"), "--no-cache", "compare",
+                    *triple, "--profile", str(base), *extra], capsys)
+
+
+class TestCompareRefuses:
+    def test_profile_of_another_triple(self, tmp_path, capsys, stored_profile):
+        csv_text, json_text = stored_profile
+        rc, _, err = _compare(tmp_path, capsys, ("9", "6", "11"), csv_text,
+                              json_text)
+        assert rc == 2
+        assert "(3, 3, 11)" in err
+        rc, _, _ = _compare(tmp_path, capsys, ("3", "3", "11"), csv_text,
+                            json_text)
+        assert rc == 0
+
+    @pytest.mark.parametrize("band", ["0", "-1", "nan", "inf", "-inf"])
+    def test_band_not_positive_and_finite(self, tmp_path, capsys,
+                                          stored_profile, band):
+        csv_text, json_text = stored_profile
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"), csv_text,
+                              json_text, f"--band={band}")
+        assert rc == 2
+        assert "band" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_cut_mid_file(self, tmp_path, capsys, stored_profile):
+        csv_text, json_text = stored_profile
+        cut = csv_text[:len(csv_text) // 2].rsplit(",", 1)[0]
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"), cut,
+                              json_text)
+        assert rc == 2
+        assert "malformed stored profile" in err
+
+    def test_non_numeric_cell(self, tmp_path, capsys, stored_profile):
+        csv_text, json_text = stored_profile
+        lines = csv_text.splitlines(keepends=True)
+        lines[5] = "x" + lines[5][1:]
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
+                              "".join(lines), json_text)
+        assert rc == 2
+        assert "malformed stored profile" in err
+
+    def test_bytes_that_are_not_text(self, tmp_path, capsys, stored_profile):
+        csv_text, json_text = stored_profile
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
+                              b"\xff\xfe" + csv_text.encode(), json_text)
+        assert rc == 2
+        assert "malformed stored profile" in err
+
+    def test_metadata_without_keys(self, tmp_path, capsys, stored_profile):
+        csv_text, _ = stored_profile
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"), csv_text,
+                              '{"kind": "radial_profile"}')
+        assert rc == 2
+        assert "malformed stored profile" in err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs about a tenth of a second to import; only the eigen
     # solver and the test oracles may load it, on first use

@@ -177,8 +177,9 @@ class TestStabilityVerdict:
         q_star = jl_curve_q(11, 8.0)
         sr = singular_stability_verdict(
             ParameterTriple(8.0, q_star, 11),
-            ladder=default_ladder(3, 512), extend_max_k=4,
+            ladder=default_ladder(3, 512),
         )
+        assert sr.extended == 11  # to the cap, k = 14
         assert sr.marginal
 
     def test_biharmonic_edge_consistency(self):
@@ -210,7 +211,8 @@ class TestStabilityVerdict:
 
     def test_single_annulus_form(self):
         sr = singular_stability_verdict(ParameterTriple(3, 2, 11),
-                                        annulus=Annulus(1e-2, 1e2, 512))
+                                        ladder=[Annulus(1e-2, 1e2, 512)])
+        assert sr.verdict == "SingularUnstable"
         assert len(sr.reports) == 1
         assert sr.reports[0].verdict == sr.verdict
         assert sr.reports[0].k1k2 == sr.k1k2

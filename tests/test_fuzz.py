@@ -10,9 +10,9 @@ enough that the search covers it.
 Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
-solve, ``--ladder``, ``--steps`` or ``--resolution`` below 1) must be refused
-with exit 2, and so must a shot with ``--v0`` or ``--r-max``, which only a
-plain solve reads.  Sizes stay bounded: ``--resolution`` <= 64,
+solve or ``--band`` of a compare, ``--ladder``, ``--steps`` or
+``--resolution`` below 1) must be refused with exit 2, and so must a shot
+with ``--v0`` or ``--r-max``, which only a plain solve reads.  Sizes stay bounded: ``--resolution`` <= 64,
 ``--ladder`` <= 3, ``--steps`` <= 16, no huge ``--r-max`` or annulus node
 count, and a small config keeps every integration short.
 """
@@ -112,6 +112,9 @@ def must_refuse(argv) -> bool:
         if "--shoot" in argv:
             return "--v0" in argv or "--r-max" in argv
         tok = _value(argv, "--r-max")
+        return tok is not None and _invalid(tok, integer=False)
+    if cmd == "compare":
+        tok = _value(argv, "--band")
         return tok is not None and _invalid(tok, integer=False)
     flag = {"eig": "--ladder", "curve": "--steps", "scan": "--resolution"}.get(cmd)
     tok = _value(argv, flag) if flag else None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lelab import GridTooCoarse, ParameterTriple, derive_scaling
+from lelab import DomainError, GridTooCoarse, ParameterTriple, derive_scaling
 from lelab.closed_form import SingularSolution
 from lelab.profiles import compare, ratio_suprema, truncate_profile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
@@ -40,6 +40,11 @@ class TestCompare:
         for r_star in rep.crossings_u[:3]:
             u_val = below_curve_profile.dense(r_star)[0]
             assert u_val == pytest.approx(sol.u(r_star), rel=1e-7)
+
+    def test_refuses_profile_of_another_triple(self, below_curve_profile):
+        with pytest.raises(DomainError, match="compared against"):
+            compare(below_curve_profile,
+                    derive_scaling(ParameterTriple(9, 6, 11)))
 
     def test_degenerate_self_comparison(self):
         sc = derive_scaling(P33)
