@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import math
 import os
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +36,6 @@ from .scan import scan_codes
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
-
-
-def _solver_options(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(
-        rtol=cfg.rtol, atol=cfg.atol, event_tol=cfg.event_tol,
-        r_target=cfg.r_target, decay_threshold=cfg.decay_threshold,
-        grid_nodes=cfg.grid_nodes, v0_tol=cfg.v0_tol,
-    )
-
-
-def _eig_options(cfg: RunConfig) -> EigOptions:
-    return EigOptions(tol=cfg.eig_tol, max_iter=cfg.eig_max_iter)
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +61,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # compare 2: the dead band is floored at the profile's rtol; shoot 4: every
 # shot bisects the matching functional, and polish only sets the stopping
 # width; shoot 5: the search interpolates the value of the matching
-# functional (Dekker-Brent) instead of halving on its sign.
+# functional (Dekker-Brent) instead of halving on its sign; eig 4: the
+# ladder extension starts past both ends of the top rung.
 _REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 5, "compare": 2,
-             "eig": 3}
+             "eig": 4}
 
 
 def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
@@ -101,15 +90,25 @@ def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
         shutil.rmtree(tmp, ignore_errors=True)  # gone if the rename succeeded
 
 
-def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
-    """Produce {relname: text} + stdout text, through the artifact cache."""
+def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
+                show: str) -> None:
+    """Write a cached command's artifacts ``<stem>_<h>.csv`` and ``.json``
+    to ``cfg.out``, h being the payload's hash, and print the name of the
+    ``show`` one ("csv" or "json") and then the command's own lines.
+
+    ``produce(h)`` returns the CSV text, the JSON document and those lines.
+    It runs on a cache miss only: the key is the payload with the package
+    version and the command's revision, and a hit serves the stored files
+    and stdout verbatim.
+    """
+    h = payload_hash(payload)
+    base = f"{stem}_{h}"
     key = payload_hash({"version": __version__,
                         "revision": _REVISION[payload["cmd"]],
                         "payload": payload})
+    out_dir = Path(cfg.out)
     root = _cache_root(cfg, out_dir)
     entry = root / key
-    files: dict[str, str]
-    stdout: str
     if cfg.cache and (entry / "__stdout__").exists():
         stdout = (entry / "__stdout__").read_text()
         files = {
@@ -118,15 +117,21 @@ def _run_cached(cfg: RunConfig, out_dir: Path, payload: dict, producer):
         }
         print(f"cache hit {key}", file=sys.stderr)
     else:
-        files, stdout = producer()
+        csv, doc, lines = produce(h)
+        files = {base + ".csv": csv, base + ".json": to_json(doc)}
+        stdout = "".join(f"{line}\n" for line in [f"{base}.{show}", *lines])
         if cfg.cache:
             _store_entry(root, entry, files, stdout)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text)
-    if stdout:
-        sys.stdout.write(stdout)
-    return key
+    sys.stdout.write(stdout)
+
+
+def _document(kind: str, **fields) -> dict:
+    """A command's JSON document: schema version, kind and package version,
+    then ``fields`` in order."""
+    return {"schema_version": 1, "kind": kind, "version": __version__, **fields}
 
 
 def _slug(x: float) -> str:
@@ -134,9 +139,10 @@ def _slug(x: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: classify prints its answer; the others return the stem,
+# payload, producer and shown file that ``_run_cached`` takes
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
+def _cmd_classify(args, cfg: RunConfig) -> None:
     params = ParameterTriple(args.p, args.q, args.N)
     verdict = classify(params, cfg.tol_curve)
     try:
@@ -151,52 +157,40 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         "scaling": scaling,
     }
     sys.stdout.write(to_json(doc))
-    return 0
 
 
-def _cmd_curve(args, cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def _cmd_curve(args, cfg: RunConfig):
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
     payload = {
         "cmd": "curve", "N": args.N, "p_min": args.p_min, "p_max": args.p_max,
         "steps": args.steps, "tol_curve": cfg.tol_curve,
     }
-    base = f"curve_N{args.N}_{_slug(args.p_min)}-{_slug(args.p_max)}_s{args.steps}_{payload_hash(payload)}"
 
-    def produce():
+    def produce(h):
         rows = []
         for i in range(args.steps):
             p = args.p_min + (args.p_max - args.p_min) * i / max(args.steps - 1, 1)
             qs = jl_curve_q(args.N, p, tol_curve=cfg.tol_curve)
             rows.append((p, "" if qs is None else fmt_float(qs)))
-        csv = to_csv(["p", "q_star"], rows)
-        header = {
-            "schema_version": 1, "kind": "critical_curve",
-            "version": __version__, "N": args.N,
-            "p_min": args.p_min, "p_max": args.p_max, "steps": args.steps,
-            "tol_curve": cfg.tol_curve, "payload_hash": payload_hash(payload),
-        }
-        return ({base + ".csv": csv, base + ".json": to_json(header)},
-                f"{base}.csv\n")
+        doc = _document("critical_curve", N=args.N, p_min=args.p_min,
+                        p_max=args.p_max, steps=args.steps,
+                        tol_curve=cfg.tol_curve, payload_hash=h)
+        return to_csv(["p", "q_star"], rows), doc, []
 
-    _run_cached(cfg, out_dir, payload, produce)
-    return 0
+    stem = f"curve_N{args.N}_{_slug(args.p_min)}-{_slug(args.p_max)}_s{args.steps}"
+    return stem, payload, produce, "csv"
 
 
-def _cmd_scan(args, cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    if args.resolution is not None and args.resolution < 1:
-        raise DomainError("--resolution must be >= 1")
-    resolution = args.resolution if args.resolution is not None else cfg.resolution
-    window = tuple(args.window) if args.window else (1.0, 12.0, 1.0, 12.0)
+def _cmd_scan(args, cfg: RunConfig):
+    resolution = cfg.resolution if args.resolution is None else args.resolution
+    window = args.window or [1.0, 12.0, 1.0, 12.0]
     payload = {
-        "cmd": "scan", "N": args.N, "window": list(window),
+        "cmd": "scan", "N": args.N, "window": window,
         "resolution": resolution, "tol_curve": cfg.tol_curve,
     }
-    base = f"scan_N{args.N}_r{resolution}_{payload_hash(payload)}"
 
-    def produce():
+    def produce(h):
         p_min, p_max, q_min, q_max = window
         result = scan_codes(args.N, window, resolution, cfg.tol_curve)
         # each axis value is formatted once, not once per cell
@@ -207,33 +201,28 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
             for pc, codes in zip(p_cells, result.codes)
             for qc, code in zip(q_cells, codes.tolist())
         )
-        csv = to_csv(["p", "q", "code"], rows)
         counts = np.bincount(result.codes.ravel(), minlength=3)
-        header = {
-            "schema_version": 1, "kind": "region_scan",
-            "version": __version__, "N": args.N,
-            "window": {"p_min": p_min, "p_max": p_max,
-                       "q_min": q_min, "q_max": q_max},
-            "resolution": resolution,
-            "cell_count": result.cell_count(),
-            "codes": {"0": "sub-Sobolev", "1": "super-Sobolev below curve",
-                      "2": "on/above curve"},
-            "counts": {"0": int(counts[0]), "1": int(counts[1]),
-                       "2": int(counts[2])},
-            "tol_curve": cfg.tol_curve,
-            "payload_hash": payload_hash(payload),
-        }
-        return ({base + ".csv": csv, base + ".json": to_json(header)},
-                f"{base}.csv\n")
+        doc = _document(
+            "region_scan", N=args.N,
+            window={"p_min": p_min, "p_max": p_max,
+                    "q_min": q_min, "q_max": q_max},
+            resolution=resolution, cell_count=result.cell_count(),
+            codes={"0": "sub-Sobolev", "1": "super-Sobolev below curve",
+                   "2": "on/above curve"},
+            counts={str(code): int(n) for code, n in enumerate(counts)},
+            tol_curve=cfg.tol_curve, payload_hash=h)
+        return to_csv(["p", "q", "code"], rows), doc, []
 
-    _run_cached(cfg, out_dir, payload, produce)
-    return 0
+    return f"scan_N{args.N}_r{resolution}", payload, produce, "csv"
 
 
-def _cmd_solve(args, cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def _cmd_solve(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
-    opts = _solver_options(cfg)
+    opts = SolverOptions(
+        rtol=cfg.rtol, atol=cfg.atol, event_tol=cfg.event_tol,
+        r_target=cfg.r_target, decay_threshold=cfg.decay_threshold,
+        grid_nodes=cfg.grid_nodes, v0_tol=cfg.v0_tol,
+    )
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
             raise DomainError("--shoot requires --v0-lo and --v0-hi")
@@ -243,7 +232,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
         payload = {
             "cmd": "shoot", "p": args.p, "q": args.q, "N": args.N,
             "u0": args.u0, "v0_lo": args.v0_lo, "v0_hi": args.v0_hi,
-            "polish": bool(args.polish), "opts": _opts_payload(opts),
+            "polish": bool(args.polish), "opts": asdict(opts),
         }
     else:
         if args.v0 is None:
@@ -251,12 +240,10 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
         payload = {
             "cmd": "solve", "p": args.p, "q": args.q, "N": args.N,
             "u0": args.u0, "v0": args.v0, "r_max": args.r_max,
-            "opts": _opts_payload(opts),
+            "opts": asdict(opts),
         }
-    base = (f"profile_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
-            f"_{payload_hash(payload)}")
 
-    def produce():
+    def produce(h):
         if args.shoot:
             res = shoot(params, args.u0, (args.v0_lo, args.v0_hi), opts,
                         polish=args.polish)
@@ -275,19 +262,16 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
             extra = None
         meta = profile_metadata(profile)
         meta["version"] = __version__
-        meta["payload_hash"] = payload_hash(payload)
+        meta["payload_hash"] = h
         if extra is not None:
             meta["shoot"] = extra
-        return ({base + ".csv": profile_to_csv(profile),
-                 base + ".json": to_json(meta)},
-                f"{base}.csv\n{profile.classification.value}\n")
+        return profile_to_csv(profile), meta, [profile.classification.value]
 
-    _run_cached(cfg, out_dir, payload, produce)
-    return 0
+    stem = f"profile_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
+    return stem, payload, produce, "csv"
 
 
-def _cmd_compare(args, cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def _cmd_compare(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
     prof_base = Path(args.profile)
     if prof_base.suffix == ".csv":
@@ -304,42 +288,32 @@ def _cmd_compare(args, cfg: RunConfig) -> int:
         "profile_hash": payload_hash({"csv": csv_text, "json": json_text}),
         "band": args.band,
     }
-    base = (f"compare_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
-            f"_{payload_hash(payload)}")
 
-    def produce():
+    def produce(h):
         profile = profile_from_text(csv_text, json_text)
         scaling = derive_scaling(params)
         rep = compare_profiles(profile, scaling, band_rel=args.band)
         rows = [("u", r) for r in rep.crossings_u] + \
                [("v", r) for r in rep.crossings_v]
-        csv = to_csv(["field", "r"], rows)
-        doc = {
-            "schema_version": 1, "kind": "comparison",
-            "version": __version__,
-            "p": args.p, "q": args.q, "N": args.N,
-            "report": rep.as_dict(),
-            "payload_hash": payload_hash(payload),
-        }
-        return ({base + ".csv": csv, base + ".json": to_json(doc)},
-                f"{base}.json\n")
+        doc = _document("comparison", p=args.p, q=args.q, N=args.N,
+                        report=rep.as_dict(), payload_hash=h)
+        return to_csv(["field", "r"], rows), doc, []
 
-    _run_cached(cfg, out_dir, payload, produce)
-    return 0
+    stem = f"compare_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
+    return stem, payload, produce, "json"
 
 
-def _cmd_eig(args, cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def _cmd_eig(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
-    opts = _eig_options(cfg)
+    opts = EigOptions(tol=cfg.eig_tol, max_iter=cfg.eig_max_iter)
     kmax = cfg.ladder_kmax if args.ladder is None else args.ladder
     if kmax < 1:
         raise DomainError("--ladder must be >= 1")
     if args.annulus:
         r_in, r_out, m = args.annulus
-        if not math.isfinite(m):
-            raise DomainError("the annulus node count must be finite")
-        ladder = [Annulus(float(r_in), float(r_out), int(m))]
+        if not m.is_integer():
+            raise DomainError(f"the annulus node count must be an integer, got {m}")
+        ladder = [Annulus(r_in, r_out, int(m))]
     else:
         ladder = default_ladder(kmax, cfg.ladder_m_per_k)
     payload = {
@@ -347,40 +321,39 @@ def _cmd_eig(args, cfg: RunConfig) -> int:
         "ladder": [[a.r_inner, a.r_outer, a.M] for a in ladder],
         "eig_tol": cfg.eig_tol, "eig_max_iter": cfg.eig_max_iter,
     }
-    base = f"eig_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}_{payload_hash(payload)}"
 
-    def produce():
+    def produce(h):
         sr = singular_stability_verdict(params, opts=opts, ladder=ladder)
-        rows = []
-        for k, rep in enumerate(sr.reports, start=1):
-            rows.append((k, rep.annulus.M, rep.lam, rep.residual, rep.iterations))
+        rows = [(k, rep.annulus.M, rep.lam, rep.residual, rep.iterations)
+                for k, rep in enumerate(sr.reports, start=1)]
+        doc = _document(
+            "stability", p=args.p, q=args.q, N=args.N,
+            gamma=sr.gamma, K1K2=sr.k1k2,
+            verdict=sr.verdict, marginal=sr.marginal,
+            lecv_consistent=sr.lecv_consistent,
+            extended_rungs=sr.extended,
+            lambda_top=sr.lam_top,
+            ladder=[rep.as_dict() for rep in sr.reports],
+            payload_hash=h)
         csv = to_csv(["k", "M", "lambda", "residual", "iterations"], rows)
-        doc = {
-            "schema_version": 1, "kind": "stability",
-            "version": __version__,
-            "p": args.p, "q": args.q, "N": args.N,
-            "gamma": sr.gamma, "K1K2": sr.k1k2,
-            "verdict": sr.verdict, "marginal": sr.marginal,
-            "lecv_consistent": sr.lecv_consistent,
-            "extended_rungs": sr.extended,
-            "lambda_top": sr.lam_top,
-            "ladder": [rep.as_dict() for rep in sr.reports],
-            "payload_hash": payload_hash(payload),
-        }
-        return ({base + ".csv": csv, base + ".json": to_json(doc)},
-                f"{base}.csv\n{sr.verdict}\n")
+        return csv, doc, [sr.verdict]
 
-    _run_cached(cfg, out_dir, payload, produce)
-    return 0
-
-
-def _opts_payload(opts: SolverOptions) -> dict:
-    from dataclasses import asdict
-    return asdict(opts)
+    stem = f"eig_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
+    return stem, payload, produce, "csv"
 
 
 # ----------------------------------------------------------------------
 # parser / dispatch
+
+# tolerance flag -> the config key it overrides.  --resolution stays a
+# per-command argument: the config default must be >= 16 but a degenerate
+# single-cell scan is a legitimate request
+_TOLERANCE_FLAGS = {
+    "--tol-curve": "tol_curve", "--tol-eig": "eig_tol",
+    "--tol-event": "event_tol", "--tol-ode-rel": "rtol",
+    "--tol-ode-abs": "atol", "--tol-v0": "v0_tol",
+}
+
 
 def _add_triple(sp):
     sp.add_argument("p", type=float)
@@ -395,12 +368,8 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="disable the artifact cache")
-    parser.add_argument("--tol-curve", type=float, default=d)
-    parser.add_argument("--tol-eig", type=float, default=d)
-    parser.add_argument("--tol-event", type=float, default=d)
-    parser.add_argument("--tol-ode-rel", type=float, default=d)
-    parser.add_argument("--tol-ode-abs", type=float, default=d)
-    parser.add_argument("--tol-v0", type=float, default=d)
+    for flag, key in _TOLERANCE_FLAGS.items():
+        parser.add_argument(flag, dest=key, type=float, default=d)
     parser.add_argument("--resolution", type=int, default=d)
     parser.add_argument("--ladder", type=int, default=d)
 
@@ -475,26 +444,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        overrides: dict = {}
+        overrides = {key: getattr(args, key) for key in _TOLERANCE_FLAGS.values()
+                     if getattr(args, key) is not None}
         if args.out is not None:
             overrides["out"] = args.out
         if args.no_cache:
             overrides["cache"] = False
-        # --resolution stays a per-command argument: the config default must
-        # be >= 16 but a degenerate single-cell scan is a legitimate request
-        for flag, key in (("tol_curve", "tol_curve"), ("tol_eig", "eig_tol"),
-                          ("tol_event", "event_tol"), ("tol_ode_rel", "rtol"),
-                          ("tol_ode_abs", "atol"), ("tol_v0", "v0_tol")):
-            v = getattr(args, flag, None)
-            if v is not None:
-                overrides[key] = v
         cfg = load_config(args.config, overrides)
-        if not hasattr(args, "resolution"):
-            args.resolution = None
-        return _COMMANDS[args.command](args, cfg) or 0
+        job = _COMMANDS[args.command](args, cfg)
+        if job is not None:  # classify has printed its answer, uncached
+            _run_cached(cfg, *job)
+        return 0
     except (ConfigError, InvalidOptions, MisclassifiedProfile, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

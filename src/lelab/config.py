@@ -53,34 +53,26 @@ class RunConfig:
             if not (isinstance(v, int) and v >= lo):
                 raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")
 
-    def payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_TRUTH = {"true": True, "True": True, "false": False, "False": False}
+_EXPECTS = {int: "an integer", float: "a number", bool: "true/false"}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "True"):
-        return True
-    if raw in ("false", "False"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+def _parse_value(raw: str, want: type):
+    """``raw`` as a value of type ``want``; KeyError or ValueError when it
+    is not one.  A string may be quoted."""
+    if want is bool:
+        return _TRUTH[raw]
+    if want is str:
+        quoted = len(raw) >= 2 and raw[0] == raw[-1] == '"'
+        return raw[1:-1] if quoted else raw
+    return want(raw)
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Parse a flat key=value file into a dict of known config keys."""
+    """Parse a flat key=value file into a dict of known config keys, each
+    value typed like its key's default."""
     text = Path(path).read_text()
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -91,23 +83,14 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-        value = _parse_value(key, raw)
-        want = _FIELD_TYPES[key]
-        if want in ("int", int) and isinstance(value, bool):
-            raise ConfigError(f"{path}:{lineno}: key '{key}' expects an integer")
-        if want in ("int", int) and not isinstance(value, int):
-            raise ConfigError(f"{path}:{lineno}: key '{key}' expects an integer")
-        if want in ("float", float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = float(value)
-        elif want in ("float", float):
-            raise ConfigError(f"{path}:{lineno}: key '{key}' expects a number")
-        if want in ("bool", bool) and not isinstance(value, bool):
-            raise ConfigError(f"{path}:{lineno}: key '{key}' expects true/false")
-        if want in ("str", str) and not isinstance(value, str):
-            value = str(value)
-        out[key] = value
+        want = type(_DEFAULTS[key])
+        try:
+            out[key] = _parse_value(raw.strip(), want)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: key '{key}' expects "
+                              f"{_EXPECTS[want]}") from None
     return out
 
 
@@ -117,7 +100,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         cfg = replace(cfg, **parse_config_file(path))
     if overrides:
-        unknown = set(overrides) - set(_FIELD_TYPES)
+        unknown = set(overrides) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
         cfg = replace(cfg, **overrides)

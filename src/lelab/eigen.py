@@ -41,11 +41,13 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DiscretizationError, DomainError
+from .errors import (ConvergenceError, DiscretizationError, DomainError,
+                     InvalidOptions)
 from .exponents import (CurvePosition, ParameterTriple, check_dimension,
                         classify, derive_scaling, hardy_rellich_constant)
 
@@ -85,8 +87,10 @@ class EigOptions:
     max_iter: int = 10_000
 
     def validate(self):
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise DomainError("bad eigensolver options")
+        if not (0.0 < self.tol < 1.0):
+            raise InvalidOptions(f"eigensolver tol must lie in (0, 1), got {self.tol!r}")
+        if self.max_iter < 1:
+            raise InvalidOptions("eigensolver max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -145,9 +149,10 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}")
     M = annulus.M
-    rho = np.linspace(math.log(annulus.r_inner), math.log(annulus.r_outer), M + 2)
-    h = rho[1] - rho[0]
-    rho = rho[1:-1]
+    start, stop = math.log(annulus.r_inner), math.log(annulus.r_outer)
+    # rho[1] - rho[0] of the grid allocated below, which np.linspace forms
+    # as (start + step) - start: known before a grid of M nodes is allocated
+    h = (start + (stop - start) / (M + 1)) - start
     # h^2 T has diagonal d, T[i+1, i] = lo and T[i, i+1] = up, with lo up = 1
     d = 2.0 * math.cosh((N - 2.0) * h / 2.0)
     lo = -math.exp(gamma * h / 2.0)
@@ -172,6 +177,7 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
             f"grid too fine for the shifted factorization (h = {h:.3g}); "
             "use fewer nodes per unit of log-radius"
         )
+    rho = np.linspace(start, stop, M + 2)[1:-1]
     # h^4 (T T^T - s_h^2) in upper banded storage
     ab = np.empty((3, M))
     ab[0, :] = 1.0
@@ -225,7 +231,11 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
 
 
 def default_ladder(k_max: int = 5, m_per_k: int = 1024) -> list[Annulus]:
-    """Annuli [10^-k, 10^k] with M = m_per_k * k interior nodes."""
+    """Annuli [10^-k, 10^k] with M = m_per_k * k interior nodes, for
+    k = 1..k_max; DomainError when 10^k_max overflows a double."""
+    if k_max > sys.float_info.max_10_exp:
+        raise DomainError(f"ladder rung k = {k_max} is past the double range: "
+                          f"need k <= {sys.float_info.max_10_exp}")
     return [Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
             for k in range(1, k_max + 1)]
 
@@ -297,6 +307,9 @@ def singular_stability_verdict(
     annulus could still flip the comparison.  ``marginal`` is set when the
     comparison remains inside the verdict band (1e-6 relative to
     max(1, K1K2)) at the final rung, or undecided at the extension cap.
+    The first appended k is one past max(round(log10 r_outer),
+    round(-log10 r_inner)) of the last given rung, so that every appended
+    rung contains it.
 
     The closed-form inequality C_gamma >= K1K2 is evaluated independently
     and recorded in ``lecv_consistent`` as a cross-check; it never feeds
@@ -307,7 +320,8 @@ def singular_stability_verdict(
     sc = derive_scaling(params)
     k1k2 = sc.K1K2
     reports = eig_ladder(N, sc.gamma, ladder, opts)
-    k = round(math.log10(reports[-1].annulus.r_outer))
+    last = reports[-1].annulus
+    k = max(round(math.log10(last.r_outer)), round(-math.log10(last.r_inner)))
     extended = 0
     while True:
         top = reports[-1]

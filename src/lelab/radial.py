@@ -37,7 +37,7 @@ for solver verification; it shares only the closed-form series start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -131,15 +131,19 @@ class SolverOptions:
     polish_probe: float | None = None  # default min(r_target, 1e4)
 
     def validate(self) -> None:
-        for name in ("rtol", "atol", "event_tol", "r_target", "decay_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidOptions(f"{name} must be positive")
+        for name in ("rtol", "atol", "event_tol", "r_target", "decay_threshold",
+                     "v0_tol"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
+        if not self.rtol < 1.0:
+            raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")
         if self.min_step < 0.0:
             raise InvalidOptions("min_step must be nonnegative")
         if self.grid_nodes < 16:
             raise InvalidOptions("grid_nodes must be at least 16")
-        if self.v0_tol <= 0.0 or self.shoot_max_iter < 1:
-            raise InvalidOptions("bad shooting options")
+        if self.shoot_max_iter < 1:
+            raise InvalidOptions("shoot_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -741,13 +745,7 @@ def profile_metadata(profile: RadialProfile) -> dict:
         "rtol": profile.rtol,
         "atol": profile.atol,
         "grid_nodes": int(profile.r.size),
-        "stats": {
-            "steps": profile.stats.steps,
-            "rejected": profile.stats.rejected,
-            "min_step": profile.stats.min_step,
-            "max_step": profile.stats.max_step,
-            "nfev": profile.stats.nfev,
-        },
+        "stats": asdict(profile.stats),
     }
 
 

@@ -64,6 +64,33 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 load_config(cfg_file)
 
+    @pytest.mark.parametrize("line, expects", [
+        ("resolution = 4.5", "an integer"), ("resolution = true", "an integer"),
+        ("rtol = x", "a number"), ("rtol = true", "a number"),
+        ('rtol = "1e-8"', "a number"), ("cache = 1", "true/false"),
+        ('cache = "true"', "true/false")])
+    def test_values_typed_like_their_defaults(self, tmp_path, line, expects):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text(line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError,
+                           match=f"lab.cfg:1: key '{key}' expects {expects}"):
+            parse_config_file(cfg_file)
+
+    def test_typed_values(self, tmp_path):
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("rtol = 1\nladder_kmax = 3\ncache = False\n"
+                            'cache_dir = "c d"\nout = results\n')
+        cfg = parse_config_file(cfg_file)
+        assert cfg == {"rtol": 1.0, "ladder_kmax": 3, "cache": False,
+                       "cache_dir": "c d", "out": "results"}
+        assert type(cfg["rtol"]) is float
+        # a float key given a 400-digit integer is refused by value, not by
+        # an OverflowError
+        cfg_file.write_text("rtol = 1" + "0" * 400 + "\n")
+        with pytest.raises(ConfigError, match="rtol"):
+            load_config(cfg_file)
+
     def test_jobs_key_unknown(self, tmp_path):
         # the scan process pool and its setting are gone
         cfg_file = tmp_path / "lab.cfg"
@@ -112,28 +139,87 @@ class TestClassifyCommand:
         assert "overflows" in err
 
 
+# one cheap op of each cached command; "@" stands for a stored profile
+CACHED_OPS = {
+    "curve": ["curve", "11", "--p-min", "7", "--p-max", "9", "--steps", "5"],
+    "scan": ["scan", "11", "--window", "1", "12", "1", "12",
+             "--resolution", "64"],
+    "solve": ["solve", "3", "3", "11", "--u0", "1", "--v0", "1",
+              "--r-max", "100"],
+    "shot": ["solve", "8", "8", "11", "--u0", "1", "--shoot",
+             "--v0-lo", "0.5", "--v0-hi", "2"],
+    "compare": ["compare", "3", "3", "11", "--profile", "@"],
+    "eig": ["eig", "3", "3", "11", "--ladder", "2"],
+}
+
+
+def _artifacts(out):
+    return {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()}
+
+
+def _cached_argv(name, tmp_path, capsys):
+    argv = CACHED_OPS[name]
+    if "@" in argv:
+        store = tmp_path / "stored"
+        rc, out, _ = run_cli(["--out", str(store), "--no-cache",
+                              *CACHED_OPS["solve"]], capsys)
+        assert rc == 0
+        argv = [str(store / out.split("\n")[0]) if a == "@" else a
+                for a in argv]
+    return argv
+
+
 class TestScanCommand:
     def test_deterministic_and_cached(self, tmp_path, capsys, monkeypatch):
+        # one cheap op of each cached command
         monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
+        for name in CACHED_OPS:
+            self._check_deterministic_and_cached(tmp_path / name, capsys,
+                                                 name)
+
+    @staticmethod
+    def _check_deterministic_and_cached(tmp_path, capsys, name):
+        argv = _cached_argv(name, tmp_path, capsys)
         out = tmp_path / "a"
-        args = ["--out", str(out), "scan", "11",
-                "--window", "1", "12", "1", "12", "--resolution", "64"]
-        rc, _, err1 = run_cli(args, capsys)
+        rc, stdout1, err1 = run_cli(["--out", str(out)] + argv, capsys)
+        assert rc == 0, name
+        assert "cache hit" not in err1
+        files1 = _artifacts(out)
+        # stdout names one of the two files, <stem>_<payload hash>.{csv,json}
+        shown = pathlib.Path(stdout1.split("\n")[0])
+        assert shown.suffix == (".json" if name == "compare" else ".csv")
+        stem = shown.stem
+        assert sorted(files1) == [stem + ".csv", stem + ".json"]
+        doc = json.loads(files1[stem + ".json"])
+        assert stem.rsplit("_", 1)[1] == doc["payload_hash"]
+        rc, stdout2, err2 = run_cli(["--out", str(out)] + argv, capsys)
         assert rc == 0
-        csv1 = {f.name: f.read_bytes() for f in out.glob("scan_*")}
-        rc, _, err2 = run_cli(args, capsys)
-        assert rc == 0
-        assert "cache hit" in err2
-        csv2 = {f.name: f.read_bytes() for f in out.glob("scan_*")}
-        assert csv1 == csv2
+        assert "cache hit" in err2, name
+        assert stdout2 == stdout1
+        assert _artifacts(out) == files1
         # fresh (uncached) rerun is byte-identical too
         out3 = tmp_path / "b"
-        args3 = ["--out", str(out3), "--no-cache", "scan", "11",
-                 "--window", "1", "12", "1", "12", "--resolution", "64"]
-        rc, _, _ = run_cli(args3, capsys)
+        rc, stdout3, _ = run_cli(["--out", str(out3), "--no-cache"] + argv,
+                                 capsys)
         assert rc == 0
-        csv3 = {f.name: f.read_bytes() for f in out3.glob("scan_*")}
-        assert csv1 == csv3
+        assert stdout3 == stdout1
+        assert _artifacts(out3) == files1
+
+    @pytest.mark.parametrize("name, shown", [
+        ("curve", "curve_N11_7-9_s5_bcd14d1d20a8.csv"),
+        ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
+        ("solve", "profile_p3_q3_N11_eb2cfc221057.csv"),
+        ("shot", "profile_p8_q8_N11_c82db82ca4dd.csv"),
+        ("eig", "eig_p3_q3_N11_aa3a54bcc608.csv"),
+    ])
+    def test_file_names_pinned(self, tmp_path, capsys, name, shown):
+        # the names of version 0.1.0 before the one artifact writer; they
+        # hash the arguments and the config only, so they hold on any
+        # platform, and any change to a payload moves them
+        rc, out, _ = run_cli(["--out", str(tmp_path), "--no-cache",
+                              *CACHED_OPS[name]], capsys)
+        assert rc == 0
+        assert out.split("\n")[0] == shown
 
     def test_older_revision_not_served(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
@@ -371,6 +457,36 @@ class TestSolveCompareEig:
                                   "3", "2", "11", "--annulus", "0.1", "10", m],
                                  capsys)
             assert rc == 2, err
+
+    def test_eig_rejects_non_integer_annulus_nodes(self, tmp_path, capsys):
+        # 64.7 silently ran 64 nodes
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
+                              "3", "2", "11", "--annulus", "0.1", "10", "64.7"],
+                             capsys)
+        assert rc == 2
+        assert "integer" in err
+        assert not list(tmp_path.glob("eig_*"))
+
+    @pytest.mark.parametrize("m", ["1e15", "1e308"])
+    def test_eig_huge_annulus_node_count_exits_3(self, tmp_path, capsys, m):
+        # these ended in numpy's allocation tracebacks
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
+                              "3", "2", "11", "--annulus", "0.1", "10", m],
+                             capsys)
+        assert rc == 3
+        assert "too fine" in err
+
+    def test_eig_ladder_past_double_range_exits_2(self, tmp_path, capsys):
+        # 10.0 ** 309 ended in an OverflowError traceback, by flag and by
+        # config key alike
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("ladder_kmax = 309\n")
+        for argv in (["--ladder", "309"], ["--config", str(cfg)]):
+            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", *argv,
+                                  "eig", "3", "3", "11"], capsys)
+            assert rc == 2, argv
+            assert "double range" in err
+        assert not list(tmp_path.glob("eig_*"))
 
     def test_solve_rejects_zero_r_max(self, tmp_path, capsys):
         # 0 is not a request for the default r_target

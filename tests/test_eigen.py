@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lelab import ConvergenceError, DiscretizationError, DomainError, \
-    ParameterTriple, hardy_rellich_constant, jl_curve_q
+    InvalidOptions, ParameterTriple, hardy_rellich_constant, jl_curve_q
 from lelab.cli import main as cli_main
 from lelab.eigen import (Annulus, EigOptions, default_ladder, eig_ladder,
                          principal_eigenvalue, richardson_limit,
@@ -88,6 +88,24 @@ class TestPrincipalEigenvalue:
             principal_eigenvalue(Annulus(1e-2, 1e2, 102_400), 11, 0.4)
         principal_eigenvalue(Annulus(1e-2, 1e2, 25_600), 11, 0.4)
 
+    @pytest.mark.parametrize("M", [10**15, int(1e308)], ids=["1e15", "1e308"])
+    def test_huge_node_count_refused_before_allocating(self, M):
+        # the grid of M + 2 nodes would take petabytes, or more than numpy
+        # can size, so the fineness test has to come first
+        with pytest.raises(DiscretizationError, match="too fine"):
+            principal_eigenvalue(Annulus(0.1, 10.0, M), 11, 0.4)
+
+    @pytest.mark.parametrize("r_in, r_out", [(0.1, 10.0), (1e-6, 1.0),
+                                             (1e-14, 1e14), (3.7, 5e3)])
+    def test_step_is_the_linspace_step(self, r_in, r_out):
+        # principal_eigenvalue forms h before it allocates the grid, as
+        # np.linspace forms rho[1] - rho[0]: (start + step) - start, bit
+        # for bit, which keeps every eig artifact's bytes
+        start, stop = math.log(r_in), math.log(r_out)
+        for M in (16, 64, 1000, 1024, 5119, 14 * 1024):
+            rho = np.linspace(start, stop, M + 2)
+            assert rho[1] - rho[0] == (start + (stop - start) / (M + 1)) - start
+
     def test_matches_exact_solution_at_zero_gamma(self):
         ann = Annulus(1e-2, 1e2, 2048)
         rep = principal_eigenvalue(ann, 11, 0.0)
@@ -139,8 +157,24 @@ class TestPrincipalEigenvalue:
             principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.9,
                                  EigOptions(max_iter=3))
 
+    @pytest.mark.parametrize("opts", [
+        EigOptions(tol=0.0), EigOptions(tol=-1e-11), EigOptions(tol=1.0),
+        EigOptions(tol=1e308), EigOptions(tol=math.inf),
+        EigOptions(tol=math.nan), EigOptions(max_iter=0)])
+    def test_options_refused(self, opts):
+        # a relative tol of 1 or more stops at once, and 1e308 overflows
+        # the stopping test
+        with pytest.raises(InvalidOptions):
+            principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.4, opts)
+
 
 class TestLadder:
+    def test_rung_past_the_double_range_refused(self):
+        # 10.0 ** 309 overflows; k = 308 still forms its annulus
+        with pytest.raises(DomainError, match="double range"):
+            default_ladder(309)
+        assert default_ladder(308, 16)[-1].r_outer == 1e308
+
     def test_decreasing_and_extrapolates_to_constant(self):
         reports = eig_ladder(11, 0.4, default_ladder(4, 512))
         lams = [r.lam for r in reports]
@@ -208,6 +242,23 @@ class TestStabilityVerdict:
         rc = cli_main(["eig", "30", "20", "40", "--ladder", "8",
                        "--out", str(tmp_path), "--no-cache"])
         assert rc == 0
+
+    def test_extension_contains_an_asymmetric_annulus(self):
+        # the extension starts past both ends of the given rung: after
+        # [1e-6, 1] it appended [0.1, 10], [0.01, 100] and [1e-3, 1e3],
+        # narrower than the rung, before a wider one (9 rungs in all)
+        given = Annulus(1e-6, 1.0, 1024)
+        sr = singular_stability_verdict(ParameterTriple(6.9, 6.9, 11),
+                                        ladder=[given])
+        assert [rep.annulus for rep in sr.reports] == [
+            given, Annulus(1e-7, 1e7, 7 * 1024), Annulus(1e-8, 1e8, 8 * 1024)]
+        assert sr.extended == 2
+        assert sr.verdict == "SingularUnstable"
+        # a symmetric rung extends from the next k, as before
+        sr = singular_stability_verdict(ParameterTriple(6.9, 6.9, 11),
+                                        ladder=[Annulus(0.1, 10.0, 64)])
+        assert [round(math.log10(rep.annulus.r_outer))
+                for rep in sr.reports] == list(range(1, 9))
 
     def test_single_annulus_form(self):
         sr = singular_stability_verdict(ParameterTriple(3, 2, 11),

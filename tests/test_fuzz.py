@@ -11,10 +11,13 @@ Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
 solve or ``--band`` of a compare, ``--ladder``, ``--steps`` or
-``--resolution`` below 1) must be refused with exit 2, and so must a shot
-with ``--v0`` or ``--r-max``, which only a plain solve reads.  Sizes stay bounded: ``--resolution`` <= 64,
-``--ladder`` <= 3, ``--steps`` <= 16, no huge ``--r-max`` or annulus node
-count, and a small config keeps every integration short.
+``--resolution`` below 1, an annulus node count that is not an integer of
+at least 16) must be refused with exit 2, and so must a shot with ``--v0``
+or ``--r-max``, which only a plain solve reads.  Sizes stay bounded:
+``--resolution`` <= 64, ``--ladder`` <= 3, ``--steps`` <= 16, no huge
+``--r-max``, and a small config keeps every integration short.  The
+annulus node count takes every edge token: a huge one is refused before
+its grid is allocated.
 """
 
 import math
@@ -75,8 +78,7 @@ def slots(base):
         flag = group[0] if group[0].startswith("--") else None
         out.append((g, None, (DROP,)))
         for j in range(1 if flag else 0, len(group)):
-            bounded = flag in BOUNDED or (flag == "--annulus" and j == 3)
-            out.append((g, j, BOUNDED_EDGE if bounded else EDGE))
+            out.append((g, j, BOUNDED_EDGE if flag in BOUNDED else EDGE))
     return out
 
 
@@ -116,6 +118,10 @@ def must_refuse(argv) -> bool:
     if cmd == "compare":
         tok = _value(argv, "--band")
         return tok is not None and _invalid(tok, integer=False)
+    if cmd == "eig" and "--annulus" in argv:
+        m = float(argv[argv.index("--annulus") + 3])
+        if not (m.is_integer() and m >= 16):
+            return True
     flag = {"eig": "--ladder", "curve": "--steps", "scan": "--resolution"}.get(cmd)
     tok = _value(argv, flag) if flag else None
     return tok is not None and _invalid(tok, integer=True)

@@ -90,6 +90,20 @@ class TestIntegrate:
             integrate(P33, InitialData(1.0, 1.0), -1.0)
         with pytest.raises(InvalidOptions):
             integrate(P33, InitialData(1.0, 1.0), 1.0, SolverOptions(rtol=-1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
+        ("event_tol", math.nan), ("r_target", math.inf),
+        ("decay_threshold", math.inf), ("v0_tol", math.inf)])
+    def test_options_refused(self, field, value):
+        # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, and an
+        # infinite tolerance in an OverflowError
+        opts = SolverOptions(**{field: value})
+        with pytest.raises(InvalidOptions, match=field):
+            integrate(ParameterTriple(3, 3, 11), InitialData(1.0, 1.0), 1e6,
+                      opts)
+        with pytest.raises(InvalidOptions, match=field):
+            shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), opts)
         with pytest.raises(DomainError):
             InitialData(0.0, 1.0)
 
