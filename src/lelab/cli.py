@@ -5,7 +5,7 @@ is deterministic (17-significant-digit floats, fixed key order, no
 timestamps); rerunning a command with identical arguments and
 configuration produces byte-identical artifacts, and cached results are
 returned verbatim.  Exit codes: 0 success, 2 domain/config error,
-3 convergence error, 4 I/O error.
+3 convergence error, 4 I/O error or a lattice too large to allocate.
 """
 
 from __future__ import annotations
@@ -98,8 +98,10 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
 
     ``produce(h)`` returns the CSV text, the JSON document and those lines.
     It runs on a cache miss only: the key is the payload with the package
-    version and the command's revision, and a hit serves the stored files
-    and stdout verbatim.
+    version and the command's revision, and a hit copies the stored files'
+    bytes (copies, not links: editing an output must not edit the entry)
+    and prints the stored stdout.  ``cfg.out`` is created only once there
+    is something to write into it.
     """
     h = payload_hash(payload)
     base = f"{stem}_{h}"
@@ -111,10 +113,10 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
     entry = root / key
     if cfg.cache and (entry / "__stdout__").exists():
         stdout = (entry / "__stdout__").read_text()
-        files = {
-            f.name: f.read_text()
-            for f in sorted(entry.iterdir()) if f.name != "__stdout__"
-        }
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for f in sorted(entry.iterdir()):
+            if f.name != "__stdout__":
+                shutil.copyfile(f, out_dir / f.name)
         print(f"cache hit {key}", file=sys.stderr)
     else:
         csv, doc, lines = produce(h)
@@ -122,9 +124,9 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
         stdout = "".join(f"{line}\n" for line in [f"{base}.{show}", *lines])
         if cfg.cache:
             _store_entry(root, entry, files, stdout)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
     sys.stdout.write(stdout)
 
 
@@ -193,14 +195,16 @@ def _cmd_scan(args, cfg: RunConfig):
     def produce(h):
         p_min, p_max, q_min, q_max = window
         result = scan_codes(args.N, window, resolution, cfg.tol_curve)
-        # each axis value is formatted once, not once per cell
-        p_cells = [fmt_float(x) for x in result.p.tolist()]
-        q_cells = [fmt_float(x) for x in result.q.tolist()]
-        rows = (
-            (pc, qc, code)
-            for pc, codes in zip(p_cells, result.codes)
-            for qc, code in zip(q_cells, codes.tolist())
-        )
+        # tails[code, j] is the text of a row after its p cell; the codes
+        # pick one tail per cell, and a row is its p cell joined over them
+        q_cells = [fmt_float(q) for q in result.q.tolist()]
+        tails = np.array([[f"{qc},{code}\n" for qc in q_cells]
+                          for code in range(3)], dtype=object)
+        picked = tails[result.codes, np.arange(resolution)].tolist()
+        parts = ["p,q,code\n"]
+        for p, row in zip(result.p.tolist(), picked):
+            prefix = fmt_float(p) + ","
+            parts.append(prefix + prefix.join(row))
         counts = np.bincount(result.codes.ravel(), minlength=3)
         doc = _document(
             "region_scan", N=args.N,
@@ -211,7 +215,7 @@ def _cmd_scan(args, cfg: RunConfig):
                    "2": "on/above curve"},
             counts={str(code): int(n) for code, n in enumerate(counts)},
             tol_curve=cfg.tol_curve, payload_hash=h)
-        return to_csv(["p", "q", "code"], rows), doc, []
+        return "".join(parts), doc, []
 
     return f"scan_N{args.N}_r{resolution}", payload, produce, "csv"
 
@@ -466,6 +470,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # a lattice or grid too large to allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 4
 
 

@@ -41,6 +41,7 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -73,6 +74,8 @@ class Annulus:
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer and math.isfinite(self.r_outer)):
             raise DomainError("need 0 < r_inner < r_outer < inf")
+        if not isinstance(self.M, numbers.Integral):
+            raise DomainError(f"the node count must be an integer, got {self.M!r}")
         if self.M < 16:
             raise DomainError("need at least 16 interior nodes")
 

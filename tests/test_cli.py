@@ -12,6 +12,8 @@ from lelab import cli
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
 from lelab.errors import ConfigError
+from lelab.scan import scan_codes
+from lelab.serialize import to_csv
 
 
 def run_cli(args, capsys):
@@ -320,6 +322,65 @@ class TestScanCommand:
         csv = next(tmp_path.glob("scan_*.csv")).read_bytes()
         assert hashlib.sha256(csv).hexdigest() == (
             "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
+
+    @pytest.mark.parametrize("N", ["10", "11", "13"])
+    @pytest.mark.parametrize("resolution", [1, 2, 17, 48])
+    @pytest.mark.parametrize("window", [("1", "12", "1", "12"),
+                                        ("1", "1e308", "1", "1e308")],
+                             ids=["default", "wide"])
+    def test_scan_csv_matches_row_path(self, tmp_path, capsys, N, resolution,
+                                       window):
+        # the scan writes its CSV from a code x column table of row tails;
+        # the oracle is the generic to_csv over (p, q, code) rows
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", N,
+                            "--window", *window,
+                            "--resolution", str(resolution)], capsys)
+        assert rc == 0
+        result = scan_codes(int(N), [float(x) for x in window], resolution)
+        rows = [(p, q, code)
+                for p, codes in zip(result.p.tolist(), result.codes.tolist())
+                for q, code in zip(result.q.tolist(), codes)]
+        csv = next(tmp_path.glob("scan_*.csv")).read_bytes()
+        assert csv == to_csv(["p", "q", "code"], rows).encode()
+
+    def test_hit_copies_bytes(self, tmp_path, capsys, monkeypatch):
+        # a hit copies the entry's files: editing an output must not reach
+        # the cache, and the next hit restores the stored bytes
+        monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
+        args = ["--out", str(tmp_path), *CACHED_OPS["scan"]]
+        assert run_cli(args, capsys)[0] == 0
+        rc, out, err = run_cli(args, capsys)
+        assert rc == 0
+        assert "cache hit" in err
+        output = tmp_path / out.split("\n")[0]
+        (stored,) = (tmp_path / ".lelab-cache").glob(f"*/{output.name}")
+        original = stored.read_bytes()
+        assert output.read_bytes() == original
+        assert output.stat().st_ino != stored.stat().st_ino
+        output.write_text("edited\n")
+        assert stored.read_bytes() == original
+        rc, _, err = run_cli(args, capsys)
+        assert rc == 0
+        assert "cache hit" in err
+        assert output.read_bytes() == original
+
+    @pytest.mark.parametrize("argv, config", [
+        (["scan", "11", "--resolution", "1000000000000"], ""),
+        (["solve", "3", "3", "11", "--u0", "1", "--v0", "1", "--r-max", "10"],
+         "grid_nodes = 1000000000000\n"),
+    ], ids=["scan", "solve"])
+    def test_unallocatable_lattice_exits_4(self, tmp_path, capsys, argv,
+                                           config):
+        # these ended in numpy's allocation traceback (exit 1); 1e12 nodes
+        # fail at the first allocation, before any memory is committed
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(config)
+        rc, _, err = run_cli(["--out", str(tmp_path / "out"), "--no-cache",
+                              "--config", str(cfg), *argv], capsys)
+        assert rc == 4
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_wide_window_is_quiet(self, tmp_path, capsys):
         # p q overflows to inf on most of this window; numpy must not warn

@@ -157,6 +157,12 @@ class TestPrincipalEigenvalue:
             principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.9,
                                  EigOptions(max_iter=3))
 
+    @pytest.mark.parametrize("M", [64.7, 64.0, math.nan, "64"])
+    def test_node_count_not_an_integer(self, M):
+        # 64.7 ended in a TypeError from numpy, not a LaneEmdenError
+        with pytest.raises(DomainError, match="integer"):
+            principal_eigenvalue(Annulus(0.1, 10, M), 11, 0.4)
+
     @pytest.mark.parametrize("opts", [
         EigOptions(tol=0.0), EigOptions(tol=-1e-11), EigOptions(tol=1.0),
         EigOptions(tol=1e308), EigOptions(tol=math.inf),

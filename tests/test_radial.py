@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,7 @@ from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
                           decay_identity_check, integrate, ode_residual,
                           profile_from_text, profile_metadata, profile_to_csv,
                           reference_integrate, rescale, shoot)
-from lelab.serialize import to_json
+from lelab.serialize import to_csv, to_json
 
 P33 = ParameterTriple(3, 3, 11)
 P32 = ParameterTriple(3, 2, 11)
@@ -377,6 +378,16 @@ class TestSerialization:
         assert to_json(profile_metadata(prof2)) == json_text
         assert np.array_equal(prof2.u, symmetric_entire.u)
         assert prof2.classification is symmetric_entire.classification
+
+    def test_csv_matches_row_path(self, symmetric_entire):
+        # one %.17g format per row; the oracle is to_csv cell by cell,
+        # non-finite values and a negative zero included
+        u = symmetric_entire.u.copy()
+        u[:4] = [math.nan, math.inf, -math.inf, -0.0]
+        prof = dataclasses.replace(symmetric_entire, u=u)
+        rows = zip(prof.r, prof.u, prof.v, prof.du, prof.dv)
+        assert profile_to_csv(prof) == to_csv(["r", "u", "v", "du", "dv"],
+                                              rows)
 
     def test_metadata_fields(self, symmetric_entire):
         meta = profile_metadata(symmetric_entire)
