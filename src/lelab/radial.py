@@ -15,19 +15,24 @@ a series start on [0, r_start]: the even Taylor expansion
 neglected r^4-remainder is below the local error tolerance.
 
 Trajectories halt at the first zero crossing of u or v (located by
-bisection on the dense interpolant) or at r_max.  A profile that stays
-positive and decreasing through ``r_target`` with both fields below the
-decay threshold is classified entire-positive; true entirety is not
-decidable numerically and is certified separately by the decay identity
+bisection on the dense interpolant) or at r_max.  ``integrate`` is one
+march (``_march``, which records the accepted steps) plus the profile
+builder (dense output, event, output grid).  A profile that stays positive
+and decreasing through ``r_target`` with both fields below the decay
+threshold is classified entire-positive; true entirety is not decidable
+numerically and is certified separately by the decay identity
 u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
 ``shoot`` finds the v0 of an entire profile with the package's one
 bracketed root finder (``exponents._bisect``, Dekker-Brent) on the value of
 a matching functional at a probe radius; the transverse mode of the
 linearization makes that value about linear in v0 - v0*, so a shot takes
-about 20-25 probes where bisection took 46-53.  ``polish`` only narrows the
-final bracket from v0_tol to 4 ulp.  Its ``iterations`` counts the probes
-and ``bracket_width`` is the final bracket (0 for the exact diagonal shot).
+about 20-25 probes where bisection took 46-53.  A probe only marches to
+the probe radius and reads g from its last step, with the builder's event
+location and interpolation, so it reads the profile's float.  ``polish``
+only narrows the final bracket from v0_tol to 4 ulp.  Its ``iterations``
+counts the probes and ``bracket_width`` is the final bracket (0 for the
+exact diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
@@ -37,6 +42,7 @@ for solver verification; it shares only the closed-form series start.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
@@ -77,20 +83,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I, II.5).
-# Nodes C2..C5 (C1 = 0, C6 = C7 = 1); stage coefficients Aij; the 5th-order
-# weights B (B2 = 0) are also the last stage row (FSAL); E = B - B_hat is the
-# embedded error estimator (E2 = 0).
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                           -5103 / 18656)
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
-                          22 / 525, -1 / 40)
 # quartic dense-output matrix (Shampine's interpolant for this pair): row j
 # weights stage j, column c the power theta^(c+1) of the step fraction
 _PD = np.array([
@@ -145,6 +137,12 @@ class SolverOptions:
             raise InvalidOptions("grid_nodes must be at least 16")
         if self.shoot_max_iter < 1:
             raise InvalidOptions("shoot_max_iter must be at least 1")
+        if self.max_steps < 1:
+            raise InvalidOptions("max_steps must be at least 1")
+        if self.polish_probe is not None and not (
+                self.polish_probe > 0.0 and math.isfinite(self.polish_probe)):
+            raise InvalidOptions(f"polish_probe must be positive and finite, "
+                                 f"got {self.polish_probe!r}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +265,10 @@ class _Dense:
         self.taylor = taylor
         self.starts = np.array(starts)     # step left endpoints
         self.steps = np.array(steps)       # step sizes
-        self.y0s = np.array(y0s).reshape(n, 4)
+        self.y0s = np.fromiter(y0s, float, 4 * n).reshape(n, 4)
         # coef[i, d, c]: component d, power theta^(c+1), of step i
-        self.coef = (np.array(stages).reshape(4 * n, 7) @ _PD).reshape(n, 4, 4)
+        self.coef = (np.fromiter(stages, float, 28 * n).reshape(4 * n, 7)
+                     @ _PD).reshape(n, 4, 4)
         self.r_end = starts[-1] + steps[-1]
 
     def grid(self, rs: np.ndarray) -> np.ndarray:
@@ -291,33 +290,47 @@ class _Dense:
         return tuple(self.grid(np.array([float(r)]))[:, 0].tolist())
 
 
-def _first_zero(y0: float, h: float, c, event_tol: float) -> float:
-    """Step fraction of the first zero of one interpolated component that is
-    positive at the left end of the step and not at the right: bisection on
-    the interpolant down to a radius width of event_tol."""
-    return _bisect(lambda th: 1 if _horner(y0, h, th, c) > 0.0 else -1,
-                   0.0, 1.0, event_tol / h, 200)[1]
+# the raw record of one march: ``end`` is (u, du, v, dv) at the right end
+# of the last step; the lists hold, per accepted step, its left end, size,
+# start state (4 floats) and stages (28, as ``_Dense`` reads them)
+_March = namedtuple("_March", "taylor hit_zero end starts steps y0s stages "
+                              "naccept nreject nfev")
 
 
-def integrate(params: ParameterTriple, init: InitialData, r_max: float,
-              opts: SolverOptions | None = None) -> RadialProfile:
-    """Adaptive integration from the origin; see module docstring.
-
-    Each step is plain float arithmetic: the seven stages are unrolled on the
-    four components (u, u', v, v') with the right-hand side inlined, and the
-    state update carries its rounding error to the next step (compensated
-    summation).  Accepted steps store only their stages; the dense output
-    is formed once, after the last step.
-    """
-    opts = SolverOptions() if opts is None else opts
+def _march(params: ParameterTriple, init: InitialData, r_max: float,
+           opts: SolverOptions) -> _March:
+    """The adaptive march from the series start to r_max, or through the
+    first step in which u or v reaches zero.  Each step is float arithmetic
+    without builtin calls: the seven stages unrolled on (u, u', v, v') with
+    the right-hand side inlined, every min and max a conditional expression
+    of the same semantics, and a state update that carries its rounding
+    error to the next step (compensated summation)."""
     opts.validate()
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError("r_max must be positive and finite")
     taylor = _TaylorStart(params, init, opts)
     if taylor.r_start >= r_max:
         raise DomainError(f"r_max={r_max} is inside the series-start region")
+    # Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I,
+    # II.5), as locals.  Nodes C2..C5 (C1 = 0, C6 = C7 = 1); stage
+    # coefficients Aij; the 5th-order weights B (B2 = 0) are also the last
+    # stage row (FSAL); E = B - B_hat is the embedded error estimator (E2 = 0).
+    C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    A21 = 1 / 5
+    A31, A32 = 3 / 40, 9 / 40
+    A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+    A51, A52, A53, A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+    A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                               -5103 / 18656)
+    B1, B3, B4, B5, B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                          11 / 84)
+    E1, E3, E4, E5, E6, E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                              -17253 / 339200, 22 / 525, -1 / 40)
     p, q, nm1 = params.p, params.q, params.N - 1.0
     rtol, atol = opts.rtol, opts.atol
+    min_step, max_steps, sqrt = opts.min_step, opts.max_steps, math.sqrt
+    eps16 = 16.0 * _EPS
 
     r = taylor.r_start
     u, du, v, dv = taylor.eval(r)
@@ -334,8 +347,6 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     h = 0.1 * r
     facold = 1e-4
     naccept = nreject = 0
-    hmin_seen = math.inf
-    hmax_seen = 0.0
     starts: list[float] = []
     steps: list[float] = []
     y0s: list[float] = []
@@ -343,14 +354,17 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     hit_zero = False
 
     while r < r_max:
-        h = min(h, r_max - r)
-        if h < max(opts.min_step, 16.0 * _EPS * r):
+        x = r_max - r
+        if x < h:
+            h = x
+        x = eps16 * r
+        if h < (x if x > min_step else min_step):
             raise StepUnderflow(
                 f"step {h:.3e} below floor at r={r:.6e} "
-                f"(min_step={opts.min_step})"
+                f"(min_step={min_step})"
             )
-        if naccept + nreject >= opts.max_steps:
-            raise ConvergenceError(f"more than {opts.max_steps} steps")
+        if naccept + nreject >= max_steps:
+            raise ConvergenceError(f"more than {max_steps} steps")
         x = u + h * (A21 * k1u)
         y = v + h * (A21 * k1v)
         k2u = du + h * (A21 * k1du)
@@ -406,18 +420,24 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
         k7dv = -(u1 ** q if u1 > 0.0 else 0.0) - inv * k7v
         nfev += 6
 
+        # error norm; each scale is max(|y|, |y1|), and a -0.0 where abs
+        # gives 0.0 leaves atol + rtol * scale unchanged
+        a0, a1 = (-u if u < 0.0 else u), (-u1 if u1 < 0.0 else u1)
         e = h * (E1 * k1u + E3 * k3u + E4 * k4u + E5 * k5u + E6 * k6u
-                 + E7 * k7u) / (atol + rtol * max(abs(u), abs(u1)))
+                 + E7 * k7u) / (atol + rtol * (a1 if a1 > a0 else a0))
         err = e * e
+        a0, a1 = (-du if du < 0.0 else du), (-k7u if k7u < 0.0 else k7u)
         e = h * (E1 * k1du + E3 * k3du + E4 * k4du + E5 * k5du + E6 * k6du
-                 + E7 * k7du) / (atol + rtol * max(abs(du), abs(k7u)))
+                 + E7 * k7du) / (atol + rtol * (a1 if a1 > a0 else a0))
         err += e * e
+        a0, a1 = (-v if v < 0.0 else v), (-v1 if v1 < 0.0 else v1)
         e = h * (E1 * k1v + E3 * k3v + E4 * k4v + E5 * k5v + E6 * k6v
-                 + E7 * k7v) / (atol + rtol * max(abs(v), abs(v1)))
+                 + E7 * k7v) / (atol + rtol * (a1 if a1 > a0 else a0))
         err += e * e
+        a0, a1 = (-dv if dv < 0.0 else dv), (-k7v if k7v < 0.0 else k7v)
         e = h * (E1 * k1dv + E3 * k3dv + E4 * k4dv + E5 * k5dv + E6 * k6dv
-                 + E7 * k7dv) / (atol + rtol * max(abs(dv), abs(k7v)))
-        err = math.sqrt((err + e * e) / 4.0)
+                 + E7 * k7dv) / (atol + rtol * (a1 if a1 > a0 else a0))
+        err = sqrt((err + e * e) / 4.0)
 
         if err <= 1.0:
             starts.append(r)
@@ -428,10 +448,8 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
                        k1v, k2v, k3v, k4v, k5v, k6v, k7v,
                        k1dv, k2dv, k3dv, k4dv, k5dv, k6dv, k7dv)
             naccept += 1
-            hmin_seen = min(hmin_seen, h)
-            hmax_seen = max(hmax_seen, h)
             if (u > 0.0 and u1 <= 0.0) or (v > 0.0 and v1 <= 0.0):
-                hit_zero = True  # located on the interpolant below
+                hit_zero = True  # located on the interpolant by the reader
                 break
             cu, cdu = iu - (u1 - u), idu - (k7u - du)
             cv, cdv = iv - (v1 - v), idv - (k7v - dv)
@@ -440,34 +458,59 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
             k1u, k1du, k1v, k1dv = k7u, k7du, k7v, k7dv
             # PI control: the previous step's error damps the new step
             fac11 = err ** 0.17 if err > 0.0 else 1e-20
-            fac = fac11 / facold ** 0.04
-            facold = max(err, 1e-4)
-            h = h / max(0.1, min(5.0, fac / 0.9))
+            fac = fac11 / facold ** 0.04 / 0.9
+            facold = 1e-4 if 1e-4 > err else err
+            fac = fac if fac < 5.0 else 5.0
+            h = h / (fac if fac > 0.1 else 0.1)
         else:
             nreject += 1
-            fac11 = err ** 0.17
-            h = h / min(5.0, fac11 / 0.9)
+            fac11 = err ** 0.17 / 0.9
+            h = h / (fac11 if fac11 < 5.0 else 5.0)
 
+    return _March(taylor, hit_zero, (u1, k7u, v1, k7v), starts, steps, y0s,
+                  stages, naccept, nreject, nfev)
+
+
+def _event(rec: _March, coef, event_tol: float) -> tuple:
+    """(class, r_event) of the first zero crossing of u or v inside the last
+    step of a march that hit zero, by bisection on that step's (4, 4)
+    quartic ``coef`` down to a radius width of event_tol."""
+    r, h = rec.starts[-1], rec.steps[-1]
+    hit = None
+    for comp, kind in ((0, ProfileClass.U_HITS_ZERO),
+                       (2, ProfileClass.V_HITS_ZERO)):
+        y0, c = rec.y0s[comp - 4], coef[comp].tolist()
+        if y0 > 0.0 and rec.end[comp] <= 0.0:
+            th = _bisect(lambda t: 1 if _horner(y0, h, t, c) > 0.0 else -1,
+                         0.0, 1.0, event_tol / h, 200)[1]
+            if hit is None or th < hit[0]:
+                hit = (th, kind)
+    th_star, kind = hit
+    return kind, r + th_star * h
+
+
+def integrate(params: ParameterTriple, init: InitialData, r_max: float,
+              opts: SolverOptions | None = None) -> RadialProfile:
+    """Adaptive integration from the origin; see module docstring.
+
+    ``_march`` plus the profile builder: the dense output of all accepted
+    steps, the event on the last one (``_event``) and the output grid.
+    """
+    opts = SolverOptions() if opts is None else opts
+    rec = _march(params, init, r_max, opts)
+    taylor, steps = rec.taylor, rec.steps
     stats = IntegratorStats(
-        steps=naccept, rejected=nreject,
-        min_step=hmin_seen if naccept else 0.0, max_step=hmax_seen, nfev=nfev,
+        steps=rec.naccept, rejected=rec.nreject,
+        min_step=min(steps), max_step=max(steps), nfev=rec.nfev,
     )
-    dense = _Dense(taylor, starts, steps, y0s, stages)
+    dense = _Dense(taylor, rec.starts, steps, rec.y0s, rec.stages)
     r_event: float | None = None
-    r_end = r
-    if hit_zero:
-        # first zero crossing of u or v inside the last step
-        hit = None
-        for comp, y0, y1, kind in ((0, u, u1, ProfileClass.U_HITS_ZERO),
-                                   (2, v, v1, ProfileClass.V_HITS_ZERO)):
-            if y0 > 0.0 and y1 <= 0.0:
-                th = _first_zero(y0, h, dense.coef[-1, comp].tolist(),
-                                 opts.event_tol)
-                if hit is None or th < hit[0]:
-                    hit = (th, kind)
-        th_star, classification = hit
-        r_event = r_end = r + th_star * h
+    r_end = dense.r_end
+    if rec.hit_zero:
+        classification, r_event = _event(rec, dense.coef[-1], opts.event_tol)
+        r_end = r_event
     else:
+        u, du, v, dv = rec.end
         thr = opts.decay_threshold * max(init.u0, init.v0)
         decayed = u < thr and v < thr and du < 0.0 and dv < 0.0
         if r_end >= min(r_max, opts.r_target) and r_max >= opts.r_target and decayed:
@@ -482,7 +525,7 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
         p=params.p, q=params.q, N=params.N, u0=init.u0, v0=init.v0,
         r=grid, u=vals[0], v=vals[2], du=vals[1], dv=vals[3],
         classification=classification, r_event=r_event, r_max=r_end,
-        rtol=rtol, atol=atol, stats=stats, dense=dense,
+        rtol=opts.rtol, atol=opts.atol, stats=stats, dense=dense,
     )
 
 
@@ -568,13 +611,8 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     if u0 <= 0.0:
         raise DomainError("u0 must be positive")
 
-    calls = 0
-
-    def run(v0: float, r_max: float | None = None) -> RadialProfile:
-        nonlocal calls
-        calls += 1
-        return integrate(params, InitialData(u0, v0),
-                         opts.r_target if r_max is None else r_max, opts)
+    def run(v0: float) -> RadialProfile:
+        return integrate(params, InitialData(u0, v0), opts.r_target, opts)
 
     prof_lo, prof_hi = run(lo), run(hi)
     kind_lo, kind_hi = prof_lo.classification, prof_hi.classification
@@ -590,32 +628,63 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
         if prof.r_event is None:
             return ShootResult(u0, prof, 0, 0.0, polish)
 
-    calls = 0  # from here on, the probes of the search
-    probe = opts.polish_probe or min(opts.r_target, 1e4)
-    lg_a = math.log(scaling.a)
-    lg_b = math.log(scaling.b)
-    kappa = float(indicial_exponents(scaling)[0].real)
+    R = (min(opts.r_target, 1e4) if opts.polish_probe is None
+         else opts.polish_probe)
+    match, read_probe = _matching(params, scaling, u0, R, opts)
+    probes = 0
 
-    def match(prof: RadialProfile) -> float:
-        # g of the docstring: positive where v falls first (small v0)
-        if prof.r_event is not None:
-            side = 1.0 if prof.classification == ProfileClass.V_HITS_ZERO else -1.0
-            # capped: an event near the origin must not overflow
-            return side * math.exp(
-                min(700.0, kappa * math.log(prof.r_event / probe)))
-        rr = float(prof.r[-1])
-        uh = math.log(prof.u[-1]) + scaling.alpha * math.log(rr) - lg_a
-        vh = math.log(prof.v[-1]) + scaling.beta * math.log(rr) - lg_b
-        return uh - vh
+    def probe(v0: float) -> float:
+        nonlocal probes
+        probes += 1
+        return read_probe(v0)
 
     pa, pb = ((prof_lo, prof_hi) if kind_lo == ProfileClass.V_HITS_ZERO
               else (prof_hi, prof_lo))
-    a, b = _bisect(lambda v0: match(run(v0, r_max=probe)), pa.v0, pb.v0,
+    a, b = _bisect(probe, pa.v0, pb.v0,
                    4.0 * _EPS if polish else opts.v0_tol, opts.shoot_max_iter,
                    match(pa), match(pb))
     v0_star = 0.5 * (a + b)
-    probes = calls
     return ShootResult(v0_star, run(v0_star), probes, abs(b - a), polish)
+
+
+def _matching(params: ParameterTriple, scaling: ScalingData, u0: float,
+              R: float, opts: SolverOptions) -> tuple:
+    """``shoot``'s g at probe radius R, read by ``match(profile)`` from a
+    profile and by ``probe(v0)`` from the last step of a bare march to R;
+    one event location and one interpolation make both the same float."""
+    lg_a, lg_b = math.log(scaling.a), math.log(scaling.b)
+    kappa = float(indicial_exponents(scaling)[0].real)
+
+    def at_event(kind: ProfileClass, r_ev: float) -> float:
+        # positive where v falls first (small v0)
+        side = 1.0 if kind == ProfileClass.V_HITS_ZERO else -1.0
+        # capped: an event near the origin must not overflow
+        return side * math.exp(min(700.0, kappa * math.log(r_ev / R)))
+
+    def at_end(rr: float, u: float, v: float) -> float:
+        uh = math.log(u) + scaling.alpha * math.log(rr) - lg_a
+        vh = math.log(v) + scaling.beta * math.log(rr) - lg_b
+        return uh - vh
+
+    def match(prof: RadialProfile) -> float:
+        if prof.r_event is not None:
+            return at_event(prof.classification, prof.r_event)
+        return at_end(float(prof.r[-1]), prof.u[-1], prof.v[-1])
+
+    def probe(v0: float) -> float:
+        rec = _march(params, InitialData(u0, v0), R, opts)
+        coef = np.array(rec.stages[-28:]).reshape(4, 7) @ _PD
+        if rec.hit_zero:
+            return at_event(*_event(rec, coef, opts.event_tol))
+        # the last grid node of the profile: np.clip's theta, as _Dense.grid
+        start, h = rec.starts[-1], rec.steps[-1]
+        rr = start + h
+        th = (rr - start) / h
+        th = 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
+        return at_end(rr, _horner(rec.y0s[-4], h, th, coef[0].tolist()),
+                      _horner(rec.y0s[-2], h, th, coef[2].tolist()))
+
+    return match, probe
 
 
 def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialProfile:

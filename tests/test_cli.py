@@ -323,6 +323,20 @@ class TestScanCommand:
         assert hashlib.sha256(csv).hexdigest() == (
             "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
 
+    def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
+        # the hashes of this shot before its probes stopped building
+        # profiles and read g from their last step
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
+                            "9", "6", "11", "--u0", "1", "--shoot",
+                            "--v0-lo", "0.2", "--v0-hi", "5", "--polish"],
+                           capsys)
+        assert rc == 0
+        digests = {f.suffix: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.glob("profile_*")}
+        assert digests == {
+            ".csv": "46eb1524481abe3ed12652f39943da862ed2e37e50168ee1a9498ec8b7101c4d",
+            ".json": "427a232e026e1fce898631779115bd9bff9dcfb01365ae0e58856732917d1ce0"}
+
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48])
     @pytest.mark.parametrize("window", [("1", "12", "1", "12"),

@@ -82,6 +82,14 @@ class TestIntegrate:
         for got, want in zip((prof.u, prof.du, prof.v, prof.dv), scalar):
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
+    @pytest.mark.parametrize("v0", [1.0, 1000.0])
+    def test_stats_step_extremes(self, v0):
+        # min_step and max_step are read from the accepted steps after the
+        # march, on a profile that reaches r_max and on one that hits zero
+        prof = integrate(P33, InitialData(1.0, v0), 1e4)
+        assert prof.stats.min_step == prof.dense.steps.min()
+        assert prof.stats.max_step == prof.dense.steps.max()
+
     def test_truncated_when_target_not_reached(self):
         prof = integrate(P33, InitialData(1.0, 1.0), 100.0)
         assert prof.classification is ProfileClass.TRUNCATED
@@ -95,7 +103,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
         ("event_tol", math.nan), ("r_target", math.inf),
-        ("decay_threshold", math.inf), ("v0_tol", math.inf)])
+        ("decay_threshold", math.inf), ("v0_tol", math.inf),
+        # a bad probe radius once ended in a math domain error, 0 probed at
+        # the default, and max_steps < 1 failed every integration later
+        ("polish_probe", -5.0), ("polish_probe", math.inf),
+        ("polish_probe", 0.0), ("max_steps", 0), ("max_steps", -1)])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, and an
         # infinite tolerance in an OverflowError
@@ -211,14 +223,15 @@ class TestShoot:
         # one run to r_target
         from lelab import radial
 
+        # every integration, profile or bare probe, is one march
         radii = []
-        real = radial.integrate
+        real = radial._march
 
-        def counted(params, init, r_max, opts=None):
+        def counted(params, init, r_max, opts):
             radii.append(r_max)
             return real(params, init, r_max, opts)
 
-        monkeypatch.setattr(radial, "integrate", counted)
+        monkeypatch.setattr(radial, "_march", counted)
         lo, hi = 0.2, 5.0
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (lo, hi), SolverOptions(),
                     polish=True)
@@ -249,14 +262,14 @@ class TestShoot:
         # the same probe radius; only the final bracket differs
         from lelab import radial
 
-        real = radial.integrate
+        real = radial._march
         radii = []
 
-        def counted(params, init, r_max, opts=None):
+        def counted(params, init, r_max, opts):
             radii.append(r_max)
             return real(params, init, r_max, opts)
 
-        monkeypatch.setattr(radial, "integrate", counted)
+        monkeypatch.setattr(radial, "_march", counted)
         shots = {}
         for polish in (False, True):
             radii.clear()
@@ -291,6 +304,33 @@ class TestShoot:
         assert res.polished and res.iterations == 0
         assert np.array_equal(res.profile.u, res.profile.v)
         assert np.array_equal(res.profile.du, res.profile.dv)
+
+
+class TestProbeReader:
+    # shot probes march to the probe radius without building a profile and
+    # read g from the last step alone; they must give the float that
+    # ``match`` reads from the full profile.  Offsets 1e-1 to 1e-6 from v0*
+    # hit zero (u above v0*, v below), 1e-9 and 1e-12 reach R (except 1e-9
+    # on (6,4,11) at 1e4); R is the default probe radius and an arbitrary one.
+    @pytest.mark.parametrize("R", [1e4, 2718.2818])
+    @pytest.mark.parametrize("triple, v0_star", [
+        ((9, 6, 11), 1.0357844085), ((12, 7, 11), 1.0376085531),
+        ((6, 4, 11), 1.0481601140)])
+    def test_probe_equals_match_of_profile(self, triple, v0_star, R):
+        from lelab.radial import _matching
+
+        params = ParameterTriple(*triple)
+        opts = SolverOptions()
+        match, probe = _matching(params, derive_scaling(params), 1.0, R, opts)
+        kinds = set()
+        for k in (1, 3, 6, 9, 12):
+            for sign in (-1.0, 1.0):
+                v0 = v0_star * (1.0 + sign * 10.0 ** -k)
+                prof = integrate(params, InitialData(1.0, v0), R, opts)
+                kinds.add(prof.classification)
+                assert probe(v0) == match(prof), (v0, prof.classification)
+        assert kinds == {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO,
+                         ProfileClass.TRUNCATED}
 
 
 class TestTransverseModel:
