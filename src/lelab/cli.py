@@ -62,8 +62,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # shot bisects the matching functional, and polish only sets the stopping
 # width; shoot 5: the search interpolates the value of the matching
 # functional (Dekker-Brent) instead of halving on its sign; eig 4: the
-# ladder extension starts past both ends of the top rung.
-_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 5, "compare": 2,
+# ladder extension starts past both ends of the top rung; shoot 6: a coarse
+# search at loose tolerances, then a full-accuracy search from its checked
+# bracket, with one-sided secants and log-halving of a wide bracket.
+_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 6, "compare": 2,
              "eig": 4}
 
 

@@ -321,7 +321,7 @@ def _sobolev_q_lower(N: int, p: float) -> float:
 
 
 def _bisect(f, a: float, b: float, tol: float, max_iter: int,
-            fa: float = 1.0, fb: float = -1.0):
+            fa: float = 1.0, fb: float = -1.0, geometric: bool = False):
     """Shrink the bracket between a and b (either order) around a root of f.
 
     ``f(x)`` is positive on a's side of the root, negative on b's side and
@@ -329,28 +329,38 @@ def _bisect(f, a: float, b: float, tol: float, max_iter: int,
     its values at a and b.  A caller that knows only the side returns +-1
     and keeps the default ends.
 
-    Each step interpolates the inverse of f through the latest iterates,
-    which may lie on one side of the root (Dekker-Brent; Brent 1973,
-    *Algorithms for Minimization without Derivatives*, ch. 4): quadratic
-    through the last three when their values differ, else the secant
-    through the last two.  A point within half the stopping width of an
-    end moves to that distance, so that a point next to the root closes
-    the bracket.  The step is the midpoint instead when the point is
-    outside the bracket, when the last two steps together did not halve
-    the bracket, or when the evaluations so far reach 2 log2(w0 / w) + 2
-    for the initial and current widths w0 and w; so a search takes at most
-    about twice the evaluations of bisection.  On +-1 values every step is
-    the midpoint, bit for bit: the secant is tried only through values of
-    different magnitude, and quadratic interpolation only through three
-    distinct values.
+    Each step interpolates the inverse of f through the latest iterates
+    (Dekker-Brent; Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).  The first candidate is the secant through the
+    two latest iterates on the newest iterate's side of the root, when
+    their values differ: on a function made of branches that are each
+    about linear and meet at the root with different slopes, those two lie
+    on one branch.  The next is the quadratic through the last three
+    iterates when their values differ, else the secant through the last
+    two.  The step is the first candidate inside the bracket; a point
+    within half the stopping width of an end moves to that distance, so
+    that a point next to the root closes the bracket.  The step is the
+    midpoint instead when no candidate is inside the bracket, when the
+    last two steps together did not halve the bracket, or when the
+    evaluations so far reach 2 log2(w0 / w) + 2 for the initial and
+    current widths w0 and w; so a search takes at most about twice the
+    evaluations of bisection.  With ``geometric``, a bracket 0 < lo < hi
+    with hi > 2 lo takes the geometric midpoint sqrt(lo hi) and no
+    interpolation: a value that spans decades across it says little
+    about where the root is.  On +-1 values every step is a midpoint, bit
+    for bit: a secant is tried only through values of different
+    magnitude, and quadratic interpolation only through three distinct
+    values.
 
     Stops when |b - a| <= tol * max(1, |b|) or when no double lies between
     a and b, and returns the bracket (a, b) in the given orientation;
     raises ConvergenceError when max_iter evaluations of f do not get
     there.  The one bracketed root finder of the package."""
     # the last three iterates, newest first (the ends count as iterates),
-    # and the widths before the last two steps
+    # the iterate before the newest on its side of the root, and the
+    # widths before the last two steps
     x1, f1, x2, f2, x3, f3 = b, fb, a, fa, None, None
+    x0 = f0 = None
     w0 = abs(b - a)
     w1 = w2 = math.inf
     n = 0
@@ -365,36 +375,52 @@ def _bisect(f, a: float, b: float, tol: float, max_iter: int,
             raise ConvergenceError(f"the bracket did not shrink below {tol} "
                                    f"in {max_iter} evaluations")
         x = m
-        if (f1 != f2 and f1 != -f2 and w < 0.5 * w2
-                and n < 2.0 * math.log2(w0 / w) + 2.0):
-            try:
-                if f3 is not None and f3 != f1 and f3 != f2:
-                    y = (x1 * f2 * f3 / ((f1 - f2) * (f1 - f3))
-                         + x2 * f1 * f3 / ((f2 - f1) * (f2 - f3))
-                         + x3 * f1 * f2 / ((f3 - f1) * (f3 - f2)))
-                else:
-                    y = x1 - f1 * (x1 - x2) / (f1 - f2)
-            except ZeroDivisionError:  # a product of tiny differences
-                y = m
-            lo, hi = (a, b) if a < b else (b, a)
-            if lo <= y <= hi:
-                d = 0.5 * tol * max(1.0, abs(b))
-                y = min(max(y, lo + d), hi - d)
-                if lo < y < hi:
-                    x = y
+        lo, hi = (a, b) if a < b else (b, a)
+        if geometric and 0.0 < 2.0 * lo < hi:
+            x = math.sqrt(lo) * math.sqrt(hi)
+        # the candidates' value tests first: on +-1 values they fail, and a
+        # halving step costs no more than it did before there were candidates
+        elif ((f0 != f1 or f1 != f2 and f1 != -f2) and w < 0.5 * w2
+              and n < 2.0 * math.log2(w0 / w) + 2.0):
+            for y in _candidates(x0, f0, x1, f1, x2, f2, x3, f3):
+                if lo <= y <= hi:
+                    d = 0.5 * tol * max(1.0, abs(b))
+                    y = min(max(y, lo + d), hi - d)
+                    if lo < y < hi:
+                        x = y
+                    break
         n += 1
         fx = f(x)
         if fx == 0:
             return x, x
         if fx > 0:
-            a = x
+            x0, f0 = a, fa
+            a, fa = x, fx
         else:
-            b = x
+            x0, f0 = b, fb
+            b, fb = x, fx
         x3, f3 = x2, f2
         x2, f2 = x1, f1
         x1, f1 = x, fx
         w2, w1 = w1, w
     return a, b
+
+
+def _candidates(x0, f0, x1, f1, x2, f2, x3, f3):
+    """``_bisect``'s interpolated points, in its order of preference; x0 is
+    the iterate before the newest, x1, on x1's side of the root."""
+    try:
+        if f0 is not None and f0 != f1:
+            yield x1 - f1 * (x1 - x0) / (f1 - f0)
+        if f1 != f2 and f1 != -f2:
+            if f3 is not None and f3 != f1 and f3 != f2:
+                yield (x1 * f2 * f3 / ((f1 - f2) * (f1 - f3))
+                       + x2 * f1 * f3 / ((f2 - f1) * (f2 - f3))
+                       + x3 * f1 * f2 / ((f3 - f1) * (f3 - f2)))
+            else:
+                yield x1 - f1 * (x1 - x2) / (f1 - f2)
+    except ZeroDivisionError:  # a product of tiny differences
+        return
 
 
 def _prescan_bisect(f, xs, tol: float):

@@ -26,13 +26,21 @@ u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 ``shoot`` finds the v0 of an entire profile with the package's one
 bracketed root finder (``exponents._bisect``, Dekker-Brent) on the value of
 a matching functional at a probe radius; the transverse mode of the
-linearization makes that value about linear in v0 - v0*, so a shot takes
-about 20-25 probes where bisection took 46-53.  A probe only marches to
-the probe radius and reads g from its last step, with the builder's event
-location and interpolation, so it reads the profile's float.  ``polish``
-only narrows the final bracket from v0_tol to 4 ulp.  Its ``iterations``
-counts the probes and ``bracket_width`` is the final bracket (0 for the
-exact diagonal shot).
+linearization makes that value about linear in v0 - v0*, with a different
+slope on each of its three branches (v hits zero, the probe reaches the
+radius, u hits zero), so the finder's secants run through two probes on
+one side of the root.  A shot searches in two phases: a coarse one whose
+probes march at loose tolerances (rtol 1e-6, atol 1e-8, or the caller's
+if looser) to a bracket of relative width 1e-5, and a full-accuracy one
+from that bracket once both its ends have been probed again at the
+caller's tolerances and kept their signs (else from the original ends).
+A shot takes about 22-23 probes, 14-15 of them coarse ones of about 70
+steps each, where a full-accuracy probe near the root takes about 750.
+A probe only marches to the probe radius and reads g from its last step,
+with the builder's event location and interpolation, so it reads the
+profile's float.  ``polish`` only narrows the final bracket from v0_tol
+to 4 ulp.  Its ``iterations`` counts the probes of both phases and
+``bracket_width`` is the final bracket (0 for the exact diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -82,6 +90,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+# ``shoot``'s coarse phase: probe tolerances (floors on the caller's) and the
+# relative bracket width at which it hands over to the full-accuracy search
+_COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-5
 
 # quartic dense-output matrix (Shampine's interpolant for this pair): row j
 # weights stage j, column c the power theta^(c+1) of the step fraction
@@ -597,10 +609,20 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     negative for every triple.  So g is log(u/u_s) - log(v/v_s) at R on a
     probe that reaches R, and +-(r_ev/R)^kappa on one that hits zero at
     r_ev, positive where v falls first; both are about proportional to d.
-    The two endpoint runs give g at the ends without a probe.  ``polish``
-    only sets where the search stops: at 4 ulp, which places v0 on the
-    entire-solution manifold to a few ulp, or at v0_tol.  ``iterations``
-    counts the probes to R and ``bracket_width`` is the final bracket.
+    The two endpoint runs give g at the ends without a probe.
+
+    The search has two phases.  The coarse one marches its probes at
+    rtol = max(rtol, 1e-6) and atol = max(atol, 1e-8), since far from the
+    root only the sign and rough size of g matter, and stops at a relative
+    bracket width of max(tol, 1e-5).  Each end of its bracket is probed
+    again at the caller's tolerances; if both keep their signs, the
+    full-accuracy phase narrows that bracket, else it searches the whole
+    original bracket.  So both ends of the final bracket were integrated
+    at the caller's tolerances.  While the bracket spans more than a factor
+    of 2, either phase halves it in log v0.  ``polish`` only sets where
+    the search stops: at 4 ulp, which places v0 on the entire-solution
+    manifold to a few ulp, or at v0_tol.  ``iterations`` counts the probes
+    to R of both phases and ``bracket_width`` is the final bracket.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
@@ -630,19 +652,35 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
 
     R = (min(opts.r_target, 1e4) if opts.polish_probe is None
          else opts.polish_probe)
-    match, read_probe = _matching(params, scaling, u0, R, opts)
     probes = 0
 
-    def probe(v0: float) -> float:
-        nonlocal probes
-        probes += 1
-        return read_probe(v0)
+    def counted(read):
+        def probe(v0: float) -> float:
+            nonlocal probes
+            probes += 1
+            return read(v0)
+        return probe
+
+    coarse = replace(opts, rtol=max(opts.rtol, _COARSE_RTOL),
+                     atol=max(opts.atol, _COARSE_ATOL))
+    coarse_probe = counted(_matching(params, scaling, u0, R, coarse)[1])
+    match, read = _matching(params, scaling, u0, R, opts)
+    fine_probe = counted(read)
 
     pa, pb = ((prof_lo, prof_hi) if kind_lo == ProfileClass.V_HITS_ZERO
               else (prof_hi, prof_lo))
-    a, b = _bisect(probe, pa.v0, pb.v0,
-                   4.0 * _EPS if polish else opts.v0_tol, opts.shoot_max_iter,
-                   match(pa), match(pb))
+    fpa, fpb = match(pa), match(pb)
+    tol = 4.0 * _EPS if polish else opts.v0_tol
+    a, b = _bisect(coarse_probe, pa.v0, pb.v0, max(tol, _COARSE_WIDTH),
+                   opts.shoot_max_iter, fpa, fpb, geometric=True)
+    # the coarse ends again at the caller's tolerances; the fine phase
+    # starts from the coarse bracket only if both signs hold there
+    fa = fpa if a == pa.v0 else fine_probe(a)
+    fb = fpb if b == pb.v0 else fine_probe(b)
+    if not fa >= 0.0 >= fb:
+        a, b, fa, fb = pa.v0, pb.v0, fpa, fpb
+    a, b = _bisect(fine_probe, a, b, tol, max(opts.shoot_max_iter - probes, 0),
+                   fa, fb, geometric=True)
     v0_star = 0.5 * (a + b)
     return ShootResult(v0_star, run(v0_star), probes, abs(b - a), polish)
 
@@ -842,7 +880,8 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
         lines = csv_text.strip().split("\n")
         if lines[0] != "r,u,v,du,dv":
             raise DomainError("unexpected CSV header for a radial profile")
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        # one conversion for all cells; rows of unequal width raise
+        data = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
         if data.ndim != 2 or data.shape[1] != 5:
             raise DomainError("a radial-profile CSV needs rows of 5 numbers")
         stats = meta["stats"]

@@ -325,7 +325,8 @@ class TestScanCommand:
 
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
         # the hashes of this shot before its probes stopped building
-        # profiles and read g from their last step
+        # profiles and read g from their last step; the JSON's since the
+        # two-phase search, whose only change to it is "iterations", 25 -> 23
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
                             "9", "6", "11", "--u0", "1", "--shoot",
                             "--v0-lo", "0.2", "--v0-hi", "5", "--polish"],
@@ -335,7 +336,7 @@ class TestScanCommand:
                    for f in tmp_path.glob("profile_*")}
         assert digests == {
             ".csv": "46eb1524481abe3ed12652f39943da862ed2e37e50168ee1a9498ec8b7101c4d",
-            ".json": "427a232e026e1fce898631779115bd9bff9dcfb01365ae0e58856732917d1ce0"}
+            ".json": "1fbf800c70b01d3aea47b14bc29f7b932fe975d9c98fc0305fe00bca9acccf7e"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48])

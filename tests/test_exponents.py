@@ -336,6 +336,34 @@ class TestValueSearch:
         assert lo <= 1.3 <= hi
         assert len(calls) <= 2 * math.ceil(math.log2((b - a) / tol)) + 2, name
 
+    @pytest.mark.parametrize("slope", [0.3, 3.0, 10.0])
+    def test_two_linear_branches_in_two_evaluations(self, slope):
+        # slopes that differ across the root, as the shot functional's
+        # branches do: the first secant spans both, and the next one,
+        # through two iterates on one side, lands on the root
+        f = lambda x: (1.3 - x) * (1.0 if x < 1.3 else slope)  # noqa: E731
+        g, calls = self.counted(f)
+        lo, hi = _bisect(g, 1.0, 2.0, 4 * self.EPS, 100, f(1.0), f(2.0))
+        assert lo <= 1.3 <= hi
+        assert len(calls) <= 3  # 10 to 12 without the one-sided secant
+
+    def test_geometric_midpoint_while_the_bracket_is_wide(self):
+        # the halving of a wide bracket is in log x, until hi <= 2 lo
+        root = 5.0
+
+        def side(x):
+            return 1 if x < root else -1
+
+        g, calls = self.counted(side)
+        _bisect(g, 1e-3, 1e3, 1e-6, 100, geometric=True)
+        a, b, expected = 1e-3, 1e3, []
+        while b - a > 1e-6 * b:
+            x = math.sqrt(a) * math.sqrt(b) if b > 2 * a else 0.5 * (a + b)
+            expected.append(x)
+            a, b = (x, b) if side(x) > 0 else (a, x)
+        assert calls == expected
+        assert calls[0] == pytest.approx(1.0) and len(calls) < 30
+
     def test_exact_root_ends_the_search(self):
         # the secant through (0, 0.75) and (1, -0.25) lands on 0.75
         g, calls = self.counted(lambda x: 0.75 - x)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,6 +257,9 @@ class TestShoot:
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 1e33),
                     SolverOptions(v0_tol=1e-6))
         assert res.v0 == pytest.approx(1.0357844085, abs=1e-5)
+        # the wide bracket is halved in log v0: 185 probes when it was
+        # halved in v0
+        assert res.iterations <= 80
 
     def test_polish_sets_only_the_stopping_width(self, monkeypatch):
         # with and without polish the shot searches the same functional at
@@ -304,6 +308,93 @@ class TestShoot:
         assert res.polished and res.iterations == 0
         assert np.array_equal(res.profile.u, res.profile.v)
         assert np.array_equal(res.profile.du, res.profile.dv)
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """``runs``: every march, at the ``_march`` seam, as (r_max, v0, rtol,
+    atol, accepted + rejected steps); ``brackets``: the start and end
+    brackets of each of a shot's searches."""
+    from lelab import radial
+
+    log = SimpleNamespace(runs=[], brackets=[])
+    march, bisect = radial._march, radial._bisect
+
+    def counted(params, init, r_max, opts):
+        rec = march(params, init, r_max, opts)
+        log.runs.append((r_max, init.v0, opts.rtol, opts.atol,
+                         rec.naccept + rec.nreject))
+        return rec
+
+    def searched(f, a, b, *args, **kwargs):
+        ends = bisect(f, a, b, *args, **kwargs)
+        if kwargs.get("geometric"):  # the shot's, not the event's
+            log.brackets.append(((a, b), ends))
+        return ends
+
+    monkeypatch.setattr(radial, "_march", counted)
+    monkeypatch.setattr(radial, "_bisect", searched)
+    return log
+
+
+# the shots of the benchmark's shoot workload: (triple, polish)
+WORKLOAD_SHOTS = [((9, 6, 11), True), ((12, 7, 11), True), ((6, 4, 11), False)]
+
+
+class TestTwoPhaseShot:
+    # a coarse search at loose tolerances, a check of its ends at the
+    # caller's, and a full-accuracy search from there
+
+    def test_probe_steps_of_the_workload_shots(self, marches):
+        # 35,108 accepted and rejected probe steps when every probe ran at
+        # the caller's tolerances
+        for triple, polish in WORKLOAD_SHOTS:
+            shoot(ParameterTriple(*triple), 1.0, (0.2, 5.0), polish=polish)
+        assert sum(m[4] for m in marches.runs if m[0] == 1e4) <= 26_000
+
+    @pytest.mark.parametrize("triple, polish, rtol", [
+        *((t, p, 1e-10) for t, p in WORKLOAD_SHOTS), ((9, 6, 11), True, 1e-12)])
+    def test_bracket_ends_marched_at_the_callers_options(self, marches, triple,
+                                                         polish, rtol):
+        opts = SolverOptions(rtol=rtol)
+        res = shoot(ParameterTriple(*triple), 1.0, (0.2, 5.0), opts,
+                    polish=polish)
+        (_, coarse), (start, (a, b)) = marches.brackets
+        assert abs(b - a) == res.bracket_width and 0.5 * (a + b) == res.v0
+        assert start == coarse  # the coarse signs held
+        # the ends of both the coarse and the final bracket
+        full = {m[1] for m in marches.runs
+                if (m[2], m[3]) == (rtol, opts.atol)}
+        assert {a, b, *coarse} <= full
+        # the coarse phase did run, at its own tolerances
+        assert {(m[2], m[3]) for m in marches.runs} == {
+            (rtol, opts.atol), (1e-6, 1e-8)}
+
+    def test_coarse_sign_disagreement_restarts_from_the_ends(self, marches,
+                                                             monkeypatch):
+        # coarse probes that see the root 1% too high: their bracket fails
+        # the check at full accuracy, and the fine search starts again
+        # from the original ends
+        from lelab import radial
+
+        params = ParameterTriple(9, 6, 11)
+        plain = shoot(params, 1.0, (0.2, 5.0))
+        real = radial._matching
+
+        def skewed(params, scaling, u0, R, opts):
+            match, probe = real(params, scaling, u0, R, opts)
+            if opts.rtol == SolverOptions().rtol:
+                return match, probe
+            return match, lambda v0: probe(v0 / 1.01)
+
+        monkeypatch.setattr(radial, "_matching", skewed)
+        marches.brackets.clear()
+        res = shoot(params, 1.0, (0.2, 5.0))
+        (coarse_start, coarse_ends), (fine_start, fine_ends) = marches.brackets
+        assert coarse_start == fine_start == (0.2, 5.0)
+        assert min(coarse_ends) > 1.005 * plain.v0
+        assert abs(res.v0 - plain.v0) <= SolverOptions().v0_tol * plain.v0
+        assert res.profile.classification is not ProfileClass.TRUNCATED
 
 
 class TestProbeReader:
@@ -428,6 +519,29 @@ class TestSerialization:
         rows = zip(prof.r, prof.u, prof.v, prof.du, prof.dv)
         assert profile_to_csv(prof) == to_csv(["r", "u", "v", "du", "dv"],
                                               rows)
+
+    def test_parse_matches_row_path(self, symmetric_entire):
+        # one numpy conversion for all cells; the oracle is float() per
+        # cell, on non-finite, signed-zero and subnormal cells too
+        u = symmetric_entire.u.copy()
+        u[:7] = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                 2.2250738585072009e-308, -1e-310]
+        prof = dataclasses.replace(symmetric_entire, u=u)
+        csv_text = profile_to_csv(prof)
+        parsed = profile_from_text(csv_text, to_json(profile_metadata(prof)))
+        rows = np.array([[float(c) for c in ln.split(",")]
+                         for ln in csv_text.strip().split("\n")[1:]])
+        for k, col in enumerate((parsed.r, parsed.u, parsed.v, parsed.du,
+                                 parsed.dv)):
+            assert np.array_equal(col.view(np.int64), rows[:, k].view(np.int64))
+
+    @pytest.mark.parametrize("widths", [(6, 4), (4, 6), (5, 6), (4, 4)])
+    def test_rows_of_unequal_width_refused(self, symmetric_entire, widths):
+        # (6, 4) and (4, 6) hold ten cells, two rows' worth of five
+        json_text = to_json(profile_metadata(symmetric_entire))
+        body = "".join(",".join(["1.5"] * w) + "\n" for w in widths)
+        with pytest.raises(DomainError):
+            profile_from_text("r,u,v,du,dv\n" + body, json_text)
 
     def test_metadata_fields(self, symmetric_entire):
         meta = profile_metadata(symmetric_entire)
