@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import importlib
 import os
 import shutil
 import sys
@@ -20,22 +21,38 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      DiscretizationError, DomainError, GridTooCoarse,
                      InvalidOptions, MisclassifiedProfile, StepUnderflow)
-from .eigen import Annulus, EigOptions, default_ladder, singular_stability_verdict
 from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
-from .profiles import DEFAULT_BAND, compare as compare_profiles
-from .radial import (InitialData, SolverOptions, integrate, profile_from_text,
-                     profile_metadata, profile_to_csv, shoot)
-from .scan import scan_codes
+from .options import (DEFAULT_BAND, Annulus, EigOptions, SolverOptions,
+                      default_ladder)
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
+
+# The numerical layers (and numpy with them) are imported by the commands
+# that run them, on a cache miss; a command reaches each through its home
+# module at call time.  Their entry points stay readable here by name, as
+# bench/tracing.py reads them.
+_LAYER_NAMES = {
+    "integrate": ("radial", "integrate"),
+    "shoot": ("radial", "shoot"),
+    "profile_from_text": ("radial", "profile_from_text"),
+    "singular_stability_verdict": ("eigen", "singular_stability_verdict"),
+    "compare_profiles": ("profiles", "compare"),
+    "scan_codes": ("scan", "scan_codes"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _LAYER_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +81,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # functional (Dekker-Brent) instead of halving on its sign; eig 4: the
 # ladder extension starts past both ends of the top rung; shoot 6: a coarse
 # search at loose tolerances, then a full-accuracy search from its checked
-# bracket, with one-sided secants and log-halving of a wide bracket.
-_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 6, "compare": 2,
+# bracket, with one-sided secants and log-halving of a wide bracket;
+# shoot 7: when the caller's tolerances are the coarse ones, the ends of the
+# coarse bracket are not probed again (two probes fewer in ``iterations``).
+_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 7, "compare": 2,
              "eig": 4}
 
 
@@ -195,8 +214,11 @@ def _cmd_scan(args, cfg: RunConfig):
     }
 
     def produce(h):
+        import numpy as np
+
+        from . import scan
         p_min, p_max, q_min, q_max = window
-        result = scan_codes(args.N, window, resolution, cfg.tol_curve)
+        result = scan.scan_codes(args.N, window, resolution, cfg.tol_curve)
         # tails[code, j] is the text of a row after its p cell; the codes
         # pick one tail per cell, and a row is its p cell joined over them
         q_cells = [fmt_float(q) for q in result.q.tolist()]
@@ -250,9 +272,10 @@ def _cmd_solve(args, cfg: RunConfig):
         }
 
     def produce(h):
+        from . import radial
         if args.shoot:
-            res = shoot(params, args.u0, (args.v0_lo, args.v0_hi), opts,
-                        polish=args.polish)
+            res = radial.shoot(params, args.u0, (args.v0_lo, args.v0_hi),
+                               opts, polish=args.polish)
             profile = res.profile
             # a shot stopped at v0_tol may still hit zero before r_target
             reached = (profile.r_event is None
@@ -262,16 +285,16 @@ def _cmd_solve(args, cfg: RunConfig):
                      "polished": res.polished,
                      "reached_target": reached}
         else:
-            profile = integrate(params, InitialData(args.u0, args.v0),
-                                opts.r_target if args.r_max is None
-                                else args.r_max, opts)
+            r_max = opts.r_target if args.r_max is None else args.r_max
+            profile = radial.integrate(
+                params, radial.InitialData(args.u0, args.v0), r_max, opts)
             extra = None
-        meta = profile_metadata(profile)
+        meta = radial.profile_metadata(profile)
         meta["version"] = __version__
         meta["payload_hash"] = h
         if extra is not None:
             meta["shoot"] = extra
-        return profile_to_csv(profile), meta, [profile.classification.value]
+        return radial.profile_to_csv(profile), meta, [profile.classification.value]
 
     stem = f"profile_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
     return stem, payload, produce, "csv"
@@ -296,9 +319,10 @@ def _cmd_compare(args, cfg: RunConfig):
     }
 
     def produce(h):
-        profile = profile_from_text(csv_text, json_text)
+        from . import profiles, radial
+        profile = radial.profile_from_text(csv_text, json_text)
         scaling = derive_scaling(params)
-        rep = compare_profiles(profile, scaling, band_rel=args.band)
+        rep = profiles.compare(profile, scaling, band_rel=args.band)
         rows = [("u", r) for r in rep.crossings_u] + \
                [("v", r) for r in rep.crossings_v]
         doc = _document("comparison", p=args.p, q=args.q, N=args.N,
@@ -329,7 +353,8 @@ def _cmd_eig(args, cfg: RunConfig):
     }
 
     def produce(h):
-        sr = singular_stability_verdict(params, opts=opts, ladder=ladder)
+        from . import eigen
+        sr = eigen.singular_stability_verdict(params, opts=opts, ladder=ladder)
         rows = [(k, rep.annulus.M, rep.lam, rep.residual, rep.iterations)
                 for k, rep in enumerate(sr.reports, start=1)]
         doc = _document(

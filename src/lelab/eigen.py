@@ -41,16 +41,14 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConvergenceError, DiscretizationError, DomainError,
-                     InvalidOptions)
+from .errors import ConvergenceError, DiscretizationError, DomainError
 from .exponents import (CurvePosition, ParameterTriple, check_dimension,
                         classify, derive_scaling, hardy_rellich_constant)
+from .options import Annulus, EigOptions, default_ladder
 
 __all__ = [
     "Annulus",
@@ -63,37 +61,6 @@ __all__ = [
     "singular_stability_verdict",
     "richardson_limit",
 ]
-
-
-@dataclass(frozen=True)
-class Annulus:
-    r_inner: float
-    r_outer: float
-    M: int
-
-    def __post_init__(self):
-        if not (0.0 < self.r_inner < self.r_outer and math.isfinite(self.r_outer)):
-            raise DomainError("need 0 < r_inner < r_outer < inf")
-        if not isinstance(self.M, numbers.Integral):
-            raise DomainError(f"the node count must be an integer, got {self.M!r}")
-        if self.M < 16:
-            raise DomainError("need at least 16 interior nodes")
-
-    @property
-    def log_width(self) -> float:
-        return math.log(self.r_outer / self.r_inner)
-
-
-@dataclass(frozen=True)
-class EigOptions:
-    tol: float = 1e-11
-    max_iter: int = 10_000
-
-    def validate(self):
-        if not (0.0 < self.tol < 1.0):
-            raise InvalidOptions(f"eigensolver tol must lie in (0, 1), got {self.tol!r}")
-        if self.max_iter < 1:
-            raise InvalidOptions("eigensolver max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -231,16 +198,6 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
         iterations=iterations, residual=residual,
         phi=np.exp(log_phi - top), psi=np.exp(log_psi - top), r=np.exp(rho),
     )
-
-
-def default_ladder(k_max: int = 5, m_per_k: int = 1024) -> list[Annulus]:
-    """Annuli [10^-k, 10^k] with M = m_per_k * k interior nodes, for
-    k = 1..k_max; DomainError when 10^k_max overflows a double."""
-    if k_max > sys.float_info.max_10_exp:
-        raise DomainError(f"ladder rung k = {k_max} is past the double range: "
-                          f"need k <= {sys.float_info.max_10_exp}")
-    return [Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
-            for k in range(1, k_max + 1)]
 
 
 def eig_ladder(N: int, gamma: float, ladder: list[Annulus] | None = None,

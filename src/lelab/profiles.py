@@ -23,12 +23,11 @@ import numpy as np
 from .closed_form import SingularSolution
 from .errors import DomainError, GridTooCoarse
 from .exponents import ScalingData, _bisect
+from .options import DEFAULT_BAND
 from .radial import ProfileClass, RadialProfile
 
 __all__ = ["ComparisonReport", "RatioReport", "compare", "ratio_suprema",
            "truncate_profile"]
-
-DEFAULT_BAND = 1e-12
 
 
 @dataclass(frozen=True)

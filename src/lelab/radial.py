@@ -32,8 +32,9 @@ radius, u hits zero), so the finder's secants run through two probes on
 one side of the root.  A shot searches in two phases: a coarse one whose
 probes march at loose tolerances (rtol 1e-6, atol 1e-8, or the caller's
 if looser) to a bracket of relative width 1e-5, and a full-accuracy one
-from that bracket once both its ends have been probed again at the
-caller's tolerances and kept their signs (else from the original ends).
+from that bracket once both its ends have been probed at the caller's
+tolerances (again, unless those are the coarse ones) and kept their signs
+(else from the original ends).
 A shot takes about 22-23 probes, 14-15 of them coarse ones of about 70
 steps each, where a full-accuracy probe near the root takes about 750.
 A probe only marches to the probe radius and reads g from its last step,
@@ -61,12 +62,12 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
-    InvalidOptions,
     MisclassifiedProfile,
     StepUnderflow,
 )
 from .closed_form import indicial_exponents
 from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
+from .options import SolverOptions
 # unused here: kept because bench/tracing.py wraps it under this module too
 from .serialize import to_csv  # noqa: F401
 
@@ -119,42 +120,6 @@ class InitialData:
         if not (self.u0 > 0.0 and self.v0 > 0.0
                 and math.isfinite(self.u0) and math.isfinite(self.v0)):
             raise DomainError("initial values must be positive and finite")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    event_tol: float = 1e-12
-    min_step: float = 0.0
-    max_steps: int = 2_000_000
-    r_target: float = 1e6
-    decay_threshold: float = 0.05     # relative to max(u0, v0)
-    grid_nodes: int = 2048
-    v0_tol: float = 1e-13
-    shoot_max_iter: int = 200
-    polish_probe: float | None = None  # default min(r_target, 1e4)
-
-    def validate(self) -> None:
-        for name in ("rtol", "atol", "event_tol", "r_target", "decay_threshold",
-                     "v0_tol"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
-        if not self.rtol < 1.0:
-            raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")
-        if self.min_step < 0.0:
-            raise InvalidOptions("min_step must be nonnegative")
-        if self.grid_nodes < 16:
-            raise InvalidOptions("grid_nodes must be at least 16")
-        if self.shoot_max_iter < 1:
-            raise InvalidOptions("shoot_max_iter must be at least 1")
-        if self.max_steps < 1:
-            raise InvalidOptions("max_steps must be at least 1")
-        if self.polish_probe is not None and not (
-                self.polish_probe > 0.0 and math.isfinite(self.polish_probe)):
-            raise InvalidOptions(f"polish_probe must be positive and finite, "
-                                 f"got {self.polish_probe!r}")
 
 
 @dataclass(frozen=True)
@@ -615,7 +580,8 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     rtol = max(rtol, 1e-6) and atol = max(atol, 1e-8), since far from the
     root only the sign and rough size of g matter, and stops at a relative
     bracket width of max(tol, 1e-5).  Each end of its bracket is probed
-    again at the caller's tolerances; if both keep their signs, the
+    again at the caller's tolerances, unless those are the coarse ones and
+    g is known there already; if both keep their signs, the
     full-accuracy phase narrows that bracket, else it searches the whole
     original bracket.  So both ends of the final bracket were integrated
     at the caller's tolerances.  While the bracket spans more than a factor
@@ -661,22 +627,30 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
             return read(v0)
         return probe
 
-    coarse = replace(opts, rtol=max(opts.rtol, _COARSE_RTOL),
-                     atol=max(opts.atol, _COARSE_ATOL))
-    coarse_probe = counted(_matching(params, scaling, u0, R, coarse)[1])
-    match, read = _matching(params, scaling, u0, R, opts)
-    fine_probe = counted(read)
-
     pa, pb = ((prof_lo, prof_hi) if kind_lo == ProfileClass.V_HITS_ZERO
               else (prof_hi, prof_lo))
+    match, read = _matching(params, scaling, u0, R, opts)
     fpa, fpb = match(pa), match(pb)
+    known = {pa.v0: fpa, pb.v0: fpb}  # g at the caller's tolerances
+
+    def fine_read(v0: float) -> float:
+        known[v0] = g = read(v0)
+        return g
+
+    fine_probe = counted(fine_read)
+    coarse = replace(opts, rtol=max(opts.rtol, _COARSE_RTOL),
+                     atol=max(opts.atol, _COARSE_ATOL))
+    # at or above the coarse floors the coarse probes are full-accuracy ones
+    coarse_probe = (fine_probe if coarse == opts else
+                    counted(_matching(params, scaling, u0, R, coarse)[1]))
     tol = 4.0 * _EPS if polish else opts.v0_tol
     a, b = _bisect(coarse_probe, pa.v0, pb.v0, max(tol, _COARSE_WIDTH),
                    opts.shoot_max_iter, fpa, fpb, geometric=True)
-    # the coarse ends again at the caller's tolerances; the fine phase
-    # starts from the coarse bracket only if both signs hold there
-    fa = fpa if a == pa.v0 else fine_probe(a)
-    fb = fpb if b == pb.v0 else fine_probe(b)
+    # the coarse ends at the caller's tolerances, probed again unless
+    # known; the fine phase starts from the coarse bracket only if both
+    # signs hold there
+    fa = known[a] if a in known else fine_probe(a)
+    fb = known[b] if b in known else fine_probe(b)
     if not fa >= 0.0 >= fb:
         a, b, fa, fb = pa.v0, pb.v0, fpa, fpb
     a, b = _bisect(fine_probe, a, b, tol, max(opts.shoot_max_iter - probes, 0),

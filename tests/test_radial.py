@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -369,6 +370,30 @@ class TestTwoPhaseShot:
         # the coarse phase did run, at its own tolerances
         assert {(m[2], m[3]) for m in marches.runs} == {
             (rtol, opts.atol), (1e-6, 1e-8)}
+
+    @pytest.mark.parametrize("polish", [False, True])
+    @pytest.mark.parametrize("rtol, atol", [
+        (1e-10, 1e-12), (1e-6, 1e-8), (1e-5, 1e-7)])
+    def test_no_v0_marched_twice_with_the_same_options(self, marches, rtol,
+                                                       atol, polish):
+        # at or above the coarse floors the coarse probes already ran at
+        # the caller's tolerances: the ends of their bracket are read, not
+        # marched again
+        res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0),
+                    SolverOptions(rtol=rtol, atol=atol), polish=polish)
+        runs = Counter(m[:4] for m in marches.runs)
+        assert max(runs.values()) == 1
+        # two endpoint runs and one to r_target besides the probes
+        assert res.iterations == len(marches.runs) - 3
+
+    def test_reused_coarse_ends_keep_the_shot(self):
+        # reading the coarse ends instead of marching them again leaves v0*
+        # of the (9,6,11) shot at the coarse tolerances bit for bit, with
+        # two probes fewer than the 22 of marching them again
+        res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0),
+                    SolverOptions(rtol=1e-6, atol=1e-8))
+        assert res.v0 == 1.0357844087958794
+        assert res.iterations == 20
 
     def test_coarse_sign_disagreement_restarts_from_the_ends(self, marches,
                                                              monkeypatch):
