@@ -83,8 +83,10 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # search at loose tolerances, then a full-accuracy search from its checked
 # bracket, with one-sided secants and log-halving of a wide bracket;
 # shoot 7: when the caller's tolerances are the coarse ones, the ends of the
-# coarse bracket are not probed again (two probes fewer in ``iterations``).
-_REVISION = {"curve": 3, "scan": 1, "solve": 3, "shoot": 7, "compare": 2,
+# coarse bracket are not probed again (two probes fewer in ``iterations``);
+# solve 4 and shoot 8: a profile that reaches r_target without a zero is
+# EntirePositive, with no decay threshold.
+_REVISION = {"curve": 3, "scan": 1, "solve": 4, "shoot": 8, "compare": 2,
              "eig": 4}
 
 
@@ -248,8 +250,7 @@ def _cmd_solve(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
     opts = SolverOptions(
         rtol=cfg.rtol, atol=cfg.atol, event_tol=cfg.event_tol,
-        r_target=cfg.r_target, decay_threshold=cfg.decay_threshold,
-        grid_nodes=cfg.grid_nodes, v0_tol=cfg.v0_tol,
+        r_target=cfg.r_target, grid_nodes=cfg.grid_nodes, v0_tol=cfg.v0_tol,
     )
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
@@ -278,8 +279,8 @@ def _cmd_solve(args, cfg: RunConfig):
                                opts, polish=args.polish)
             profile = res.profile
             # a shot stopped at v0_tol may still hit zero before r_target
-            reached = (profile.r_event is None
-                       and profile.r_max >= opts.r_target)
+            reached = (profile.classification
+                       is radial.ProfileClass.ENTIRE_POSITIVE)
             extra = {"v0_star": res.v0, "iterations": res.iterations,
                      "bracket_width": res.bracket_width,
                      "polished": res.polished,
@@ -345,7 +346,7 @@ def _cmd_eig(args, cfg: RunConfig):
             raise DomainError(f"the annulus node count must be an integer, got {m}")
         ladder = [Annulus(r_in, r_out, int(m))]
     else:
-        ladder = default_ladder(kmax, cfg.ladder_m_per_k)
+        ladder = default_ladder(kmax)
     payload = {
         "cmd": "eig", "p": args.p, "q": args.q, "N": args.N,
         "ladder": [[a.r_inner, a.r_outer, a.M] for a in ladder],

@@ -12,32 +12,34 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .options import LADDER_KMAX, EigOptions, SolverOptions
 
 __all__ = ["RunConfig", "parse_config_file", "load_config"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    event_tol: float = 1e-12
-    r_target: float = 1e6
-    decay_threshold: float = 0.05
-    grid_nodes: int = 2048
-    v0_tol: float = 1e-13
+    """The settable values; the solver and eigen defaults are those of
+    ``SolverOptions``, ``EigOptions`` and ``default_ladder``."""
+
+    rtol: float = SolverOptions.rtol
+    atol: float = SolverOptions.atol
+    event_tol: float = SolverOptions.event_tol
+    r_target: float = SolverOptions.r_target
+    grid_nodes: int = SolverOptions.grid_nodes
+    v0_tol: float = SolverOptions.v0_tol
     tol_curve: float = 1e-9
     resolution: int = 400
-    ladder_kmax: int = 5
-    ladder_m_per_k: int = 1024
-    eig_tol: float = 1e-11
-    eig_max_iter: int = 10000
+    ladder_kmax: int = LADDER_KMAX
+    eig_tol: float = EigOptions.tol
+    eig_max_iter: int = EigOptions.max_iter
     out: str = "."
     cache: bool = True
     cache_dir: str = ""
 
     def validate(self) -> None:
-        positive = ("rtol", "atol", "event_tol", "r_target", "decay_threshold",
-                    "v0_tol", "tol_curve", "eig_tol")
+        positive = ("rtol", "atol", "event_tol", "r_target", "v0_tol",
+                    "tol_curve", "eig_tol")
         for name in positive:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -47,8 +49,7 @@ class RunConfig:
             if not v < 1.0:
                 raise ConfigError(f"config key '{name}' must be below 1, got {v!r}")
         for name, lo in (("grid_nodes", 16), ("resolution", 16),
-                         ("ladder_m_per_k", 16), ("ladder_kmax", 1),
-                         ("eig_max_iter", 1)):
+                         ("ladder_kmax", 1), ("eig_max_iter", 1)):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= lo):
                 raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")

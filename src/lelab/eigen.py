@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ConvergenceError, DiscretizationError, DomainError
 from .exponents import (CurvePosition, ParameterTriple, check_dimension,
                         classify, derive_scaling, hardy_rellich_constant)
-from .options import Annulus, EigOptions, default_ladder
+from .options import LADDER_M_PER_K, Annulus, EigOptions, default_ladder
 
 __all__ = [
     "Annulus",
@@ -222,9 +222,8 @@ def richardson_limit(reports: list[EigReport]) -> float:
 
 
 # rungs appended while the verdict is undecided: [10^-k, 10^k] up to k = 14,
-# with 1024 k interior nodes
+# with the default ladder's LADDER_M_PER_K * k interior nodes
 _EXTEND_MAX_K = 14
-_EXTEND_M_PER_K = 1024
 # |lambda - K1K2| within this share of max(1, K1K2) at the top rung is marginal
 _VERDICT_BAND = 1e-6
 
@@ -261,7 +260,8 @@ def singular_stability_verdict(
     An annulus with lambda < K1 K2 certifies instability; if every tested
     annulus has lambda >= K1 K2 the verdict is stable.  The rungs are
     ``ladder`` (``default_ladder()`` when None).  Because lambda -> C_gamma
-    with a known O(1/L^2) gap, rungs [10^-k, 10^k] with 1024 k nodes are
+    with a known O(1/L^2) gap, rungs [10^-k, 10^k] with the default
+    ladder's 1024 k nodes, whatever the given rungs have, are
     appended (up to k = 14) while the top-rung margin lambda - K1K2 is
     positive but smaller than twice the gap estimate, i.e. while a wider
     annulus could still flip the comparison.  ``marginal`` is set when the
@@ -290,7 +290,7 @@ def singular_stability_verdict(
         if not close or k >= _EXTEND_MAX_K:
             break
         k += 1
-        ann = Annulus(10.0 ** (-k), 10.0 ** k, _EXTEND_M_PER_K * k)
+        ann = Annulus(10.0 ** (-k), 10.0 ** k, LADDER_M_PER_K * k)
         reports.append(principal_eigenvalue(ann, N, sc.gamma, opts))
         extended += 1
     unstable = min(rep.lam for rep in reports) < k1k2

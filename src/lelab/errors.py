@@ -26,7 +26,7 @@ class BracketError(LaneEmdenError):
 
 
 class StepUnderflow(LaneEmdenError):
-    """The adaptive step size collapsed below the configured minimum."""
+    """The adaptive step size collapsed below the floor 16 eps r."""
 
 
 class GridTooCoarse(LaneEmdenError):

@@ -18,10 +18,14 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidOptions
 
 __all__ = ["SolverOptions", "EigOptions", "Annulus", "default_ladder",
-           "DEFAULT_BAND"]
+           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K"]
 
 # relative dead band of ``profiles.compare``, floored at the profile's rtol
 DEFAULT_BAND = 1e-12
+
+# the default ladder: rungs k = 1..LADDER_KMAX, with LADDER_M_PER_K * k
+# interior nodes each; the eigen ladder's extension rungs take as many
+LADDER_KMAX, LADDER_M_PER_K = 5, 1024
 
 
 @dataclass(frozen=True)
@@ -29,31 +33,20 @@ class SolverOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     event_tol: float = 1e-12
-    min_step: float = 0.0
-    max_steps: int = 2_000_000
     r_target: float = 1e6
-    decay_threshold: float = 0.05     # relative to max(u0, v0)
     grid_nodes: int = 2048
     v0_tol: float = 1e-13
-    shoot_max_iter: int = 200
     polish_probe: float | None = None  # default min(r_target, 1e4)
 
     def validate(self) -> None:
-        for name in ("rtol", "atol", "event_tol", "r_target", "decay_threshold",
-                     "v0_tol"):
+        for name in ("rtol", "atol", "event_tol", "r_target", "v0_tol"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
             raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")
-        if self.min_step < 0.0:
-            raise InvalidOptions("min_step must be nonnegative")
         if self.grid_nodes < 16:
             raise InvalidOptions("grid_nodes must be at least 16")
-        if self.shoot_max_iter < 1:
-            raise InvalidOptions("shoot_max_iter must be at least 1")
-        if self.max_steps < 1:
-            raise InvalidOptions("max_steps must be at least 1")
         if self.polish_probe is not None and not (
                 self.polish_probe > 0.0 and math.isfinite(self.polish_probe)):
             raise InvalidOptions(f"polish_probe must be positive and finite, "
@@ -91,7 +84,8 @@ class EigOptions:
             raise InvalidOptions("eigensolver max_iter must be at least 1")
 
 
-def default_ladder(k_max: int = 5, m_per_k: int = 1024) -> list[Annulus]:
+def default_ladder(k_max: int = LADDER_KMAX,
+                   m_per_k: int = LADDER_M_PER_K) -> list[Annulus]:
     """Annuli [10^-k, 10^k] with M = m_per_k * k interior nodes, for
     k = 1..k_max; DomainError when 10^k_max overflows a double."""
     if k_max > sys.float_info.max_10_exp:

@@ -17,10 +17,13 @@ neglected r^4-remainder is below the local error tolerance.
 Trajectories halt at the first zero crossing of u or v (located by
 bisection on the dense interpolant) or at r_max.  ``integrate`` is one
 march (``_march``, which records the accepted steps) plus the profile
-builder (dense output, event, output grid).  A profile that stays positive
-and decreasing through ``r_target`` with both fields below the decay
-threshold is classified entire-positive; true entirety is not decidable
-numerically and is certified separately by the decay identity
+builder (dense output, event, output grid).  A profile that reaches
+``r_target`` without a zero of u or v is classified entire-positive, and
+one stopped before ``r_target`` truncated.  Nothing else is tested there:
+on a positive regular solution u' = -r^{1-N} int_0^r s^{N-1} v^p ds < 0,
+and v' < 0 alike, while u and v may decay as slowly as the singular pair's
+r^-alpha and r^-beta.  True entirety is not decidable numerically and is
+certified separately by the decay identity
 u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
 ``shoot`` finds the v0 of an entire profile with the package's one
@@ -95,6 +98,8 @@ _EPS = float(np.finfo(float).eps)
 # ``shoot``'s coarse phase: probe tolerances (floors on the caller's) and the
 # relative bracket width at which it hands over to the full-accuracy search
 _COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-5
+# budgets: steps (accepted and rejected) of one march, probes of one shot
+_MAX_STEPS, _SHOOT_MAX_ITER = 2_000_000, 200
 
 # quartic dense-output matrix (Shampine's interpolant for this pair): row j
 # weights stage j, column c the power theta^(c+1) of the step fraction
@@ -306,8 +311,7 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
                               -17253 / 339200, 22 / 525, -1 / 40)
     p, q, nm1 = params.p, params.q, params.N - 1.0
     rtol, atol = opts.rtol, opts.atol
-    min_step, max_steps, sqrt = opts.min_step, opts.max_steps, math.sqrt
-    eps16 = 16.0 * _EPS
+    sqrt, eps16, step_budget = math.sqrt, 16.0 * _EPS, _MAX_STEPS
 
     r = taylor.r_start
     u, du, v, dv = taylor.eval(r)
@@ -334,14 +338,11 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
         x = r_max - r
         if x < h:
             h = x
-        x = eps16 * r
-        if h < (x if x > min_step else min_step):
-            raise StepUnderflow(
-                f"step {h:.3e} below floor at r={r:.6e} "
-                f"(min_step={min_step})"
-            )
-        if naccept + nreject >= max_steps:
-            raise ConvergenceError(f"more than {max_steps} steps")
+        if h < eps16 * r:
+            raise StepUnderflow(f"step {h:.3e} below the floor 16 eps r "
+                                f"at r={r:.6e}")
+        if naccept + nreject >= step_budget:
+            raise ConvergenceError(f"more than {step_budget} steps")
         x = u + h * (A21 * k1u)
         y = v + h * (A21 * k1v)
         k2u = du + h * (A21 * k1du)
@@ -486,14 +487,10 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     if rec.hit_zero:
         classification, r_event = _event(rec, dense.coef[-1], opts.event_tol)
         r_end = r_event
+    elif r_end >= opts.r_target:
+        classification = ProfileClass.ENTIRE_POSITIVE
     else:
-        u, du, v, dv = rec.end
-        thr = opts.decay_threshold * max(init.u0, init.v0)
-        decayed = u < thr and v < thr and du < 0.0 and dv < 0.0
-        if r_end >= min(r_max, opts.r_target) and r_max >= opts.r_target and decayed:
-            classification = ProfileClass.ENTIRE_POSITIVE
-        else:
-            classification = ProfileClass.TRUNCATED
+        classification = ProfileClass.TRUNCATED
     grid = np.geomspace(taylor.r_start, r_end, opts.grid_nodes)
     grid[0] = taylor.r_start
     grid[-1] = r_end
@@ -645,7 +642,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
                     counted(_matching(params, scaling, u0, R, coarse)[1]))
     tol = 4.0 * _EPS if polish else opts.v0_tol
     a, b = _bisect(coarse_probe, pa.v0, pb.v0, max(tol, _COARSE_WIDTH),
-                   opts.shoot_max_iter, fpa, fpb, geometric=True)
+                   _SHOOT_MAX_ITER, fpa, fpb, geometric=True)
     # the coarse ends at the caller's tolerances, probed again unless
     # known; the fine phase starts from the coarse bracket only if both
     # signs hold there
@@ -653,7 +650,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     fb = known[b] if b in known else fine_probe(b)
     if not fa >= 0.0 >= fb:
         a, b, fa, fb = pa.v0, pb.v0, fpa, fpb
-    a, b = _bisect(fine_probe, a, b, tol, max(opts.shoot_max_iter - probes, 0),
+    a, b = _bisect(fine_probe, a, b, tol, max(_SHOOT_MAX_ITER - probes, 0),
                    fa, fb, geometric=True)
     v0_star = 0.5 * (a + b)
     return ShootResult(v0_star, run(v0_star), probes, abs(b - a), polish)

@@ -93,12 +93,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rtol"):
             load_config(cfg_file)
 
-    def test_jobs_key_unknown(self, tmp_path):
-        # the scan process pool and its setting are gone
+    def test_jobs_key_unknown(self, tmp_path, capsys):
+        # the scan process pool, the decay threshold of EntirePositive and
+        # the ladder's nodes per rung are gone with their settings: a
+        # config that names one is refused, not silently ignored
         cfg_file = tmp_path / "lab.cfg"
-        cfg_file.write_text("jobs = 2\n")
-        with pytest.raises(ConfigError, match="unknown config key 'jobs'"):
-            load_config(cfg_file)
+        for key in ("jobs", "decay_threshold", "ladder_m_per_k"):
+            cfg_file.write_text(f"{key} = 2\n")
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                load_config(cfg_file)
+            rc, _, err = run_cli(["--config", str(cfg_file), "classify", "8",
+                                  "8", "11"], capsys)
+            assert rc == 2
+            assert f"unknown config key '{key}'" in err
         with pytest.raises(SystemExit):
             main(["--jobs", "2", "scan", "11"])
 
@@ -210,14 +217,15 @@ class TestScanCommand:
     @pytest.mark.parametrize("name, shown", [
         ("curve", "curve_N11_7-9_s5_bcd14d1d20a8.csv"),
         ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
-        ("solve", "profile_p3_q3_N11_eb2cfc221057.csv"),
-        ("shot", "profile_p8_q8_N11_c82db82ca4dd.csv"),
+        ("solve", "profile_p3_q3_N11_9226c4e5abb4.csv"),
+        ("shot", "profile_p8_q8_N11_2a3f2400cd15.csv"),
         ("eig", "eig_p3_q3_N11_aa3a54bcc608.csv"),
     ])
     def test_file_names_pinned(self, tmp_path, capsys, name, shown):
         # the names of version 0.1.0 before the one artifact writer; they
         # hash the arguments and the config only, so they hold on any
-        # platform, and any change to a payload moves them
+        # platform, and any change to a payload moves them: solve and shot
+        # moved when four solver settings left the payload's "opts"
         rc, out, _ = run_cli(["--out", str(tmp_path), "--no-cache",
                               *CACHED_OPS[name]], capsys)
         assert rc == 0
@@ -325,8 +333,9 @@ class TestScanCommand:
 
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
         # the hashes of this shot before its probes stopped building
-        # profiles and read g from their last step; the JSON's since the
-        # two-phase search, whose only change to it is "iterations", 25 -> 23
+        # profiles and read g from their last step; the JSON's since four
+        # solver settings left the payload, whose only change to it is
+        # "payload_hash"
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
                             "9", "6", "11", "--u0", "1", "--shoot",
                             "--v0-lo", "0.2", "--v0-hi", "5", "--polish"],
@@ -336,7 +345,7 @@ class TestScanCommand:
                    for f in tmp_path.glob("profile_*")}
         assert digests == {
             ".csv": "46eb1524481abe3ed12652f39943da862ed2e37e50168ee1a9498ec8b7101c4d",
-            ".json": "1fbf800c70b01d3aea47b14bc29f7b932fe975d9c98fc0305fe00bca9acccf7e"}
+            ".json": "379c0f51e242af5532bb1a193e851ed10e31ee2a23c8b73acabeb9725b47eec6"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48])
@@ -451,6 +460,26 @@ class TestSolveCompareEig:
         meta = json.loads(next((tmp_path / "polish").glob("*.json")).read_text())
         assert meta["classification"] == "EntirePositive"
         assert meta["shoot"]["reached_target"] is True
+
+    def test_slowly_decaying_shot_is_entire(self, tmp_path, capsys):
+        # v decays like r^(-16/83) on the polished (12,7,11) shot: it stays
+        # positive through r_target = 1e6 with v(1e6) = 0.076, and was
+        # Truncated while EntirePositive also asked for v < 0.05 max(u0, v0)
+        rc, out, _ = run_cli(
+            ["--out", str(tmp_path), "--no-cache", "solve", "12", "7", "11",
+             "--u0", "1", "--shoot", "--v0-lo", "0.2", "--v0-hi", "5",
+             "--polish"], capsys)
+        assert rc == 0
+        assert out.endswith("\nEntirePositive\n")
+        profile = tmp_path / out.split("\n")[0]
+        meta = json.loads(profile.with_suffix(".json").read_text())
+        assert meta["shoot"]["reached_target"] is True
+        rc, out, _ = run_cli(
+            ["--out", str(tmp_path), "--no-cache", "compare", "12", "7", "11",
+             "--profile", str(profile)], capsys)
+        assert rc == 0
+        rep = json.loads((tmp_path / out.split("\n")[0]).read_text())
+        assert rep["report"]["interior_only"] is False
 
     def test_compare_band_floored_at_rtol(self, tmp_path, capsys):
         # the diagonal shot sits on the singular asymptote to about 3e-11

@@ -38,7 +38,6 @@ DROP = None
 
 CONFIG = ("r_target = 10\n"
           "grid_nodes = 64\n"
-          "ladder_m_per_k = 16\n"
           "v0_tol = 1e-6\n")
 
 

@@ -96,6 +96,15 @@ class TestIntegrate:
         prof = integrate(P33, InitialData(1.0, 1.0), 100.0)
         assert prof.classification is ProfileClass.TRUNCATED
 
+    def test_entire_when_target_reached_before_decay(self):
+        # positive through r_target = r_max = 10, where u is still about
+        # 0.28 u0: once Truncated, while EntirePositive also asked for both
+        # fields below 0.05 max(u0, v0)
+        prof = integrate(P33, InitialData(1.0, 1.0), 10.0,
+                         SolverOptions(r_target=10.0))
+        assert prof.u[-1] > 0.05
+        assert prof.classification is ProfileClass.ENTIRE_POSITIVE
+
     def test_validation(self):
         with pytest.raises(DomainError):
             integrate(P33, InitialData(1.0, 1.0), -1.0)
@@ -104,12 +113,11 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
-        ("event_tol", math.nan), ("r_target", math.inf),
-        ("decay_threshold", math.inf), ("v0_tol", math.inf),
+        ("event_tol", math.nan), ("r_target", math.inf), ("v0_tol", math.inf),
         # a bad probe radius once ended in a math domain error, 0 probed at
-        # the default, and max_steps < 1 failed every integration later
+        # the default
         ("polish_probe", -5.0), ("polish_probe", math.inf),
-        ("polish_probe", 0.0), ("max_steps", 0), ("max_steps", -1)])
+        ("polish_probe", 0.0)])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, and an
         # infinite tolerance in an OverflowError
@@ -123,9 +131,11 @@ class TestIntegrate:
             InitialData(0.0, 1.0)
 
     def test_step_underflow(self):
-        with pytest.raises(StepUnderflow):
+        # no step meets these tolerances: h falls below the floor 16 eps r
+        # right after the series start
+        with pytest.raises(StepUnderflow, match="16 eps r"):
             integrate(P33, InitialData(1.0, 1.0), 10.0,
-                      SolverOptions(min_step=0.5))
+                      SolverOptions(rtol=1e-300, atol=1e-300))
 
 
 class TestStepper:
