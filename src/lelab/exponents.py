@@ -42,6 +42,8 @@ __all__ = [
     "jl_diagonal",
 ]
 
+_ROOT_TOL = 1e-12  # bracket width at which ``jl_curve_q`` and ``jl_diagonal`` stop
+
 
 @dataclass(frozen=True)
 class ParameterTriple:
@@ -441,16 +443,15 @@ def _prescan_bisect(f, xs, tol: float):
     return 0.5 * (lo + hi), ms, len(flips)
 
 
-def jl_curve_q(N: int, p: float, tol: float = 1e-12, *,
-               tol_curve: float = 1e-9) -> float | None:
+def jl_curve_q(N: int, p: float, *, tol_curve: float = 1e-9) -> float | None:
     """Solve the critical-curve equality for q on the slice [1, p] at fixed p.
 
     Returns the root q* of C_gamma - K1 K2 = 0 located by bisection on a
     sign-changing bracket found by a pre-scan of 64 nodes (which also
     verifies the margin changes sign exactly once), or None when the margin
     has constant sign on the admissible part of [1, p] (the curve does not
-    cross this slice; in particular for every p when N <= 10).  ``tol`` is
-    the bracket width in q at which bisection stops.
+    cross this slice; in particular for every p when N <= 10).  Bisection
+    stops at a bracket width in q of ``_ROOT_TOL``.
 
     The scan is restricted to q on or above the Sobolev hyperbola; see
     ``_sobolev_q_lower``.
@@ -460,8 +461,6 @@ def jl_curve_q(N: int, p: float, tol: float = 1e-12, *,
         raise DomainError(f"p >= 1 required, got {p}")
     if not math.isfinite(p * p):
         raise DomainError(f"p q overflows on the slice p={p}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     q_lo = _sobolev_q_lower(N, p)
     if not (q_lo <= p):
         return None
@@ -470,7 +469,7 @@ def jl_curve_q(N: int, p: float, tol: float = 1e-12, *,
     qs = [q_lo + (p - q_lo) * i / 63 for i in range(64)]
     qs[-1] = p  # the formula can round 1 ulp past p, off the admissible slice
     root, ms, flips = _prescan_bisect(
-        lambda q: curve_margins(p, q, N)[1], qs, tol)
+        lambda q: curve_margins(p, q, N)[1], qs, _ROOT_TOL)
     if flips > 1:
         raise ConvergenceError(
             f"curve margin changes sign {flips} times on the slice "
@@ -481,7 +480,7 @@ def jl_curve_q(N: int, p: float, tol: float = 1e-12, *,
     return root
 
 
-def jl_diagonal(N: int, tol: float = 1e-12) -> float | None:
+def jl_diagonal(N: int) -> float | None:
     """Intersection of the critical curve with the diagonal p = q.
 
     On the diagonal gamma = 0 and the margin reduces to
@@ -495,4 +494,4 @@ def jl_diagonal(N: int, tol: float = 1e-12) -> float | None:
     p_lo = (N + 2.0) / (N - 2.0) * (1.0 + 1e-12)  # diagonal Sobolev exponent
     # geometric pre-scan: the root can sit far out for N barely above 10
     ps = [p_lo * (1e4 / p_lo) ** (i / 255) for i in range(256)]
-    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1], ps, tol)[0]
+    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1], ps, _ROOT_TOL)[0]

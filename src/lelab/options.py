@@ -36,7 +36,6 @@ class SolverOptions:
     r_target: float = 1e6
     grid_nodes: int = 2048
     v0_tol: float = 1e-13
-    polish_probe: float | None = None  # default min(r_target, 1e4)
 
     def validate(self) -> None:
         for name in ("rtol", "atol", "event_tol", "r_target", "v0_tol"):
@@ -45,12 +44,9 @@ class SolverOptions:
                 raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
             raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")
-        if self.grid_nodes < 16:
-            raise InvalidOptions("grid_nodes must be at least 16")
-        if self.polish_probe is not None and not (
-                self.polish_probe > 0.0 and math.isfinite(self.polish_probe)):
-            raise InvalidOptions(f"polish_probe must be positive and finite, "
-                                 f"got {self.polish_probe!r}")
+        n = self.grid_nodes
+        if not (isinstance(n, numbers.Integral) and n >= 16):
+            raise InvalidOptions(f"grid_nodes must be an integer >= 16, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,10 @@ class EigOptions:
     def validate(self):
         if not (0.0 < self.tol < 1.0):
             raise InvalidOptions(f"eigensolver tol must lie in (0, 1), got {self.tol!r}")
-        if self.max_iter < 1:
-            raise InvalidOptions("eigensolver max_iter must be at least 1")
+        n = self.max_iter
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise InvalidOptions(f"eigensolver max_iter must be an integer >= 1, "
+                                 f"got {n!r}")
 
 
 def default_ladder(k_max: int = LADDER_KMAX,

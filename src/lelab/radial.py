@@ -15,36 +15,37 @@ a series start on [0, r_start]: the even Taylor expansion
 neglected r^4-remainder is below the local error tolerance.
 
 Trajectories halt at the first zero crossing of u or v (located by
-bisection on the dense interpolant) or at r_max.  ``integrate`` is one
-march (``_march``, which records the accepted steps) plus the profile
-builder (dense output, event, output grid).  A profile that reaches
-``r_target`` without a zero of u or v is classified entire-positive, and
-one stopped before ``r_target`` truncated.  Nothing else is tested there:
-on a positive regular solution u' = -r^{1-N} int_0^r s^{N-1} v^p ds < 0,
-and v' < 0 alike, while u and v may decay as slowly as the singular pair's
-r^-alpha and r^-beta.  True entirety is not decidable numerically and is
-certified separately by the decay identity
-u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
+bisection on the last step's quartic) or at r_max.  ``integrate`` is one
+march (``_march``, which records the accepted steps), how it ended
+(``_end``) and the profile builder (dense output, output grid).  A profile
+that reaches ``r_target`` without a zero of u or v is classified
+entire-positive, and one stopped before ``r_target`` truncated.  Nothing
+else is tested there: on a positive regular solution
+u' = -r^{1-N} int_0^r s^{N-1} v^p ds < 0, and v' < 0 alike, while u and v
+may decay as slowly as the singular pair's r^-alpha and r^-beta.  True
+entirety is not decidable numerically and is certified separately by the
+decay identity u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
 ``shoot`` finds the v0 of an entire profile with the package's one
 bracketed root finder (``exponents._bisect``, Dekker-Brent) on the value of
-a matching functional at a probe radius; the transverse mode of the
-linearization makes that value about linear in v0 - v0*, with a different
-slope on each of its three branches (v hits zero, the probe reaches the
-radius, u hits zero), so the finder's secants run through two probes on
-one side of the root.  A shot searches in two phases: a coarse one whose
-probes march at loose tolerances (rtol 1e-6, atol 1e-8, or the caller's
-if looser) to a bracket of relative width 1e-5, and a full-accuracy one
-from that bracket once both its ends have been probed at the caller's
-tolerances (again, unless those are the coarse ones) and kept their signs
-(else from the original ends).
+a matching functional g at the probe radius R = min(r_target, 1e4); the
+transverse mode of the linearization makes that value about linear in
+v0 - v0*, with a different slope on each of its three branches (v hits
+zero, the probe reaches the radius, u hits zero), so the finder's secants
+run through two probes on one side of the root.  A shot searches in two
+phases: a coarse one whose probes march at loose tolerances (rtol 1e-6,
+atol 1e-8, or the caller's if looser) to a bracket of relative width 1e-5,
+and a full-accuracy one from that bracket once both its ends have been
+probed at the caller's tolerances (again, unless those are the coarse
+ones) and kept their signs (else from the original ends).
 A shot takes about 22-23 probes, 14-15 of them coarse ones of about 70
 steps each, where a full-accuracy probe near the root takes about 750.
-A probe only marches to the probe radius and reads g from its last step,
-with the builder's event location and interpolation, so it reads the
-profile's float.  ``polish`` only narrows the final bracket from v0_tol
-to 4 ulp.  Its ``iterations`` counts the probes of both phases and
-``bracket_width`` is the final bracket (0 for the exact diagonal shot).
+Every g of a shot, at the ends (marched to r_target) as at the probes (to
+R), is read from the last step of a bare march without dense output or
+grid, through ``_end`` and the builder's interpolation: the profile's
+float.  ``polish`` only narrows the final bracket from v0_tol to 4 ulp.
+``iterations`` counts the probes of both phases and ``bracket_width`` is
+the final bracket (0 for the exact diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
@@ -189,7 +190,9 @@ class _TaylorStart:
             c4v = q * u0 ** (q - 1.0) * v0p / (8.0 * N * (N + 2.0))
         except OverflowError as exc:
             raise DomainError("initial data too extreme for double precision") from exc
-        if not all(map(math.isfinite, (v0p, u0q, c4u, c4v))):
+        # v0^p or u0^q underflowing to 0 would divide by zero in r_char
+        if not (all(map(math.isfinite, (v0p, u0q, c4u, c4v)))
+                and v0p > 0.0 and u0q > 0.0):
             raise DomainError("initial data too extreme for double precision")
         self.u0, self.v0 = u0, v0
         self.c2u = -v0p / (2.0 * N)
@@ -449,11 +452,16 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
                   stages, naccept, nreject, nfev)
 
 
-def _event(rec: _March, coef, event_tol: float) -> tuple:
-    """(class, r_event) of the first zero crossing of u or v inside the last
-    step of a march that hit zero, by bisection on that step's (4, 4)
-    quartic ``coef`` down to a radius width of event_tol."""
+def _end(rec: _March, event_tol: float) -> tuple:
+    """How a march ended: (class, r_end, coef).  The class is that of the
+    first zero crossing of u or v inside the last step, located by
+    bisection on that step's quartic down to a radius width of event_tol,
+    and r_end that zero; or None and the right end of the last step, when
+    no field reached zero.  ``coef`` is the last step's (4, 4) quartic."""
+    coef = np.array(rec.stages[-28:]).reshape(4, 7) @ _PD
     r, h = rec.starts[-1], rec.steps[-1]
+    if not rec.hit_zero:
+        return None, r + h, coef
     hit = None
     for comp, kind in ((0, ProfileClass.U_HITS_ZERO),
                        (2, ProfileClass.V_HITS_ZERO)):
@@ -464,15 +472,15 @@ def _event(rec: _March, coef, event_tol: float) -> tuple:
             if hit is None or th < hit[0]:
                 hit = (th, kind)
     th_star, kind = hit
-    return kind, r + th_star * h
+    return kind, r + th_star * h, coef
 
 
 def integrate(params: ParameterTriple, init: InitialData, r_max: float,
               opts: SolverOptions | None = None) -> RadialProfile:
     """Adaptive integration from the origin; see module docstring.
 
-    ``_march`` plus the profile builder: the dense output of all accepted
-    steps, the event on the last one (``_event``) and the output grid.
+    ``_march`` plus the profile builder: how the march ended (``_end``),
+    the dense output of all accepted steps and the output grid.
     """
     opts = SolverOptions() if opts is None else opts
     rec = _march(params, init, r_max, opts)
@@ -482,15 +490,10 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
         min_step=min(steps), max_step=max(steps), nfev=rec.nfev,
     )
     dense = _Dense(taylor, rec.starts, steps, rec.y0s, rec.stages)
-    r_event: float | None = None
-    r_end = dense.r_end
-    if rec.hit_zero:
-        classification, r_event = _event(rec, dense.coef[-1], opts.event_tol)
-        r_end = r_event
-    elif r_end >= opts.r_target:
-        classification = ProfileClass.ENTIRE_POSITIVE
-    else:
-        classification = ProfileClass.TRUNCATED
+    kind, r_end, _ = _end(rec, opts.event_tol)
+    r_event = None if kind is None else r_end
+    classification = kind or (ProfileClass.ENTIRE_POSITIVE
+                              if r_end >= opts.r_target else ProfileClass.TRUNCATED)
     grid = np.geomspace(taylor.r_start, r_end, opts.grid_nodes)
     grid[0] = taylor.r_start
     grid[-1] = r_end
@@ -556,36 +559,37 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     """Find v0 whose trajectory stays positive through r_target.
 
     Needs the singular pair (``derive_scaling``), else DomainError before
-    any integration.  The bracket endpoints must fail in opposite ways at
-    r_target (one u-zero, one v-zero), else BracketError.  On the diagonal
-    p = q with u0 inside the bracket, v0 = u0 is exact (u equals v bit for
-    bit); that profile is returned with ``iterations`` 0 and
-    ``bracket_width`` 0.
+    any integration.  The bracket endpoints, each read by a bare march to
+    r_target, must fail in opposite ways there (one u-zero, one v-zero),
+    else BracketError.  On the diagonal p = q with u0 inside the bracket,
+    v0 = u0 is exact (u equals v bit for bit); that profile is returned
+    with ``iterations`` 0 and ``bracket_width`` 0.
 
     Otherwise the root finder searches the whole bracket for the zero of
-    a matching functional g(v0), read from a probe integrated to the probe
-    radius R, and the midpoint of the final bracket is integrated once to
-    r_target.  Off the entire-solution manifold by d = v0 - v0*, a
-    trajectory deviates like |d| (r/R)^-kappa, with kappa = kappa_min the
-    transverse root of ``closed_form.indicial_exponents``, real and
-    negative for every triple.  So g is log(u/u_s) - log(v/v_s) at R on a
-    probe that reaches R, and +-(r_ev/R)^kappa on one that hits zero at
-    r_ev, positive where v falls first; both are about proportional to d.
-    The two endpoint runs give g at the ends without a probe.
+    a matching functional g(v0), read from a probe marched to the probe
+    radius R = min(r_target, 1e4), and the midpoint of the final bracket is
+    integrated once to r_target.  Off the entire-solution manifold by
+    d = v0 - v0*, a trajectory deviates like |d| (r/R)^-kappa, with
+    kappa = kappa_min the transverse root of
+    ``closed_form.indicial_exponents``, real and negative for every triple.
+    So g is log(u/u_s) - log(v/v_s) at R on a probe that reaches R, and
+    +-(r_ev/R)^kappa on one that hits zero at r_ev (the ends among them),
+    positive where v falls first; both are about proportional to d.
 
     The search has two phases.  The coarse one marches its probes at
     rtol = max(rtol, 1e-6) and atol = max(atol, 1e-8), since far from the
     root only the sign and rough size of g matter, and stops at a relative
     bracket width of max(tol, 1e-5).  Each end of its bracket is probed
-    again at the caller's tolerances, unless those are the coarse ones and
-    g is known there already; if both keep their signs, the
-    full-accuracy phase narrows that bracket, else it searches the whole
-    original bracket.  So both ends of the final bracket were integrated
-    at the caller's tolerances.  While the bracket spans more than a factor
-    of 2, either phase halves it in log v0.  ``polish`` only sets where
-    the search stops: at 4 ulp, which places v0 on the entire-solution
-    manifold to a few ulp, or at v0_tol.  ``iterations`` counts the probes
-    to R of both phases and ``bracket_width`` is the final bracket.
+    again at the caller's tolerances, unless g is known there at those
+    already (no v0 is marched twice at one set of tolerances); if both keep
+    their signs, the full-accuracy phase narrows that bracket, else it
+    searches the whole original bracket.  So both ends of the final bracket
+    were integrated at the caller's tolerances.  While the bracket spans
+    more than a factor of 2, either phase halves it in log v0.  ``polish``
+    only sets where the search stops: at 4 ulp, which places v0 on the
+    entire-solution manifold to a few ulp, or at v0_tol.  ``iterations``
+    counts the probes to R of both phases and ``bracket_width`` is the
+    final bracket.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
@@ -596,16 +600,21 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     if u0 <= 0.0:
         raise DomainError("u0 must be positive")
 
-    def run(v0: float) -> RadialProfile:
-        return integrate(params, InitialData(u0, v0), opts.r_target, opts)
-
-    prof_lo, prof_hi = run(lo), run(hi)
-    kind_lo, kind_hi = prof_lo.classification, prof_hi.classification
+    R = min(opts.r_target, 1e4)
+    read = _reader(params, scaling, u0, R, opts)
+    (kind_lo, g_lo), (kind_hi, g_hi) = (read(lo, opts.r_target),
+                                        read(hi, opts.r_target))
     if {kind_lo, kind_hi} != {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO}:
+        # an end without a zero stayed positive through r_target
+        lo_name, hi_name = ((k or ProfileClass.ENTIRE_POSITIVE).value
+                            for k in (kind_lo, kind_hi))
         raise BracketError(
             f"bracket endpoints must fail in opposite ways, got "
-            f"{kind_lo.value} at {lo} and {kind_hi.value} at {hi}"
+            f"{lo_name} at {lo} and {hi_name} at {hi}"
         )
+
+    def run(v0: float) -> RadialProfile:
+        return integrate(params, InitialData(u0, v0), opts.r_target, opts)
 
     if params.p == params.q and lo < u0 < hi:
         # the diagonal is invariant: v0 = u0 gives u identical to v
@@ -613,87 +622,70 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
         if prof.r_event is None:
             return ShootResult(u0, prof, 0, 0.0, polish)
 
-    R = (min(opts.r_target, 1e4) if opts.polish_probe is None
-         else opts.polish_probe)
-    probes = 0
+    # g by (options, v0), seeded with the ends; each miss is one probe
+    memo = {(opts, lo): g_lo, (opts, hi): g_hi}
 
-    def counted(read):
-        def probe(v0: float) -> float:
-            nonlocal probes
-            probes += 1
-            return read(v0)
-        return probe
+    def probe(o: SolverOptions):
+        read_o = _reader(params, scaling, u0, R, o)
 
-    pa, pb = ((prof_lo, prof_hi) if kind_lo == ProfileClass.V_HITS_ZERO
-              else (prof_hi, prof_lo))
-    match, read = _matching(params, scaling, u0, R, opts)
-    fpa, fpb = match(pa), match(pb)
-    known = {pa.v0: fpa, pb.v0: fpb}  # g at the caller's tolerances
-
-    def fine_read(v0: float) -> float:
-        known[v0] = g = read(v0)
+        def g(v0: float) -> float:
+            if (o, v0) not in memo:
+                memo[o, v0] = read_o(v0)[1]
+            return memo[o, v0]
         return g
 
-    fine_probe = counted(fine_read)
+    # positive on pa's side, where v falls first
+    pa, pb, fpa, fpb = ((lo, hi, g_lo, g_hi)
+                        if kind_lo == ProfileClass.V_HITS_ZERO
+                        else (hi, lo, g_hi, g_lo))
     coarse = replace(opts, rtol=max(opts.rtol, _COARSE_RTOL),
                      atol=max(opts.atol, _COARSE_ATOL))
-    # at or above the coarse floors the coarse probes are full-accuracy ones
-    coarse_probe = (fine_probe if coarse == opts else
-                    counted(_matching(params, scaling, u0, R, coarse)[1]))
+    fine = probe(opts)
     tol = 4.0 * _EPS if polish else opts.v0_tol
-    a, b = _bisect(coarse_probe, pa.v0, pb.v0, max(tol, _COARSE_WIDTH),
+    a, b = _bisect(probe(coarse), pa, pb, max(tol, _COARSE_WIDTH),
                    _SHOOT_MAX_ITER, fpa, fpb, geometric=True)
-    # the coarse ends at the caller's tolerances, probed again unless
-    # known; the fine phase starts from the coarse bracket only if both
-    # signs hold there
-    fa = known[a] if a in known else fine_probe(a)
-    fb = known[b] if b in known else fine_probe(b)
+    # the fine phase starts from the coarse bracket only if both its ends
+    # keep their signs at the caller's tolerances
+    fa, fb = fine(a), fine(b)
     if not fa >= 0.0 >= fb:
-        a, b, fa, fb = pa.v0, pb.v0, fpa, fpb
-    a, b = _bisect(fine_probe, a, b, tol, max(_SHOOT_MAX_ITER - probes, 0),
+        a, b, fa, fb = pa, pb, fpa, fpb
+    spent = len(memo) - 2
+    a, b = _bisect(fine, a, b, tol, max(_SHOOT_MAX_ITER - spent, 0),
                    fa, fb, geometric=True)
     v0_star = 0.5 * (a + b)
-    return ShootResult(v0_star, run(v0_star), probes, abs(b - a), polish)
+    return ShootResult(v0_star, run(v0_star), len(memo) - 2, abs(b - a), polish)
 
 
-def _matching(params: ParameterTriple, scaling: ScalingData, u0: float,
-              R: float, opts: SolverOptions) -> tuple:
-    """``shoot``'s g at probe radius R, read by ``match(profile)`` from a
-    profile and by ``probe(v0)`` from the last step of a bare march to R;
-    one event location and one interpolation make both the same float."""
+def _reader(params: ParameterTriple, scaling: ScalingData, u0: float,
+            R: float, opts: SolverOptions):
+    """``shoot``'s reader of g at probe radius R: ``read(v0, r_max=R)``
+    marches from (u0, v0) to r_max at opts, without dense output or grid,
+    and returns the class of the first zero of u or v (None if neither
+    reached zero) and g.  On a march that reaches r_max, g is read from the
+    last step at its right end, as ``integrate`` reads the last node of a
+    profile, so it is the profile's float."""
     lg_a, lg_b = math.log(scaling.a), math.log(scaling.b)
     kappa = float(indicial_exponents(scaling)[0].real)
 
-    def at_event(kind: ProfileClass, r_ev: float) -> float:
-        # positive where v falls first (small v0)
-        side = 1.0 if kind == ProfileClass.V_HITS_ZERO else -1.0
-        # capped: an event near the origin must not overflow
-        return side * math.exp(min(700.0, kappa * math.log(r_ev / R)))
-
-    def at_end(rr: float, u: float, v: float) -> float:
-        uh = math.log(u) + scaling.alpha * math.log(rr) - lg_a
-        vh = math.log(v) + scaling.beta * math.log(rr) - lg_b
-        return uh - vh
-
-    def match(prof: RadialProfile) -> float:
-        if prof.r_event is not None:
-            return at_event(prof.classification, prof.r_event)
-        return at_end(float(prof.r[-1]), prof.u[-1], prof.v[-1])
-
-    def probe(v0: float) -> float:
-        rec = _march(params, InitialData(u0, v0), R, opts)
-        coef = np.array(rec.stages[-28:]).reshape(4, 7) @ _PD
-        if rec.hit_zero:
-            return at_event(*_event(rec, coef, opts.event_tol))
-        # the last grid node of the profile: np.clip's theta, as _Dense.grid
+    def read(v0: float, r_max: float = R) -> tuple:
+        rec = _march(params, InitialData(u0, v0), r_max, opts)
+        kind, rr, coef = _end(rec, opts.event_tol)
+        if kind is not None:
+            # positive where v falls first (small v0); capped: an event
+            # near the origin must not overflow
+            side = 1.0 if kind == ProfileClass.V_HITS_ZERO else -1.0
+            return kind, side * math.exp(min(700.0, kappa * math.log(rr / R)))
+        # np.clip's theta at the last node, as _Dense.grid
         start, h = rec.starts[-1], rec.steps[-1]
-        rr = start + h
         th = (rr - start) / h
         th = 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
-        return at_end(rr, _horner(rec.y0s[-4], h, th, coef[0].tolist()),
-                      _horner(rec.y0s[-2], h, th, coef[2].tolist()))
+        u = _horner(rec.y0s[-4], h, th, coef[0].tolist())
+        v = _horner(rec.y0s[-2], h, th, coef[2].tolist())
+        uh = math.log(u) + scaling.alpha * math.log(rr) - lg_a
+        vh = math.log(v) + scaling.beta * math.log(rr) - lg_b
+        return None, uh - vh
 
-    return match, probe
+    return read
 
 
 def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialProfile:

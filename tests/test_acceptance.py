@@ -156,7 +156,7 @@ def test_c4_diagonal_and_low_dimensions():
     for N in range(11, 21):
         closed = ((N - 2.0) ** 2 - 4.0 * N + 8.0 * math.sqrt(N - 1.0)) / \
             ((N - 2.0) * (N - 10.0))
-        got = jl_diagonal(N, tol=1e-12)
+        got = jl_diagonal(N)
         worst = max(worst, abs(got - closed))
     stable_cells = 0
     for N in range(3, 11):
@@ -219,11 +219,10 @@ def _crossover_radius(prof, sc):
     return float(prof.r[msk][int(np.argmin(tot))])
 
 
-def _ordering_case(p, q, N, bracket, r_target, probe=None):
+def _ordering_case(p, q, N, bracket, r_target):
     params = ParameterTriple(p, q, N)
     sc = derive_scaling(params)
-    opts = SolverOptions(r_target=r_target, rtol=1e-12, atol=1e-14,
-                         polish_probe=probe)
+    opts = SolverOptions(r_target=r_target, rtol=1e-12, atol=1e-14)
     res = shoot(params, 1.0, bracket, opts, polish=(p != q))
     if p == q:
         # the diagonal shot is exact (u = v bitwise); only the decay of the
@@ -276,7 +275,7 @@ def test_c6_ordering_biharmonic_edge():
     t0 = time.perf_counter()
     p, q, N = 30.0, 1.0, 13
     assert classify(ParameterTriple(p, q, N)).jl is CurvePosition.ABOVE
-    rep, r_star, _ = _ordering_case(p, q, N, (0.05, 20.0), 500.0, probe=300.0)
+    rep, r_star, _ = _ordering_case(p, q, N, (0.05, 20.0), 500.0)
     elapsed = time.perf_counter() - t0
     ok = rep.ordered and 0 < rep.m1 < 1.0 and 0 < rep.m2 < 1.0
     _report("C6", ok,
@@ -319,7 +318,7 @@ def test_c6_biharmonic_edge_exists_at_dimension_eleven():
            "faithful window ends near r ~ 70 where p*(1 - M2) ~ 1e-7",
 )
 def test_c6_chain_biharmonic_edge():
-    rep, _, _ = _ordering_case(30.0, 1.0, 13, (0.05, 20.0), 500.0, probe=300.0)
+    rep, _, _ = _ordering_case(30.0, 1.0, 13, (0.05, 20.0), 500.0)
     assert rep.chain_deficit_p <= 1e-8
     assert rep.chain_deficit_q <= 1e-8
 

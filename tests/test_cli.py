@@ -217,8 +217,8 @@ class TestScanCommand:
     @pytest.mark.parametrize("name, shown", [
         ("curve", "curve_N11_7-9_s5_bcd14d1d20a8.csv"),
         ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
-        ("solve", "profile_p3_q3_N11_9226c4e5abb4.csv"),
-        ("shot", "profile_p8_q8_N11_2a3f2400cd15.csv"),
+        ("solve", "profile_p3_q3_N11_55a7d97cdc48.csv"),
+        ("shot", "profile_p8_q8_N11_d5712ba79770.csv"),
         ("eig", "eig_p3_q3_N11_aa3a54bcc608.csv"),
     ])
     def test_file_names_pinned(self, tmp_path, capsys, name, shown):
@@ -333,7 +333,7 @@ class TestScanCommand:
 
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
         # the hashes of this shot before its probes stopped building
-        # profiles and read g from their last step; the JSON's since four
+        # profiles and read g from their last step; the JSON's since five
         # solver settings left the payload, whose only change to it is
         # "payload_hash"
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
@@ -345,7 +345,7 @@ class TestScanCommand:
                    for f in tmp_path.glob("profile_*")}
         assert digests == {
             ".csv": "46eb1524481abe3ed12652f39943da862ed2e37e50168ee1a9498ec8b7101c4d",
-            ".json": "379c0f51e242af5532bb1a193e851ed10e31ee2a23c8b73acabeb9725b47eec6"}
+            ".json": "c85e6bf3816b528b464a83d268c32908ef8e43572aa842b9eb88e09f88830520"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48])
@@ -600,6 +600,21 @@ class TestSolveCompareEig:
                               "--r-max", "0"], capsys)
         assert rc == 2
         assert "r_max must be positive" in err
+        assert not list(tmp_path.glob("profile_*"))
+
+    @pytest.mark.parametrize("args", [
+        ["3", "3", "11", "--u0", "1e-300", "--v0", "1"],
+        ["3", "3", "11", "--u0", "1", "--v0", "1e-200"],
+        ["9", "6", "11", "--u0", "1", "--shoot", "--v0-lo", "1e-300",
+         "--v0-hi", "5"]])
+    def test_solve_underflowing_initial_data_exits_2(self, tmp_path, capsys,
+                                                     args):
+        # u0^q or v0^p underflows to 0: these ended in a ZeroDivisionError
+        # traceback (exit 1)
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
+                              *args], capsys)
+        assert rc == 2
+        assert "too extreme" in err
         assert not list(tmp_path.glob("profile_*"))
 
     def test_shoot_without_singular_pair_exits_2(self, tmp_path, capsys):

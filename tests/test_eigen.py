@@ -166,10 +166,11 @@ class TestPrincipalEigenvalue:
     @pytest.mark.parametrize("opts", [
         EigOptions(tol=0.0), EigOptions(tol=-1e-11), EigOptions(tol=1.0),
         EigOptions(tol=1e308), EigOptions(tol=math.inf),
-        EigOptions(tol=math.nan), EigOptions(max_iter=0)])
+        EigOptions(tol=math.nan), EigOptions(max_iter=0),
+        EigOptions(max_iter=3.5)])
     def test_options_refused(self, opts):
-        # a relative tol of 1 or more stops at once, and 1e308 overflows
-        # the stopping test
+        # a relative tol of 1 or more stops at once, 1e308 overflows the
+        # stopping test, and a fractional max_iter ended in a TypeError
         with pytest.raises(InvalidOptions):
             principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.4, opts)
 

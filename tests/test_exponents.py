@@ -169,7 +169,7 @@ class TestHardyRellichConstant:
 class TestCurveRootFinding:
     def test_diagonal_matches_classical_form(self):
         for N in range(11, 21):
-            p_star = jl_diagonal(N, tol=1e-12)
+            p_star = jl_diagonal(N)
             assert p_star == pytest.approx(classical_diagonal_exponent(N),
                                            abs=1e-9)
 
@@ -179,7 +179,7 @@ class TestCurveRootFinding:
 
     def test_slice_root_against_margin_scan(self):
         # oracle: dense margin scan brackets the root independently
-        q_star = jl_curve_q(11, 8.0, tol=1e-12)
+        q_star = jl_curve_q(11, 8.0)
         qs = np.linspace(1.0, 8.0, 4001)
         ms = np.array([jl_margin(ParameterTriple(8.0, float(q), 11))
                        for q in qs])

@@ -114,13 +114,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
         ("event_tol", math.nan), ("r_target", math.inf), ("v0_tol", math.inf),
-        # a bad probe radius once ended in a math domain error, 0 probed at
-        # the default
-        ("polish_probe", -5.0), ("polish_probe", math.inf),
-        ("polish_probe", 0.0)])
+        ("grid_nodes", 15), ("grid_nodes", 64.5)])
     def test_options_refused(self, field, value):
-        # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, and an
-        # infinite tolerance in an OverflowError
+        # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, an
+        # infinite tolerance in an OverflowError, and a fractional node
+        # count in a TypeError from numpy
         opts = SolverOptions(**{field: value})
         with pytest.raises(InvalidOptions, match=field):
             integrate(ParameterTriple(3, 3, 11), InitialData(1.0, 1.0), 1e6,
@@ -129,6 +127,13 @@ class TestIntegrate:
             shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), opts)
         with pytest.raises(DomainError):
             InitialData(0.0, 1.0)
+
+    @pytest.mark.parametrize("u0, v0", [(1e-300, 1.0), (1.0, 1e-200)])
+    def test_underflowing_initial_data_refused(self, u0, v0):
+        # u0^q or v0^p underflows to 0: the series start once divided by it
+        # and ended in a ZeroDivisionError
+        with pytest.raises(DomainError, match="too extreme"):
+            integrate(P33, InitialData(u0, v0), 10.0)
 
     def test_step_underflow(self):
         # no step meets these tolerances: h falls below the floor 16 eps r
@@ -306,7 +311,7 @@ class TestShoot:
         from lelab import radial
 
         radii = []
-        monkeypatch.setattr(radial, "integrate",
+        monkeypatch.setattr(radial, "_march",
                             lambda *a, **k: radii.append(a[2]))
         with pytest.raises(DomainError):
             shoot(ParameterTriple(1.2, 1.1, 5), 1.0, (0.05, 5.0))
@@ -414,15 +419,15 @@ class TestTwoPhaseShot:
 
         params = ParameterTriple(9, 6, 11)
         plain = shoot(params, 1.0, (0.2, 5.0))
-        real = radial._matching
+        real = radial._reader
 
         def skewed(params, scaling, u0, R, opts):
-            match, probe = real(params, scaling, u0, R, opts)
+            read = real(params, scaling, u0, R, opts)
             if opts.rtol == SolverOptions().rtol:
-                return match, probe
-            return match, lambda v0: probe(v0 / 1.01)
+                return read
+            return lambda v0, r_max=R: read(v0 / 1.01, r_max)
 
-        monkeypatch.setattr(radial, "_matching", skewed)
+        monkeypatch.setattr(radial, "_reader", skewed)
         marches.brackets.clear()
         res = shoot(params, 1.0, (0.2, 5.0))
         (coarse_start, coarse_ends), (fine_start, fine_ends) = marches.brackets
@@ -432,31 +437,70 @@ class TestTwoPhaseShot:
         assert res.profile.classification is not ProfileClass.TRUNCATED
 
 
+def match(prof, scaling, R):
+    """The matching functional at probe radius R, read from a full profile
+    (the shot's reader builds none): +-(r_ev/R)^kappa_min at an event,
+    positive where v falls first, else log(u/u_s) - log(v/v_s) at the last
+    node."""
+    from lelab.closed_form import indicial_exponents
+
+    if prof.r_event is not None:
+        kappa = float(indicial_exponents(scaling)[0].real)
+        side = 1.0 if prof.classification is ProfileClass.V_HITS_ZERO else -1.0
+        return side * math.exp(min(700.0, kappa * math.log(prof.r_event / R)))
+    rr = float(prof.r[-1])
+    uh = math.log(prof.u[-1]) + scaling.alpha * math.log(rr) - math.log(scaling.a)
+    vh = math.log(prof.v[-1]) + scaling.beta * math.log(rr) - math.log(scaling.b)
+    return uh - vh
+
+
 class TestProbeReader:
-    # shot probes march to the probe radius without building a profile and
-    # read g from the last step alone; they must give the float that
-    # ``match`` reads from the full profile.  Offsets 1e-1 to 1e-6 from v0*
-    # hit zero (u above v0*, v below), 1e-9 and 1e-12 reach R (except 1e-9
-    # on (6,4,11) at 1e4); R is the default probe radius and an arbitrary one.
+    # the shot's reader marches to r_max without building a profile and
+    # reads g from the last step alone; it must give the float that
+    # ``match`` reads from the full profile.  Offsets 1e-1 to 1e-6 from v0* hit zero (u above v0*,
+    # v below), 1e-9 and 1e-12 reach R (except 1e-9 on (6,4,11) at 1e4); R
+    # is the default probe radius and an arbitrary one.
+    TRIPLES = [((9, 6, 11), 1.0357844085), ((12, 7, 11), 1.0376085531),
+               ((6, 4, 11), 1.0481601140)]
+
     @pytest.mark.parametrize("R", [1e4, 2718.2818])
-    @pytest.mark.parametrize("triple, v0_star", [
-        ((9, 6, 11), 1.0357844085), ((12, 7, 11), 1.0376085531),
-        ((6, 4, 11), 1.0481601140)])
+    @pytest.mark.parametrize("triple, v0_star", TRIPLES)
     def test_probe_equals_match_of_profile(self, triple, v0_star, R):
-        from lelab.radial import _matching
+        from lelab.radial import _reader
 
         params = ParameterTriple(*triple)
+        scaling = derive_scaling(params)
         opts = SolverOptions()
-        match, probe = _matching(params, derive_scaling(params), 1.0, R, opts)
+        read = _reader(params, scaling, 1.0, R, opts)
         kinds = set()
         for k in (1, 3, 6, 9, 12):
             for sign in (-1.0, 1.0):
                 v0 = v0_star * (1.0 + sign * 10.0 ** -k)
                 prof = integrate(params, InitialData(1.0, v0), R, opts)
                 kinds.add(prof.classification)
-                assert probe(v0) == match(prof), (v0, prof.classification)
+                kind, g = read(v0)
+                assert g == match(prof, scaling, R), (v0, kind)
+                assert kind == (None if prof.r_event is None
+                                else prof.classification)
         assert kinds == {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO,
                          ProfileClass.TRUNCATED}
+
+    @pytest.mark.parametrize("triple, v0_star", TRIPLES)
+    def test_end_read_gives_the_profile_class(self, triple, v0_star):
+        # the bracket ends are read to r_target: the class and g of the
+        # profile a full run to r_target would build (all four v0 hit zero,
+        # as a bracket end must)
+        from lelab.radial import _reader
+
+        params = ParameterTriple(*triple)
+        scaling = derive_scaling(params)
+        opts = SolverOptions()
+        read = _reader(params, scaling, 1.0, 1e4, opts)
+        for v0 in (0.2, 0.9 * v0_star, 1.1 * v0_star, 5.0):
+            prof = integrate(params, InitialData(1.0, v0), opts.r_target, opts)
+            kind, g = read(v0, opts.r_target)
+            assert kind is prof.classification
+            assert g == match(prof, scaling, 1e4)
 
 
 class TestTransverseModel:
