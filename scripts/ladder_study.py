@@ -30,11 +30,11 @@ def run() -> None:
         for k, rep in enumerate(reports, start=1):
             print(f"  k={k} M={rep.annulus.M} lambda={rep.lam:.8f} "
                   f"iters={rep.iterations}")
-            rows.append((k, rep.annulus.M, rep.lam, rep.residual,
+            rows.append((k, rep.annulus.M, rep.lam, rep.lambda_err,
                          rep.iterations))
         path = OUT / f"ladder_N{N}_g{str(gamma).replace('.', 'p')}.csv"
-        path.write_text(to_csv(["k", "M", "lambda", "residual", "iterations"],
-                               rows))
+        path.write_text(to_csv(["k", "M", "lambda", "lambda_err",
+                                "iterations"], rows))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .errors import (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DiscretizationError,
     DomainError,
     GridTooCoarse,
     InvalidOptions,
@@ -45,7 +44,7 @@ __all__ = [
     "__version__",
     "LaneEmdenError", "DomainError", "ConfigError", "InvalidOptions",
     "ConvergenceError", "BracketError", "StepUnderflow", "GridTooCoarse",
-    "MisclassifiedProfile", "DiscretizationError",
+    "MisclassifiedProfile",
     "ParameterTriple", "ScalingData", "RegionVerdict",
     "SobolevClass", "CurvePosition",
     "derive_scaling", "curve_margins", "classify", "sobolev_margin", "jl_margin",

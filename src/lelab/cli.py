@@ -24,11 +24,10 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (BracketError, ConfigError, ConvergenceError,
-                     DiscretizationError, DomainError, GridTooCoarse,
-                     InvalidOptions, MisclassifiedProfile, StepUnderflow)
+                     DomainError, GridTooCoarse, InvalidOptions,
+                     MisclassifiedProfile, StepUnderflow)
 from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
-from .options import (DEFAULT_BAND, Annulus, EigOptions, SolverOptions,
-                      default_ladder)
+from .options import DEFAULT_BAND, Annulus, SolverOptions, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
@@ -85,9 +84,12 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # shoot 7: when the caller's tolerances are the coarse ones, the ends of the
 # coarse bracket are not probed again (two probes fewer in ``iterations``);
 # solve 4 and shoot 8: a profile that reaches r_target without a zero is
-# EntirePositive, with no decay threshold.
+# EntirePositive, with no decay threshold; eig 5: lambda is the root of
+# the sine-basis secular equation, the CSV and JSON carry lambda_err in
+# place of the inverse iteration's residual, and the payload drops eig_tol
+# and eig_max_iter.
 _REVISION = {"curve": 3, "scan": 1, "solve": 4, "shoot": 8, "compare": 2,
-             "eig": 4}
+             "eig": 5}
 
 
 def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
@@ -336,7 +338,6 @@ def _cmd_compare(args, cfg: RunConfig):
 
 def _cmd_eig(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
-    opts = EigOptions(tol=cfg.eig_tol, max_iter=cfg.eig_max_iter)
     kmax = cfg.ladder_kmax if args.ladder is None else args.ladder
     if kmax < 1:
         raise DomainError("--ladder must be >= 1")
@@ -350,13 +351,12 @@ def _cmd_eig(args, cfg: RunConfig):
     payload = {
         "cmd": "eig", "p": args.p, "q": args.q, "N": args.N,
         "ladder": [[a.r_inner, a.r_outer, a.M] for a in ladder],
-        "eig_tol": cfg.eig_tol, "eig_max_iter": cfg.eig_max_iter,
     }
 
     def produce(h):
         from . import eigen
-        sr = eigen.singular_stability_verdict(params, opts=opts, ladder=ladder)
-        rows = [(k, rep.annulus.M, rep.lam, rep.residual, rep.iterations)
+        sr = eigen.singular_stability_verdict(params, ladder=ladder)
+        rows = [(k, rep.annulus.M, rep.lam, rep.lambda_err, rep.iterations)
                 for k, rep in enumerate(sr.reports, start=1)]
         doc = _document(
             "stability", p=args.p, q=args.q, N=args.N,
@@ -367,7 +367,7 @@ def _cmd_eig(args, cfg: RunConfig):
             lambda_top=sr.lam_top,
             ladder=[rep.as_dict() for rep in sr.reports],
             payload_hash=h)
-        csv = to_csv(["k", "M", "lambda", "residual", "iterations"], rows)
+        csv = to_csv(["k", "M", "lambda", "lambda_err", "iterations"], rows)
         return csv, doc, [sr.verdict]
 
     stem = f"eig_p{_slug(args.p)}_q{_slug(args.q)}_N{args.N}"
@@ -381,9 +381,8 @@ def _cmd_eig(args, cfg: RunConfig):
 # per-command argument: the config default must be >= 16 but a degenerate
 # single-cell scan is a legitimate request
 _TOLERANCE_FLAGS = {
-    "--tol-curve": "tol_curve", "--tol-eig": "eig_tol",
-    "--tol-event": "event_tol", "--tol-ode-rel": "rtol",
-    "--tol-ode-abs": "atol", "--tol-v0": "v0_tol",
+    "--tol-curve": "tol_curve", "--tol-event": "event_tol",
+    "--tol-ode-rel": "rtol", "--tol-ode-abs": "atol", "--tol-v0": "v0_tol",
 }
 
 
@@ -493,7 +492,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, BracketError, StepUnderflow,
-            DiscretizationError, GridTooCoarse) as exc:
+            GridTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

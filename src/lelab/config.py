@@ -12,15 +12,15 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .options import LADDER_KMAX, EigOptions, SolverOptions
+from .options import LADDER_KMAX, SolverOptions
 
 __all__ = ["RunConfig", "parse_config_file", "load_config"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settable values; the solver and eigen defaults are those of
-    ``SolverOptions``, ``EigOptions`` and ``default_ladder``."""
+    """The settable values; the solver and ladder defaults are those of
+    ``SolverOptions`` and ``default_ladder``."""
 
     rtol: float = SolverOptions.rtol
     atol: float = SolverOptions.atol
@@ -31,25 +31,23 @@ class RunConfig:
     tol_curve: float = 1e-9
     resolution: int = 400
     ladder_kmax: int = LADDER_KMAX
-    eig_tol: float = EigOptions.tol
-    eig_max_iter: int = EigOptions.max_iter
     out: str = "."
     cache: bool = True
     cache_dir: str = ""
 
     def validate(self) -> None:
         positive = ("rtol", "atol", "event_tol", "r_target", "v0_tol",
-                    "tol_curve", "eig_tol")
+                    "tol_curve")
         for name in positive:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"config key '{name}' must be positive, got {v!r}")
-        for name in ("rtol", "tol_curve", "eig_tol"):  # relative tolerances
+        for name in ("rtol", "tol_curve"):  # relative tolerances
             v = getattr(self, name)
             if not v < 1.0:
                 raise ConfigError(f"config key '{name}' must be below 1, got {v!r}")
         for name, lo in (("grid_nodes", 16), ("resolution", 16),
-                         ("ladder_kmax", 1), ("eig_max_iter", 1)):
+                         ("ladder_kmax", 1)):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= lo):
                 raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")

@@ -11,25 +11,44 @@ the boundary of the annulus A.  The minimizer solves the cooperative system
 
 In log-radius coordinates rho = log r the Laplacian is
 r^{-2}(d_rho^2 + (N-2) d_rho); it is discretized in conservative (flux)
-form on a uniform rho grid of step h, which is second-order accurate.  With
-K the flux-form matrix, R = diag(r^{N+gamma-2}) and Q = diag(r^{N-gamma-2})
-the discrete problem is K R^{-1} K phi = lambda Q phi.  In the ground-state
-variables y = Q^{1/2} phi it becomes T T^T y = lambda y, where
+form on a uniform rho grid of M interior nodes and step h, which is
+second-order accurate.  In ground-state variables the discrete problem is
+T T^T y = lambda y with
 
-    T = Q^{-1/2} K R^{-1/2}
-      = h^{-2} tridiag(-e^{gamma h/2}, 2 cosh((N-2)h/2), -e^{-gamma h/2})
+    h^2 T = tridiag(lo, 2 cosh((N-2)h/2), up),   lo = -e^{gamma h/2},
+                                                  up = -e^{-gamma h/2},
 
-has constant coefficients: no power of r is ever formed, so nothing
-overflows however large N log(r_outer/r_inner) is, and lambda is the
-squared smallest singular value of T.  The symmetric part of T exceeds
+constant coefficients: no power of r is ever formed, so nothing overflows
+however large N log(r_outer/r_inner) is.
 
-    s_h = 4 sinh((N-2+gamma)h/4) sinh((N-2-gamma)h/4) / h^2 >= C_gamma^{1/2},
+The sine basis.  With K = tridiag(1, 0, 1),
 
-the infimum of the symbol of T, so T T^T - s_h^2 is positive definite.
-s_h^2 is the discrete counterpart of C_gamma and tends to it as h -> 0.
-Since T is an irreducible M-matrix, the inverse of the shifted matrix is
-entrywise positive: inverse iteration at the shift s_h^2 keeps the iterate
-positive and converges in a few steps on any grid.
+    h^4 T T^T = g(K) + (1 - lo^2) e_1 e_1^T + (1 - up^2) e_M e_M^T,
+
+    g(2 cos theta) = 16 (A + sin^2(theta/2))(B + sin^2(theta/2)),
+    A = sinh^2((N-2+gamma)h/4),   B = sinh^2((N-2-gamma)h/4),
+
+so the discrete sine transform, which diagonalizes K, turns h^4 T T^T
+into a diagonal plus a rank-2 term.  At theta_j = j pi/(M+1) and
+s_j = sin^2(theta_j/2) the diagonal is D_j = 16 (A + s_j)(B + s_j),
+smallest at j = 1, and D_j - D_1 = 16 sin((theta_j-theta_1)/2)
+sin((theta_j+theta_1)/2) (A + B + s_j + s_1).  The corner weights
+1 - e^{gamma h} and 1 - e^{-gamma h} have sum and product -eps, with
+eps = 4 sinh^2(gamma h/2).  The e_1 and e_M rows split the modes by the
+parity of j, and the determinant of the rank-2 capacitance matrix gives
+the secular equation (Golub, SIAM Rev. 15, 1973; Bunch, Nielsen and
+Sorensen, Numer. Math. 31, 1978)
+
+    F(delta) = eps (S_o + S_e + 4 S_o S_e) - 1 = 0,
+    S_o, S_e = sum over odd, even j of w_j / (D_j - D_1 - delta),
+    w_j = (2/(M+1)) sin^2 theta_j,
+
+with lambda = (D_1 + delta)/h^4.  F increases on delta < 0 from -1 to
++inf, so its root there is unique, and it is the smallest eigenvalue: the
+corner term has one negative weight, so at most one eigenvalue lies below
+D_1.  At gamma = 0 the corner term vanishes and lambda = D_1/h^4.  Every
+quantity above is a sum or product of positive terms: the naive forms,
+2 cosh - 2 cos and D_j - D_1 as a difference, lose up to 8 digits.
 
 lambda(A) decreases to the optimal constant C_gamma = [((N-2)^2-gamma^2)/4]^2
 as the annulus grows, and exceeds it on every finite annulus (the infimum
@@ -41,18 +60,18 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DiscretizationError, DomainError
-from .exponents import (CurvePosition, ParameterTriple, check_dimension,
-                        classify, derive_scaling, hardy_rellich_constant)
-from .options import LADDER_M_PER_K, Annulus, EigOptions, default_ladder
+from .errors import DomainError
+from .exponents import (CurvePosition, ParameterTriple, _bisect,
+                        check_dimension, classify, derive_scaling,
+                        hardy_rellich_constant)
+from .options import LADDER_M_PER_K, Annulus, default_ladder
 
 __all__ = [
     "Annulus",
-    "EigOptions",
     "EigReport",
     "StabilityReport",
     "principal_eigenvalue",
@@ -62,6 +81,8 @@ __all__ = [
     "richardson_limit",
 ]
 
+_U = 2.0 ** -53  # unit roundoff
+
 
 @dataclass(frozen=True)
 class EigReport:
@@ -70,10 +91,7 @@ class EigReport:
     gamma: float
     lam: float
     iterations: int
-    residual: float
-    phi: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
+    lambda_err: float
     verdict: str | None = None
     k1k2: float | None = None
     marginal: bool | None = None
@@ -87,124 +105,116 @@ class EigReport:
             "gamma": self.gamma,
             "lambda": self.lam,
             "iterations": self.iterations,
-            "residual": self.residual,
+            "lambda_err": self.lambda_err,
             "verdict": self.verdict,
             "K1K2": self.k1k2,
             "marginal": self.marginal,
         }
 
 
-def principal_eigenvalue(annulus: Annulus, N: int, gamma: float,
-                         opts: EigOptions | None = None) -> EigReport:
-    """Shifted inverse iteration for the smallest weighted quotient.
+def principal_eigenvalue(annulus: Annulus, N: int, gamma: float) -> EigReport:
+    """lambda on one annulus: D_1 and the secular root of the module docstring.
 
-    Each step solves (T T^T - s_h^2) y' = y with a banded Cholesky factor of
-    the pentadiagonal shifted matrix and normalizes y' (see the module
-    docstring for T and s_h).  The eigenvalue is the Rayleigh quotient
-    ||T^T y||^2, applied through the tridiagonal T: the formed pentadiagonal
-    matrix would limit its accuracy to about 1e-8.  The loop stops when
-    lambda moves by less than ``tol`` relatively, or raises
-    ConvergenceError at the iteration cap.  The start vector is the
-    analytic leading mode sin(pi rho/L), exact at gamma = 0.
+    delta is the root of the secular equation of the module docstring,
+    found by ``exponents._bisect`` on H(delta) = -delta F(delta), which has
+    the sign of F but not its pole at delta = 0.  The bracket is
+    [-expm1(gamma h), -eps w_1/2]: D_1 - expm1(gamma h) is Weyl's lower
+    bound (the corner term's negative weight is 1 - e^{gamma h}), and at
+    the right end the j = 1 term alone makes F >= 1.  The search runs to a
+    zero of the computed H or to adjacent doubles; ``iterations`` counts
+    its evaluations of H, the two ends included.  When expm1(gamma h) is
+    below the rounding of D_1 (gamma = 0 among them) no search runs, and
+    lambda = D_1/h^4 with ``iterations`` 0.
 
-    ``phi`` and ``psi = r^{2-gamma}(-Delta phi)`` are returned with one
-    common scale, formed in log space, so that the larger of the two peaks
-    at 1; ``residual`` is ||T T^T y - lambda y|| / lambda at ||y|| = 1.
+    ``lambda_err`` bounds the rounding error of ``lam`` to first order in
+    the unit roundoff u.  With x = (N-2+gamma)h/4, each sinh^2 carries at
+    most (11 + 6x)u and s_1 11u, so D_1 carries (32 + 16x)u.  A term
+    w_j/(D_j - D_1 - delta) of the sums adds and multiplies positive
+    factors only, within (52 + 6x)u; numpy's pairwise summation adds
+    (log2 M + 12)u, and eps and the secular combination bring the
+    computed F to within eta = (160 + 20x + 2 log2 M)u of F.  Since F
+    increases with F' >= eps w_1 (1 + 4 S_e)/delta^2 (its j = 1 term), a
+    sign read off the computed H moves the root by at most
+    eta delta^2 / (eps w_1 (1 + 4 S_e)).  That, the final bracket width
+    (or expm1(gamma h) when no search runs) and D_1's share, over h^4,
+    plus 8u lambda for forming lambda itself, make ``lambda_err``.
+
+    DomainError when gamma is outside [0, N-2) or when lambda h^4
+    overflows a double on this grid.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
-    opts = EigOptions() if opts is None else opts
-    opts.validate()
     N = check_dimension(N, 3)
     if not (0.0 <= gamma < N - 2.0):
         raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}")
     M = annulus.M
     start, stop = math.log(annulus.r_inner), math.log(annulus.r_outer)
-    # rho[1] - rho[0] of the grid allocated below, which np.linspace forms
-    # as (start + step) - start: known before a grid of M nodes is allocated
+    # rho[1] - rho[0] of np.linspace(start, stop, M + 2), formed as
+    # (start + step) - start, bit for bit
     h = (start + (stop - start) / (M + 1)) - start
-    # h^2 T has diagonal d, T[i+1, i] = lo and T[i, i+1] = up, with lo up = 1
-    d = 2.0 * math.cosh((N - 2.0) * h / 2.0)
-    lo = -math.exp(gamma * h / 2.0)
-    up = -math.exp(-gamma * h / 2.0)
-    h2_s = (4.0 * math.sinh((N - 2.0 + gamma) * h / 4.0)
-            * math.sinh((N - 2.0 - gamma) * h / 4.0))
-
-    def band(y: np.ndarray, sub: float, sup: float) -> np.ndarray:
-        z = d * y
-        z[1:] += sub * y[:-1]
-        z[:-1] += sup * y[1:]
-        return z
-
-    # Cholesky's backward error on the formed matrix, about 16 eps, has to
-    # stay inside its smallest eigenvalue, which exceeds gap below; on finer
-    # grids the factor stops resolving the principal mode and lambda drifts
-    # up (1e-9 at 16 eps = 0.7 gap, 4e-7 at 2.8 gap)
-    q = 4.0 * math.cosh(gamma * h / 2.0) * math.sin(math.pi / (2.0 * (M + 1))) ** 2
-    gap = q * (2.0 * h2_s + q)
-    if 16.0 * np.finfo(float).eps > gap:
-        raise DiscretizationError(
-            f"grid too fine for the shifted factorization (h = {h:.3g}); "
-            "use fewer nodes per unit of log-radius"
-        )
-    rho = np.linspace(start, stop, M + 2)[1:-1]
-    # h^4 (T T^T - s_h^2) in upper banded storage
-    ab = np.empty((3, M))
-    ab[0, :] = 1.0
-    ab[1, :] = d * (lo + up)
-    ab[2, :] = d * d + lo * lo + up * up - h2_s * h2_s
-    ab[2, 0] -= lo * lo
-    ab[2, -1] -= up * up
-    try:
-        cb = cholesky_banded(ab, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise DiscretizationError(
-            "shifted operator is not positive definite; refine the grid"
-        ) from exc
-
-    y = np.sin(math.pi * np.arange(1, M + 1) / (M + 1))
-    lam = math.nan
-    for iterations in range(1, opts.max_iter + 1):
-        y = cho_solve_banded((cb, False), y)
-        # numpy sums rather than BLAS dots: OpenBLAS threads a dot product
-        # past 10^4 entries, and the thread hand-off costs more than the sum
-        ny = math.sqrt(float(np.sum(y * y)))
-        if ny <= 0.0 or not math.isfinite(ny):
-            raise DiscretizationError("iterate collapsed; refine the grid")
-        y /= ny
-        w = band(y, up, lo)  # h^2 T^T y
-        lam_prev, lam = lam, float(np.sum(w * w)) / h**4
-        if abs(lam - lam_prev) <= opts.tol * lam:
-            break
+    x = (N - 2.0 + gamma) * h / 4.0
+    c = 0.5 * math.pi / (M + 1)  # theta_1 / 2
+    s1 = math.sin(c) ** 2
+    # below x = 350, A, B, eps and expm1(gamma h) are finite; past it
+    # sinh(x)^2, and lambda h^4 with it, leave the doubles
+    if x < 350.0:
+        A = math.sinh(x) ** 2
+        B = math.sinh((N - 2.0 - gamma) * h / 4.0) ** 2
+        D1 = 16.0 * (A + s1) * (B + s1)
+    if not (x < 350.0 and math.isfinite(D1)):
+        raise DomainError(f"lambda h^4 overflows a double on this grid "
+                          f"(h = {h:.3g}); use more nodes")
+    eps = 4.0 * math.sinh(gamma * h / 2.0) ** 2
+    left = -math.expm1(gamma * h)
+    err = (32.0 + 16.0 * x) * _U * D1
+    delta = 0.0
+    n = 0
+    if -left <= _U * D1:
+        # delta lies in (left, 0], below D_1's rounding: at gamma = 0, or
+        # with a corner term too small to move lambda
+        err -= left
     else:
-        raise ConvergenceError(
-            f"eigenvalue iteration did not converge in {opts.max_iter} steps "
-            f"(last lambda ~ {lam:.12g})"
-        )
+        w1 = 2.0 / (M + 1) * math.sin(2.0 * c) ** 2
+        # sin(k c) for k = 0..M+1 gives, for j = 2..M, sin(theta_j) =
+        # 2 sin(j c) sin((M+1-j) c) and sin((theta_j -+ theta_1)/2) =
+        # sin((j -+ 1) c)
+        sn = np.sin(np.arange(M + 2) * c)
+        gap = 16.0 * sn[1:M] * sn[3:] * (A + B + sn[2:M + 1] ** 2 + s1)
+        w = (8.0 / (M + 1)) * (sn[2:M + 1] * sn[M - 1:0:-1]) ** 2
+        gap_o, w_o = gap[1::2], w[1::2]  # j = 3, 5, ...
+        gap_e, w_e = gap[::2], w[::2]    # j = 2, 4, ...
 
-    if np.any(y <= 0.0) or np.any(w <= 0.0):
-        raise DiscretizationError(
-            "principal eigenvector lost positivity; refine the grid"
-        )
-    h4_lam = lam * h**4
-    res = band(w, lo, up) - h4_lam * y
-    residual = math.sqrt(float(np.sum(res * res))) / h4_lam
-    # phi = Q^{-1/2} y and psi = R^{-1/2} T^T y, scaled together in log space
-    log_phi = np.log(y) - 0.5 * (N - gamma - 2.0) * rho
-    log_psi = np.log(w / h**2) - 0.5 * (N + gamma - 2.0) * rho
-    top = max(float(np.max(log_phi)), float(np.max(log_psi)))
-    return EigReport(
-        annulus=annulus, N=N, gamma=float(gamma), lam=lam,
-        iterations=iterations, residual=residual,
-        phi=np.exp(log_phi - top), psi=np.exp(log_psi - top), r=np.exp(rho),
-    )
+        def sums(d: float) -> tuple[float, float]:
+            # S_o without its j = 1 term, and S_e; numpy sums rather than
+            # BLAS dots, which OpenBLAS threads past 10^4 entries
+            return (float(np.sum(w_o / (gap_o - d))),
+                    float(np.sum(w_e / (gap_e - d))))
+
+        def H(d: float) -> float:
+            nonlocal n
+            n += 1
+            so, se = sums(d)
+            return eps * (w1 * (1.0 + 4.0 * se)
+                          - d * (so * (1.0 + 4.0 * se) + se)) + d
+
+        right = -0.5 * eps * w1
+        h_right, h_left = H(right), H(left)
+        # a cap no search reaches: _bisect halves the bracket at least every
+        # other evaluation, and under 2100 halvings take any double width
+        # down to adjacent doubles
+        a, b = _bisect(H, right, left, 0.0, 4400, fa=h_right, fb=h_left)
+        delta = 0.5 * (a + b)
+        se = sums(delta)[1]
+        eta = (160.0 + 20.0 * x + 2.0 * math.log2(M)) * _U
+        err += eta * delta * delta / (eps * w1 * (1.0 + 4.0 * se)) + abs(b - a)
+    lam = (D1 + delta) / h**4
+    return EigReport(annulus=annulus, N=N, gamma=float(gamma), lam=lam,
+                     iterations=n, lambda_err=err / h**4 + 8.0 * _U * lam)
 
 
-def eig_ladder(N: int, gamma: float, ladder: list[Annulus] | None = None,
-               opts: EigOptions | None = None) -> list[EigReport]:
+def eig_ladder(N: int, gamma: float,
+               ladder: list[Annulus] | None = None) -> list[EigReport]:
     """Eigenvalues along a nested-annulus ladder, each rung solved on its own."""
     ladder = default_ladder() if ladder is None else ladder
-    return [principal_eigenvalue(ann, N, gamma, opts) for ann in ladder]
+    return [principal_eigenvalue(ann, N, gamma) for ann in ladder]
 
 
 def richardson_limit(reports: list[EigReport]) -> float:
@@ -253,7 +263,6 @@ class StabilityReport:
 def singular_stability_verdict(
     params: ParameterTriple,
     ladder: list[Annulus] | None = None,
-    opts: EigOptions | None = None,
 ) -> StabilityReport:
     """Stability of the singular solution via the annulus eigenvalue test.
 
@@ -275,11 +284,10 @@ def singular_stability_verdict(
     and recorded in ``lecv_consistent`` as a cross-check; it never feeds
     the verdict.
     """
-    opts = EigOptions() if opts is None else opts
     N = params.N
     sc = derive_scaling(params)
     k1k2 = sc.K1K2
-    reports = eig_ladder(N, sc.gamma, ladder, opts)
+    reports = eig_ladder(N, sc.gamma, ladder)
     last = reports[-1].annulus
     k = max(round(math.log10(last.r_outer)), round(-math.log10(last.r_inner)))
     extended = 0
@@ -291,7 +299,7 @@ def singular_stability_verdict(
             break
         k += 1
         ann = Annulus(10.0 ** (-k), 10.0 ** k, LADDER_M_PER_K * k)
-        reports.append(principal_eigenvalue(ann, N, sc.gamma, opts))
+        reports.append(principal_eigenvalue(ann, N, sc.gamma))
         extended += 1
     unstable = min(rep.lam for rep in reports) < k1k2
     verdict = "SingularUnstable" if unstable else "SingularStable"

@@ -35,7 +35,3 @@ class GridTooCoarse(LaneEmdenError):
 
 class MisclassifiedProfile(LaneEmdenError):
     """Operation requires a profile classification the input does not have."""
-
-
-class DiscretizationError(LaneEmdenError):
-    """Discrete operator lost positivity; the grid is too coarse."""

@@ -1,8 +1,8 @@
 """The solvers' plain-value inputs, without numpy.
 
-``SolverOptions`` (radial solver and shooting), ``EigOptions`` and
-``Annulus`` (eigen ladder), ``default_ladder`` and ``DEFAULT_BAND``
-(the dead band of profile comparison).  The command line builds its cache
+``SolverOptions`` (radial solver and shooting), ``Annulus`` and
+``default_ladder`` (eigen ladder), and ``DEFAULT_BAND`` (the dead band of
+profile comparison).  The command line builds its cache
 payloads and parser defaults from these, so a cache hit needs no numerical
 layer; ``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles`` re-export
 them.
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidOptions
 
-__all__ = ["SolverOptions", "EigOptions", "Annulus", "default_ladder",
-           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K"]
+__all__ = ["SolverOptions", "Annulus", "default_ladder", "DEFAULT_BAND",
+           "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES"]
 
 # relative dead band of ``profiles.compare``, floored at the profile's rtol
 DEFAULT_BAND = 1e-12
@@ -26,6 +26,10 @@ DEFAULT_BAND = 1e-12
 # the default ladder: rungs k = 1..LADDER_KMAX, with LADDER_M_PER_K * k
 # interior nodes each; the eigen ladder's extension rungs take as many
 LADDER_KMAX, LADDER_M_PER_K = 5, 1024
+
+# the most interior nodes of an annulus: the eigen solve allocates a few
+# arrays of M doubles, and the widest default-style rung, k = 308, has 315,392
+MAX_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -60,26 +64,12 @@ class Annulus:
             raise DomainError("need 0 < r_inner < r_outer < inf")
         if not isinstance(self.M, numbers.Integral):
             raise DomainError(f"the node count must be an integer, got {self.M!r}")
-        if self.M < 16:
-            raise DomainError("need at least 16 interior nodes")
+        if not 16 <= self.M <= MAX_NODES:
+            raise DomainError(f"need 16 to {MAX_NODES} interior nodes")
 
     @property
     def log_width(self) -> float:
         return math.log(self.r_outer / self.r_inner)
-
-
-@dataclass(frozen=True)
-class EigOptions:
-    tol: float = 1e-11
-    max_iter: int = 10_000
-
-    def validate(self):
-        if not (0.0 < self.tol < 1.0):
-            raise InvalidOptions(f"eigensolver tol must lie in (0, 1), got {self.tol!r}")
-        n = self.max_iter
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise InvalidOptions(f"eigensolver max_iter must be an integer >= 1, "
-                                 f"got {n!r}")
 
 
 def default_ladder(k_max: int = LADDER_KMAX,

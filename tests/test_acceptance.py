@@ -14,7 +14,7 @@ from lelab import (CurvePosition, DomainError, ParameterTriple, classify,
                    derive_scaling, hardy_rellich_constant, jl_diagonal)
 from lelab.closed_form import (default_sample_radii, singular_residuals,
                                supersolution_residuals)
-from lelab.eigen import (Annulus, EigOptions, _gap_estimate, eig_ladder,
+from lelab.eigen import (Annulus, _gap_estimate, eig_ladder,
                          principal_eigenvalue, richardson_limit)
 from lelab.profiles import compare, ratio_suprema, truncate_profile
 from lelab.radial import (InitialData, SolverOptions, decay_identity_check,
@@ -100,18 +100,18 @@ def _grid_cells(N, lo, hi, n=50):
     return cells
 
 
-def _eig_stable_top(N, sc, k_top, m_per_k, opts):
+def _eig_stable_top(N, sc, k_top, m_per_k):
     """Ladder-top comparison lambda vs K1K2, extending while undecided."""
     k = k_top
     lam = principal_eigenvalue(Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k),
-                               N, sc.gamma, opts).lam
+                               N, sc.gamma).lam
     while (lam >= sc.K1K2
            and lam - sc.K1K2 < 2.0 * _gap_estimate(N, sc.gamma,
                                                    2.0 * k * math.log(10.0))
            and k < 14):
         k += 1
         lam = principal_eigenvalue(Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k),
-                                   N, sc.gamma, opts).lam
+                                   N, sc.gamma).lam
     return lam >= sc.K1K2, lam, k
 
 
@@ -124,7 +124,6 @@ def test_c3_stability_equivalence_grid():
     mismatches = []
     for N, lo, hi in windows:
         cells = _grid_cells(N, lo, hi)
-        opts = EigOptions(tol=1e-9, max_iter=40_000)
         for p, q, sc in cells:
             total += 1
             band = 1e-6 * max(1.0, sc.K1K2)
@@ -134,7 +133,7 @@ def test_c3_stability_equivalence_grid():
             witness = supersolution_residuals(sc).stability_witness
             side = classify(ParameterTriple(p, q, N)).jl
             cls_stable = side in (CurvePosition.ABOVE, CurvePosition.ON)
-            eig_stable, lam, k = _eig_stable_top(N, sc, 5, 1024, opts)
+            eig_stable, lam, k = _eig_stable_top(N, sc, 5, 1024)
             if not (witness == cls_stable == eig_stable):
                 mismatches.append((N, p, q, witness, cls_stable, eig_stable,
                                    lam, sc.K1K2, k))

@@ -58,10 +58,9 @@ class TestConfig:
             load_config(cfg_file)
 
     def test_relative_tolerances_below_one(self, tmp_path):
-        # a relative tolerance of 1 or more accepts anything, and at 1e308
-        # the eigen stopping test overflows
+        # a relative tolerance of 1 or more accepts anything
         cfg_file = tmp_path / "lab.cfg"
-        for key in ("rtol", "tol_curve", "eig_tol"):
+        for key in ("rtol", "tol_curve"):
             cfg_file.write_text(f"{key} = 1e308\n")
             with pytest.raises(ConfigError, match=key):
                 load_config(cfg_file)
@@ -219,13 +218,14 @@ class TestScanCommand:
         ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
         ("solve", "profile_p3_q3_N11_55a7d97cdc48.csv"),
         ("shot", "profile_p8_q8_N11_d5712ba79770.csv"),
-        ("eig", "eig_p3_q3_N11_aa3a54bcc608.csv"),
+        ("eig", "eig_p3_q3_N11_61211bb6a705.csv"),
     ])
     def test_file_names_pinned(self, tmp_path, capsys, name, shown):
         # the names of version 0.1.0 before the one artifact writer; they
         # hash the arguments and the config only, so they hold on any
         # platform, and any change to a payload moves them: solve and shot
-        # moved when four solver settings left the payload's "opts"
+        # moved when four solver settings left the payload's "opts", eig
+        # when eig_tol and eig_max_iter left its payload
         rc, out, _ = run_cli(["--out", str(tmp_path), "--no-cache",
                               *CACHED_OPS[name]], capsys)
         assert rc == 0
@@ -512,6 +512,30 @@ class TestSolveCompareEig:
         assert doc["verdict"] == "SingularStable"
         assert doc["lecv_consistent"] is True
 
+    def test_eig_artifacts_carry_lambda_err(self, tmp_path, capsys):
+        # the rounding bound of each rung, in the CSV and the JSON alike,
+        # far inside the verdict band
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "--ladder",
+                            "2", "eig", "9", "6", "11"], capsys)
+        assert rc == 0
+        head, *rows = next(tmp_path.glob("eig_*.csv")).read_text().split()
+        assert head == "k,M,lambda,lambda_err,iterations"
+        ladder = json.loads(next(tmp_path.glob("eig_*.json")).read_text())["ladder"]
+        for row, rung in zip(rows, ladder, strict=True):
+            _, _, lam, err, evals = row.split(",")
+            assert float(lam) == rung["lambda"]
+            assert float(err) == rung["lambda_err"]
+            assert 0.0 < float(err) < 1e-12 * float(lam)
+            assert int(evals) == rung["iterations"] > 2
+
+    def test_eig_coarse_grid_overflow_exits_2(self, tmp_path, capsys):
+        # h = 81 at N = 11: lambda h^4 is past the double range
+        rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
+                              "9", "6", "11", "--annulus", "1e-300", "1e300",
+                              "16"], capsys)
+        assert rc == 2
+        assert "overflows" in err
+
     def test_curve_command(self, tmp_path, capsys):
         out = tmp_path / "curve"
         rc, _, _ = run_cli(["--out", str(out), "--no-cache", "curve", "11",
@@ -573,13 +597,26 @@ class TestSolveCompareEig:
         assert not list(tmp_path.glob("eig_*"))
 
     @pytest.mark.parametrize("m", ["1e15", "1e308"])
-    def test_eig_huge_annulus_node_count_exits_3(self, tmp_path, capsys, m):
-        # these ended in numpy's allocation tracebacks
+    def test_eig_huge_annulus_node_count_exits_2(self, tmp_path, capsys, m):
+        # these ended in numpy's allocation tracebacks; the annulus refuses
+        # the node count before anything is allocated
         rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", "eig",
                               "3", "2", "11", "--annulus", "0.1", "10", m],
                              capsys)
-        assert rc == 3
-        assert "too fine" in err
+        assert rc == 2
+        assert "interior nodes" in err
+        assert not list(tmp_path.glob("eig_*"))
+
+    @pytest.mark.parametrize("line", ["eig_tol = 1e-11", "eig_max_iter = 100"])
+    def test_removed_eigensolver_keys_exit_2(self, tmp_path, capsys, line):
+        # the secular root has no tolerance or iteration cap to set
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                              "--no-cache", "eig", "3", "2", "11"], capsys)
+        assert rc == 2
+        assert f"unknown config key '{line.split()[0]}'" in err
+        assert not list(tmp_path.glob("eig_*"))
 
     def test_eig_ladder_past_double_range_exits_2(self, tmp_path, capsys):
         # 10.0 ** 309 ended in an OverflowError traceback, by flag and by
@@ -765,8 +802,8 @@ class TestCompareRefuses:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy costs about a tenth of a second to import; only the eigen
-    # solver and the test oracles may load it, on first use
+    # scipy costs about a tenth of a second to import; only the test
+    # oracles load it
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, lelab.cli; "

@@ -4,10 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lelab import ConvergenceError, DiscretizationError, DomainError, \
-    InvalidOptions, ParameterTriple, hardy_rellich_constant, jl_curve_q
+from lelab import DomainError, ParameterTriple, hardy_rellich_constant, \
+    jl_curve_q
 from lelab.cli import main as cli_main
-from lelab.eigen import (Annulus, EigOptions, default_ladder, eig_ladder,
+from lelab.eigen import (Annulus, default_ladder, eig_ladder,
                          principal_eigenvalue, richardson_limit,
                          singular_stability_verdict)
 
@@ -59,40 +59,47 @@ def mp_flux_form_eigenvalue(N: int, gamma: float, annulus: Annulus) -> float:
 class TestPrincipalEigenvalue:
     @pytest.mark.parametrize("N", [3, 11, 23, 40])
     def test_matches_discrete_closed_form_at_zero_gamma(self, N):
-        # the cancellation left in ||T^T y||^2 grows as C_gamma shrinks
-        tol = 2e-10 if N <= 5 else 1e-11
+        # lambda is D_1/h^4 at gamma = 0; the closed form's h, the log
+        # width over M + 1, differs from the grid's step in its last bits
         for ann in default_ladder(14):
             lam = principal_eigenvalue(ann, N, 0.0).lam
             exact = discrete_zero_gamma_eigenvalue(N, ann)
-            assert lam == pytest.approx(exact, rel=tol), (N, ann)
+            assert lam == pytest.approx(exact, rel=1e-12), (N, ann)
 
     @pytest.mark.parametrize("N, gamma", [(11, 0.4), (13, 2.0), (23, 5.5)])
     def test_matches_mpmath_flux_form_eigenvalue(self, N, gamma):
         # (23, 5.5) on this coarse grid: (N-2)h = 3, far from the continuum
         ann = Annulus(1e-2, 1e2, 64)
-        lam = principal_eigenvalue(ann, N, gamma).lam
-        assert lam == pytest.approx(mp_flux_form_eigenvalue(N, gamma, ann),
-                                    rel=1e-10)
+        rep = principal_eigenvalue(ann, N, gamma)
+        oracle = mp_flux_form_eigenvalue(N, gamma, ann)
+        assert rep.lam == pytest.approx(oracle, rel=1e-14)
+        assert abs(rep.lam - oracle) <= rep.lambda_err
+        # the bound is a rounding bound, far inside the verdict band
+        assert rep.lambda_err < 1e-12 * rep.lam
 
     def test_wide_annulus_in_high_dimension_is_finite(self):
         # r^N spans 10^{+-322} here: no weight may be formed in r itself
         rep = principal_eigenvalue(Annulus(1e-14, 1e14, 14 * 1024), 23, 0.5)
         assert math.isfinite(rep.lam)
         assert rep.lam > hardy_rellich_constant(23, 0.5)
-        assert np.all(np.isfinite(rep.phi)) and np.all(np.isfinite(rep.psi))
 
-    def test_too_fine_grid_is_refused(self):
-        # here the formed shifted matrix no longer resolves the principal
-        # mode: lambda came out 5e-5 high instead of failing
-        with pytest.raises(DiscretizationError, match="too fine"):
-            principal_eigenvalue(Annulus(1e-2, 1e2, 102_400), 11, 0.4)
-        principal_eigenvalue(Annulus(1e-2, 1e2, 25_600), 11, 0.4)
+    @pytest.mark.parametrize("r_in, r_out, M, gamma", [
+        (1e-2, 1e2, 102_400, 0.4), (0.1, 10.0, 40_000, 6.0 / 53.0)])
+    def test_fine_grids_converge_at_second_order(self, r_in, r_out, M, gamma):
+        # the shifted factorization refused both grids as too fine; the
+        # secular root has no such limit.  gamma = 6/53 is (9, 6, 11)'s
+        lams = [principal_eigenvalue(Annulus(r_in, r_out, m), 11, gamma).lam
+                for m in (M // 4, M // 2, M)]
+        ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
+        assert 3.9 < ratio < 4.1
+        if M == 40_000:
+            assert lams[2] == pytest.approx(428.99944712, abs=5e-9)
 
     @pytest.mark.parametrize("M", [10**15, int(1e308)], ids=["1e15", "1e308"])
     def test_huge_node_count_refused_before_allocating(self, M):
-        # the grid of M + 2 nodes would take petabytes, or more than numpy
-        # can size, so the fineness test has to come first
-        with pytest.raises(DiscretizationError, match="too fine"):
+        # the sine table of M + 2 nodes would take petabytes, or more than
+        # numpy can size: the annulus refuses the node count itself
+        with pytest.raises(DomainError, match="interior nodes"):
             principal_eigenvalue(Annulus(0.1, 10.0, M), 11, 0.4)
 
     @pytest.mark.parametrize("r_in, r_out", [(0.1, 10.0), (1e-6, 1.0),
@@ -142,9 +149,18 @@ class TestPrincipalEigenvalue:
         assert outer.lam < inner.lam
 
     def test_positive_eigenfunctions(self):
-        rep = principal_eigenvalue(Annulus(1e-3, 1e3, 512), 13, 1.0)
-        assert np.all(rep.phi > 0.0)
-        assert np.all(rep.psi > 0.0)
+        # the secular root is the principal eigenvalue: the smallest of the
+        # dense h^-4 T T^T, whose eigenvector keeps one sign
+        ann = Annulus(1e-3, 1e3, 512)
+        rep = principal_eigenvalue(ann, 13, 1.0)
+        h = ann.log_width / (ann.M + 1)
+        T = (np.diag(np.full(ann.M, 2.0 * math.cosh(11.0 * h / 2.0)))
+             - math.exp(0.5 * h) * np.eye(ann.M, k=-1)
+             - math.exp(-0.5 * h) * np.eye(ann.M, k=1)) / h**2
+        vals, vecs = np.linalg.eigh(T @ T.T)
+        assert rep.lam == pytest.approx(vals[0], rel=1e-9)
+        y = vecs[:, 0] * np.sign(vecs[0, 0])
+        assert np.all(y > 0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -153,26 +169,12 @@ class TestPrincipalEigenvalue:
             Annulus(1e-2, 1e2, 8)
         with pytest.raises(DomainError):
             principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 9.5)
-        with pytest.raises(ConvergenceError):
-            principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.9,
-                                 EigOptions(max_iter=3))
 
     @pytest.mark.parametrize("M", [64.7, 64.0, math.nan, "64"])
     def test_node_count_not_an_integer(self, M):
         # 64.7 ended in a TypeError from numpy, not a LaneEmdenError
         with pytest.raises(DomainError, match="integer"):
             principal_eigenvalue(Annulus(0.1, 10, M), 11, 0.4)
-
-    @pytest.mark.parametrize("opts", [
-        EigOptions(tol=0.0), EigOptions(tol=-1e-11), EigOptions(tol=1.0),
-        EigOptions(tol=1e308), EigOptions(tol=math.inf),
-        EigOptions(tol=math.nan), EigOptions(max_iter=0),
-        EigOptions(max_iter=3.5)])
-    def test_options_refused(self, opts):
-        # a relative tol of 1 or more stops at once, 1e308 overflows the
-        # stopping test, and a fractional max_iter ended in a TypeError
-        with pytest.raises(InvalidOptions):
-            principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 0.4, opts)
 
 
 class TestLadder:
@@ -222,6 +224,9 @@ class TestStabilityVerdict:
         )
         assert sr.extended == 11  # to the cap, k = 14
         assert sr.marginal
+        # the rounding bound is six orders inside the verdict band
+        band = 1e-6 * max(1.0, sr.k1k2)
+        assert all(rep.lambda_err < 1e-6 * band for rep in sr.reports)
 
     def test_biharmonic_edge_consistency(self):
         # gamma = 2 exactly (q = 1); the stable window at N = 13 opens

@@ -11,8 +11,8 @@ Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
 solve or ``--band`` of a compare, ``--ladder``, ``--steps`` or
-``--resolution`` below 1, an annulus node count that is not an integer of
-at least 16) must be refused with exit 2, and so must a shot with ``--v0``
+``--resolution`` below 1, an annulus node count that is not an integer
+from 16 to ``MAX_NODES``) must be refused with exit 2, and so must a shot with ``--v0``
 or ``--r-max``, which only a plain solve reads.  Sizes stay bounded:
 ``--resolution`` <= 64, ``--ladder`` <= 3, ``--steps`` <= 16, no huge
 ``--r-max``, and a small config keeps every integration short.  The
@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lelab.cli import main
+from lelab.options import MAX_NODES
 
 BIG_INT = "1" + "0" * 399
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e308", BIG_INT)
@@ -64,8 +65,7 @@ def bases(profile):
          ["--r-max", "10"]],
         [["compare"], ["3"], ["3"], ["11"], ["--profile", profile],
          ["--band", "1e-10"]],
-        [["eig"], ["9"], ["6"], ["11"], ["--ladder", "3"],
-         ["--tol-eig", "1e-11"]],
+        [["eig"], ["9"], ["6"], ["11"], ["--ladder", "3"]],
         [["eig"], ["3"], ["3"], ["11"], ["--annulus", "0.1", "10", "32"]],
     ]
 
@@ -119,7 +119,7 @@ def must_refuse(argv) -> bool:
         return tok is not None and _invalid(tok, integer=False)
     if cmd == "eig" and "--annulus" in argv:
         m = float(argv[argv.index("--annulus") + 3])
-        if not (m.is_integer() and m >= 16):
+        if not (m.is_integer() and 16 <= m <= MAX_NODES):
             return True
     flag = {"eig": "--ladder", "curve": "--steps", "scan": "--resolution"}.get(cmd)
     tok = _value(argv, flag) if flag else None
