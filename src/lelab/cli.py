@@ -87,8 +87,11 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # EntirePositive, with no decay threshold; eig 5: lambda is the root of
 # the sine-basis secular equation, the CSV and JSON carry lambda_err in
 # place of the inverse iteration's residual, and the payload drops eig_tol
-# and eig_max_iter.
-_REVISION = {"curve": 3, "scan": 1, "solve": 4, "shoot": 8, "compare": 2,
+# and eig_max_iter; shoot 9: probes read the transverse coefficient at
+# r = 1e2 and the coarse phase stops at 1e-7, so v0* moves by ulps.
+# compare stays at 2: its key hashes the stored profile, and a given
+# profile compares to the same bytes.
+_REVISION = {"curve": 3, "scan": 1, "solve": 4, "shoot": 9, "compare": 2,
              "eig": 5}
 
 

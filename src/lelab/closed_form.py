@@ -38,6 +38,7 @@ __all__ = [
     "supersolution_residuals",
     "default_sample_radii",
     "indicial_exponents",
+    "transverse_covector",
 ]
 
 
@@ -206,3 +207,33 @@ def indicial_exponents(scaling: ScalingData) -> np.ndarray:
     outer = math.sqrt(h + d)
     inner = cmath.sqrt(h - d)
     return np.array([m - outer, m - inner, m + inner, m + outer])
+
+
+def transverse_covector(scaling: ScalingData) -> tuple:
+    """kappa_min and the left eigenvector l of the linearization at the
+    singular pair that reads its transverse mode.
+
+    With t = log r and Y = (U, U_t, V, V_t), U = r^alpha u, V = r^beta v,
+    the system is autonomous with the fixed point P = (a, 0, b, 0), and
+
+        dY/dt = J (Y - P) + O(|Y - P|^2),
+        J = [[0, 1, 0, 0], [S, -A1, -K1, 0], [0, 0, 0, 1], [-K2, 0, T, -A2]],
+
+    whose eigenvalues are -kappa for the roots kappa of
+    ``indicial_exponents``.  l J = -kappa_min l gives l1 = (A1 - kappa) l2,
+    l3 = (A2 - kappa) l4 and l4 = -(kappa^2 - A1 kappa - S) l2 / K2, and l
+    annihilates the other three modes.  l2 is chosen so that on the
+    transverse mode l.(Y - P) equals dU/a - dV/b, the first-order value of
+    log(U/a) - log(V/b).  Returns (kappa_min, (l1, l2, l3, l4)).
+    """
+    s = scaling
+    kappa = float(indicial_exponents(s)[0].real)
+    n = s.N - 2.0
+    A1, A2 = n - 2.0 * s.alpha, n - 2.0 * s.beta
+    e = kappa * kappa - A1 * kappa - s.S
+    # the right eigenvector is (1, -kappa, rho, -kappa rho), rho = -e/K1;
+    # with l2 = 1, l4 = -e/K2
+    rho, l4 = -e / s.K1, -e / s.K2
+    c = (1.0 / s.a - rho / s.b) / ((A1 - 2.0 * kappa)
+                                     + (A2 - 2.0 * kappa) * l4 * rho)
+    return kappa, ((A1 - kappa) * c, c, (A2 - kappa) * l4 * c, l4 * c)

@@ -117,11 +117,10 @@ def _crossings_one_field(r, rel_diff, band, f_dense, sing_val):
     state[rel_diff > band] = 1
     state[rel_diff < -band] = -1
     idx = np.nonzero(state)[0]
+    # consecutive nonzero states of opposite sign: one comparison for all
+    flips = np.nonzero(state[idx[1:]] != state[idx[:-1]])[0]
     crossings = []
-    for k in range(idx.size - 1):
-        i, j = idx[k], idx[k + 1]
-        if state[i] == state[j]:
-            continue
+    for i, j in zip(idx[flips].tolist(), idx[flips + 1].tolist()):
         if f_dense is None:
             crossings.append(_loglinear_root(float(r[i]), float(r[j]),
                                              float(rel_diff[i]), float(rel_diff[j])))

@@ -28,24 +28,30 @@ decay identity u(0) = (N-2)^{-1} int_0^inf t v(t)^p dt.
 
 ``shoot`` finds the v0 of an entire profile with the package's one
 bracketed root finder (``exponents._bisect``, Dekker-Brent) on the value of
-a matching functional g at the probe radius R = min(r_target, 1e4); the
-transverse mode of the linearization makes that value about linear in
-v0 - v0*, with a different slope on each of its three branches (v hits
-zero, the probe reaches the radius, u hits zero), so the finder's secants
-run through two probes on one side of the root.  A shot searches in two
-phases: a coarse one whose probes march at loose tolerances (rtol 1e-6,
-atol 1e-8, or the caller's if looser) to a bracket of relative width 1e-5,
-and a full-accuracy one from that bracket once both its ends have been
-probed at the caller's tolerances (again, unless those are the coarse
-ones) and kept their signs (else from the original ends).
-A shot takes about 22-23 probes, 14-15 of them coarse ones of about 70
-steps each, where a full-accuracy probe near the root takes about 750.
-Every g of a shot, at the ends (marched to r_target) as at the probes (to
-R), is read from the last step of a bare march without dense output or
-grid, through ``_end`` and the builder's interpolation: the profile's
-float.  ``polish`` only narrows the final bracket from v0_tol to 4 ulp.
-``iterations`` counts the probes of both phases and ``bracket_width`` is
-the final bracket (0 for the exact diagonal shot).
+a matching functional g at the probe radius R = min(r_target, 1e2).  With
+t = log r and Y = (r^alpha u, r^alpha (alpha u + r u'), r^beta v,
+r^beta (beta v + r v')), the system is autonomous and the singular pair is
+its fixed point P = (a, 0, b, 0); entire solutions enter P's stable
+manifold, and g on a probe that reaches R is the coefficient l.(Y - P) of
+the one transverse mode (a projection boundary condition: Lentini and
+Keller, SIAM J. Numer. Anal. 17, 1980; Beyn, IMA J. Numer. Anal. 10, 1990),
+with l from ``closed_form.transverse_covector``.  It is smooth and about
+linear in v0 - v0*; a probe that hits zero reads +-(r_ev/R)^kappa_min, with
+a different slope on each side, so the finder's secants run through two
+probes on one side of the root.  A shot searches in two phases: a coarse
+one whose probes march at loose tolerances (rtol 1e-6, atol 1e-8, or the
+caller's if looser) to a bracket of relative width 1e-7, and a
+full-accuracy one from that bracket once both its ends have been probed at
+the caller's tolerances (again, unless those are the coarse ones) and kept
+their signs (else from the original ends).  A shot takes about 22-24
+probes, 17-19 of them coarse ones of about 70 steps each, and 4-5 at full
+accuracy of about 570 steps each.  Every g of a shot, at the ends (marched
+to r_target) as at the probes (to R), is read from the last step of a bare
+march without dense output or grid, through ``_end`` and the builder's
+interpolation: the profile's float.  ``polish`` only narrows the final
+bracket from v0_tol to 4 ulp.  ``iterations`` counts the probes of both
+phases and ``bracket_width`` is the final bracket (0 for the exact
+diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
@@ -69,7 +75,7 @@ from .errors import (
     MisclassifiedProfile,
     StepUnderflow,
 )
-from .closed_form import indicial_exponents
+from .closed_form import transverse_covector
 from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
 from .options import SolverOptions
 # unused here: kept because bench/tracing.py wraps it under this module too
@@ -96,9 +102,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
+# ``shoot``'s probe radius (capped at r_target), where the deviation from the
+# singular pair is about 1e-7 and so its quadratic remainder about 1e-14
+_PROBE_RADIUS = 1e2
 # ``shoot``'s coarse phase: probe tolerances (floors on the caller's) and the
 # relative bracket width at which it hands over to the full-accuracy search
-_COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-5
+_COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-7
 # budgets: steps (accepted and rejected) of one march, probes of one shot
 _MAX_STEPS, _SHOOT_MAX_ITER = 2_000_000, 200
 
@@ -567,19 +576,23 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
 
     Otherwise the root finder searches the whole bracket for the zero of
     a matching functional g(v0), read from a probe marched to the probe
-    radius R = min(r_target, 1e4), and the midpoint of the final bracket is
+    radius R = min(r_target, 1e2), and the midpoint of the final bracket is
     integrated once to r_target.  Off the entire-solution manifold by
     d = v0 - v0*, a trajectory deviates like |d| (r/R)^-kappa, with
     kappa = kappa_min the transverse root of
     ``closed_form.indicial_exponents``, real and negative for every triple.
-    So g is log(u/u_s) - log(v/v_s) at R on a probe that reaches R, and
+    So g is the transverse coefficient l.(Y - P) at R (``_reader``) on a
+    probe that reaches R, which equals log(u/u_s) - log(v/v_s) to first
+    order on that mode and is blind to the three decaying ones, and
     +-(r_ev/R)^kappa on one that hits zero at r_ev (the ends among them),
-    positive where v falls first; both are about proportional to d.
+    positive where v falls first; both are about proportional to d.  At
+    R = 1e2 the deviation from P is about 1e-7, so the quadratic
+    remainder that l neglects is about 1e-14.
 
     The search has two phases.  The coarse one marches its probes at
     rtol = max(rtol, 1e-6) and atol = max(atol, 1e-8), since far from the
     root only the sign and rough size of g matter, and stops at a relative
-    bracket width of max(tol, 1e-5).  Each end of its bracket is probed
+    bracket width of max(tol, 1e-7).  Each end of its bracket is probed
     again at the caller's tolerances, unless g is known there at those
     already (no v0 is marched twice at one set of tolerances); if both keep
     their signs, the full-accuracy phase narrows that bracket, else it
@@ -600,7 +613,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     if u0 <= 0.0:
         raise DomainError("u0 must be positive")
 
-    R = min(opts.r_target, 1e4)
+    R = min(opts.r_target, _PROBE_RADIUS)
     read = _reader(params, scaling, u0, R, opts)
     (kind_lo, g_lo), (kind_hi, g_hi) = (read(lo, opts.r_target),
                                         read(hi, opts.r_target))
@@ -661,11 +674,13 @@ def _reader(params: ParameterTriple, scaling: ScalingData, u0: float,
     """``shoot``'s reader of g at probe radius R: ``read(v0, r_max=R)``
     marches from (u0, v0) to r_max at opts, without dense output or grid,
     and returns the class of the first zero of u or v (None if neither
-    reached zero) and g.  On a march that reaches r_max, g is read from the
-    last step at its right end, as ``integrate`` reads the last node of a
-    profile, so it is the profile's float."""
-    lg_a, lg_b = math.log(scaling.a), math.log(scaling.b)
-    kappa = float(indicial_exponents(scaling)[0].real)
+    reached zero) and g.  On a march that reaches r_max, g is the
+    transverse coefficient l.(Y - P) of ``closed_form.transverse_covector``,
+    with Y = (r^alpha u, r^alpha (alpha u + r u'), r^beta v,
+    r^beta (beta v + r v')) read from the last step at its right end, as
+    ``integrate`` reads the last node of a profile, and P = (a, 0, b, 0)."""
+    kappa, (l1, l2, l3, l4) = transverse_covector(scaling)
+    a, b, alpha, beta = scaling.a, scaling.b, scaling.alpha, scaling.beta
 
     def read(v0: float, r_max: float = R) -> tuple:
         rec = _march(params, InitialData(u0, v0), r_max, opts)
@@ -679,11 +694,11 @@ def _reader(params: ParameterTriple, scaling: ScalingData, u0: float,
         start, h = rec.starts[-1], rec.steps[-1]
         th = (rr - start) / h
         th = 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
-        u = _horner(rec.y0s[-4], h, th, coef[0].tolist())
-        v = _horner(rec.y0s[-2], h, th, coef[2].tolist())
-        uh = math.log(u) + scaling.alpha * math.log(rr) - lg_a
-        vh = math.log(v) + scaling.beta * math.log(rr) - lg_b
-        return None, uh - vh
+        u, du, v, dv = (_horner(y0, h, th, c)
+                        for y0, c in zip(rec.y0s[-4:], coef.tolist()))
+        ra, rb = rr ** alpha, rr ** beta
+        return None, (l1 * (ra * u - a) + l2 * (ra * (alpha * u + rr * du))
+                      + l3 * (rb * v - b) + l4 * (rb * (beta * v + rr * dv)))
 
     return read
 
@@ -840,13 +855,14 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
         meta = _json.loads(json_text)
         if not isinstance(meta, dict) or meta.get("kind") != "radial_profile":
             raise DomainError("not a radial-profile metadata document")
-        lines = csv_text.strip().split("\n")
-        if lines[0] != "r,u,v,du,dv":
+        header, _, body = csv_text.strip().partition("\n")
+        if header != "r,u,v,du,dv":
             raise DomainError("unexpected CSV header for a radial profile")
-        # one conversion for all cells; rows of unequal width raise
-        data = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
-        if data.ndim != 2 or data.shape[1] != 5:
-            raise DomainError("a radial-profile CSV needs rows of 5 numbers")
+        if any(ln.count(",") != 4 for ln in body.split("\n")):
+            raise ValueError("a radial-profile CSV needs rows of 5 numbers")
+        # one split and one conversion for all cells
+        data = np.array(body.replace("\n", ",").split(","),
+                        dtype=float).reshape(-1, 5)
         stats = meta["stats"]
         return RadialProfile(
             p=float(meta["params"]["p"]), q=float(meta["params"]["q"]),

@@ -7,7 +7,7 @@ from lelab import CurvePosition, DomainError, ParameterTriple, classify, derive_
 from lelab.closed_form import (SingularSolution, SupersolutionPair,
                                default_sample_radii, eval_singular,
                                indicial_exponents, singular_residuals,
-                               supersolution_residuals)
+                               supersolution_residuals, transverse_covector)
 
 from conftest import valid_triples
 
@@ -156,3 +156,42 @@ class TestIndicialExponents:
     def test_one_growing_mode_above_curve(self):
         roots = indicial_exponents(derive_scaling(ParameterTriple(10, 6, 11)))
         assert np.sum(roots.real < 0) == 1
+
+
+class TestTransverseCovector:
+    # with t = log r, U = r^alpha u and V = r^beta v the system reads
+    # U_tt + A1 U_t - S U + V^p = 0, V_tt + A2 V_t - T V + U^q = 0; J is the
+    # Jacobian of Y = (U, U_t, V, V_t) at the fixed point (a, 0, b, 0)
+    @pytest.mark.parametrize("triple", [(9, 6, 11), (6, 4, 11), (30, 1, 13)])
+    def test_left_eigenvector_of_the_jacobian(self, triple):
+        sc = derive_scaling(ParameterTriple(*triple))
+        n = sc.N - 2.0
+        A1, A2 = n - 2.0 * sc.alpha, n - 2.0 * sc.beta
+        S, T = sc.alpha * (n - sc.alpha), sc.beta * (n - sc.beta)
+        J = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [S, -A1, -sc.p * sc.b ** (sc.p - 1.0), 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [-sc.q * sc.a ** (sc.q - 1.0), 0.0, T, -A2]])
+        kappa, ell = transverse_covector(sc)
+        ell = np.array(ell)
+        # the one growing mode e^{-kappa_min t}: numpy's left eigenvector
+        w, left = np.linalg.eig(J.T)
+        i = int(np.argmax(w.real))
+        assert w[i].imag == 0.0
+        assert w[i].real == pytest.approx(-kappa, rel=1e-12)
+        oracle = left[:, i].real
+        assert np.allclose(ell / ell[1], oracle / oracle[1], rtol=1e-10,
+                           atol=1e-12)
+        # l annihilates the other three modes; below the curve two of them
+        # are the complex inner pair
+        w, right = np.linalg.eig(J)
+        i = int(np.argmax(w.real))
+        others = [j for j in range(4) if j != i]
+        assert np.any(np.abs(w[others].imag) > 1e-6) == (triple == (6, 4, 11))
+        scale = np.linalg.norm(ell)
+        for j in others:
+            assert abs(ell @ right[:, j]) <= 1e-13 * scale
+        # on the transverse mode l.dY is dU/a - dV/b, the first-order value
+        # of log(U/a) - log(V/b)
+        x = right[:, i].real
+        assert ell @ x == pytest.approx(x[0] / sc.a - x[2] / sc.b, rel=1e-12)

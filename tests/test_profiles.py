@@ -78,6 +78,25 @@ class TestCompare:
         ratios = np.array(rep.crossings_u) / (R * np.array(rep2.crossings_u))
         assert np.allclose(ratios, 1.0, rtol=1e-9)
 
+    def test_grid_crossings_match_the_node_loop(self, rng):
+        # the sign flips are found by one array comparison; the reference
+        # walks the consecutive nodes outside the dead band one by one
+        from lelab.profiles import _crossings_one_field, _loglinear_root
+
+        band = 1e-6
+        r = np.geomspace(1e-2, 1e6, 2048)
+        for _ in range(20):
+            rel = rng.choice([-1.0, 0.0, 1.0], r.size, p=[0.3, 0.4, 0.3]) \
+                * rng.uniform(0.5, 3.0, r.size) * band
+            outside = [k for k in range(r.size) if abs(rel[k]) > band]
+            expected = [
+                _loglinear_root(float(r[i]), float(r[j]), float(rel[i]),
+                                float(rel[j]))
+                for i, j in zip(outside, outside[1:])
+                if (rel[i] > 0.0) != (rel[j] > 0.0)]
+            assert expected
+            assert _crossings_one_field(r, rel, band, None, None) == expected
+
     def test_grid_too_coarse_detection(self):
         sc = derive_scaling(P33)
         sol = SingularSolution(sc)

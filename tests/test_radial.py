@@ -255,7 +255,7 @@ class TestShoot:
         probes = len(radii) - 1
         assert probes - 2 <= 26
         assert res.iterations == probes - 2
-        assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e4}
+        assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e2}
         assert res.bracket_width <= 4 * np.finfo(float).eps * res.v0
         assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
 
@@ -283,28 +283,34 @@ class TestShoot:
         from lelab import radial
 
         real = radial._march
-        radii = []
+        runs = {}
 
         def counted(params, init, r_max, opts):
-            radii.append(r_max)
+            marched.append((r_max, init.v0))
             return real(params, init, r_max, opts)
 
         monkeypatch.setattr(radial, "_march", counted)
         shots = {}
         for polish in (False, True):
-            radii.clear()
+            marched = runs[polish] = []
             res = shots[polish] = shoot(ParameterTriple(9, 6, 11), 1.0,
                                         (0.2, 5.0), polish=polish)
             assert res.polished is polish
             # two endpoint runs, the probes, one run to r_target
-            assert res.iterations == len(radii) - 3
-            assert radii[:2] == [1e6, 1e6] and radii[-1] == 1e6
-            assert set(radii[2:-1]) == {1e4}
+            assert res.iterations == len(marched) - 3
+            assert [r for r, _ in marched[:2]] == [1e6, 1e6]
+            assert marched[-1][0] == 1e6
+            assert {r for r, _ in marched[2:-1]} == {1e2}
         plain, polished = shots[False], shots[True]
         assert abs(plain.v0 - polished.v0) <= \
             SolverOptions().v0_tol * max(1.0, polished.v0)
         assert plain.bracket_width > polished.bracket_width
-        assert plain.iterations < polished.iterations
+        # the same v0 are marched up to the plain search's last probe, which
+        # closes its bracket at v0_tol; the polished search's secants reach
+        # 4 ulp in no more probes (22 each)
+        n = 2 + plain.iterations - 1
+        assert runs[False][:n] == runs[True][:n]
+        assert plain.iterations <= polished.iterations
 
     def test_no_singular_pair_refused_before_integrating(self, monkeypatch):
         # alpha = 13.75 >= N - 2: no singular pair to match, so no shot
@@ -362,11 +368,13 @@ class TestTwoPhaseShot:
     # caller's, and a full-accuracy search from there
 
     def test_probe_steps_of_the_workload_shots(self, marches):
-        # 35,108 accepted and rejected probe steps when every probe ran at
-        # the caller's tolerances
+        # accepted and rejected steps: 11,769 in the probes to 1e2 and
+        # 15,078 in all marches, bracket ends and final runs included
+        # (21,399 and 24,717 with probes to 1e4)
         for triple, polish in WORKLOAD_SHOTS:
             shoot(ParameterTriple(*triple), 1.0, (0.2, 5.0), polish=polish)
-        assert sum(m[4] for m in marches.runs if m[0] == 1e4) <= 26_000
+        assert sum(m[4] for m in marches.runs if m[0] == 1e2) <= 12_500
+        assert sum(m[4] for m in marches.runs) <= 17_000
 
     @pytest.mark.parametrize("triple, polish, rtol", [
         *((t, p, 1e-10) for t, p in WORKLOAD_SHOTS), ((9, 6, 11), True, 1e-12)])
@@ -404,11 +412,29 @@ class TestTwoPhaseShot:
     def test_reused_coarse_ends_keep_the_shot(self):
         # reading the coarse ends instead of marching them again leaves v0*
         # of the (9,6,11) shot at the coarse tolerances bit for bit, with
-        # two probes fewer than the 22 of marching them again
+        # two probes fewer than marching them again
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0),
                     SolverOptions(rtol=1e-6, atol=1e-8))
-        assert res.v0 == 1.0357844087958794
+        assert res.v0 == 1.0357844087954975
         assert res.iterations == 20
+
+    @pytest.mark.parametrize("triple, v0_log_ratio", [
+        ((9, 6, 11), 1.0357844085117758), ((12, 7, 11), 1.037608553089328)])
+    def test_projected_shot_keeps_the_polished_root(self, marches, triple,
+                                                    v0_log_ratio):
+        # the transverse coefficient at 1e2 moves polished v0* by a few ulp
+        # from the log ratio at 1e4 (8 fine probes each there), and the
+        # profile stays on the singular pair through 1e4
+        params, opts = ParameterTriple(*triple), SolverOptions()
+        res = shoot(params, 1.0, (0.2, 5.0), opts, polish=True)
+        assert abs(res.v0 - v0_log_ratio) <= 8 * math.ulp(v0_log_ratio)
+        fine = [m for m in marches.runs
+                if m[0] == 1e2 and (m[2], m[3]) == (opts.rtol, opts.atol)]
+        assert 0 < len(fine) <= 5
+        sc = derive_scaling(params)
+        u, _, v, _ = res.profile.dense(1e4)
+        assert abs(1.0 - u / (sc.a * 1e4 ** -sc.alpha)) <= 1e-6
+        assert abs(1.0 - v / (sc.b * 1e4 ** -sc.beta)) <= 1e-6
 
     def test_coarse_sign_disagreement_restarts_from_the_ends(self, marches,
                                                              monkeypatch):
@@ -440,30 +466,34 @@ class TestTwoPhaseShot:
 def match(prof, scaling, R):
     """The matching functional at probe radius R, read from a full profile
     (the shot's reader builds none): +-(r_ev/R)^kappa_min at an event,
-    positive where v falls first, else log(u/u_s) - log(v/v_s) at the last
-    node."""
-    from lelab.closed_form import indicial_exponents
+    positive where v falls first, else the transverse coefficient
+    l.(Y - P) at the last node, Y = (r^alpha u, r^alpha (alpha u + r u'),
+    r^beta v, r^beta (beta v + r v')) and P = (a, 0, b, 0)."""
+    from lelab.closed_form import transverse_covector
 
+    kappa, (l1, l2, l3, l4) = transverse_covector(scaling)
     if prof.r_event is not None:
-        kappa = float(indicial_exponents(scaling)[0].real)
         side = 1.0 if prof.classification is ProfileClass.V_HITS_ZERO else -1.0
         return side * math.exp(min(700.0, kappa * math.log(prof.r_event / R)))
-    rr = float(prof.r[-1])
-    uh = math.log(prof.u[-1]) + scaling.alpha * math.log(rr) - math.log(scaling.a)
-    vh = math.log(prof.v[-1]) + scaling.beta * math.log(rr) - math.log(scaling.b)
-    return uh - vh
+    rr, u, du, v, dv = (float(x[-1]) for x in
+                        (prof.r, prof.u, prof.du, prof.v, prof.dv))
+    al, be = scaling.alpha, scaling.beta
+    ra, rb = rr ** al, rr ** be
+    return (l1 * (ra * u - scaling.a) + l2 * (ra * (al * u + rr * du))
+            + l3 * (rb * v - scaling.b) + l4 * (rb * (be * v + rr * dv)))
 
 
 class TestProbeReader:
     # the shot's reader marches to r_max without building a profile and
     # reads g from the last step alone; it must give the float that
-    # ``match`` reads from the full profile.  Offsets 1e-1 to 1e-6 from v0* hit zero (u above v0*,
-    # v below), 1e-9 and 1e-12 reach R (except 1e-9 on (6,4,11) at 1e4); R
-    # is the default probe radius and an arbitrary one.
+    # ``match`` reads from the full profile.  Offsets 1e-1 and 1e-3 from v0* hit zero (u above v0*,
+    # v below), 1e-6 too except at R = 1e2, and 1e-9 and 1e-12 reach R
+    # (except 1e-9 on (6,4,11) at 1e4); R is the default probe radius 1e2
+    # and two others.
     TRIPLES = [((9, 6, 11), 1.0357844085), ((12, 7, 11), 1.0376085531),
                ((6, 4, 11), 1.0481601140)]
 
-    @pytest.mark.parametrize("R", [1e4, 2718.2818])
+    @pytest.mark.parametrize("R", [1e2, 1e4, 2718.2818])
     @pytest.mark.parametrize("triple, v0_star", TRIPLES)
     def test_probe_equals_match_of_profile(self, triple, v0_star, R):
         from lelab.radial import _reader
