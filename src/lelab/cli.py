@@ -88,10 +88,13 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # the sine-basis secular equation, the CSV and JSON carry lambda_err in
 # place of the inverse iteration's residual, and the payload drops eig_tol
 # and eig_max_iter; shoot 9: probes read the transverse coefficient at
-# r = 1e2 and the coarse phase stops at 1e-7, so v0* moves by ulps.
+# r = 1e2 and the coarse phase stops at 1e-7, so v0* moves by ulps;
+# solve 5 and shoot 10: the march starts from a degree-12 series, and a shot
+# returns its best probe, whose march goes on to r_target, not the final
+# bracket's midpoint.
 # compare stays at 2: its key hashes the stored profile, and a given
 # profile compares to the same bytes.
-_REVISION = {"curve": 3, "scan": 1, "solve": 4, "shoot": 9, "compare": 2,
+_REVISION = {"curve": 3, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
              "eig": 5}
 
 

@@ -7,17 +7,22 @@ Integrates
 
 with a Dormand-Prince 5(4) embedded pair, PI step-size control and quartic
 dense output.  The removable singularity of the (N-1)/r term is handled by
-a series start on [0, r_start]: the even Taylor expansion
+a series start on [0, r_start]: the even expansion of degree 12 in
+x = (r/r_char)^2, r_char = sqrt(2N min(u0/v0^p, v0/u0^q)),
 
-    u(r) = u0 - v0^p r^2/(2N) + p v0^{p-1} u0^q r^4 / (8N(N+2)) + O(r^6)
+    u(r) = u0 - v0^p r^2/(2N) + p v0^{p-1} u0^q r^4 / (8N(N+2)) + ...
 
-(and symmetrically for v) seeds the stepper at an r_start chosen so the
-neglected r^4-remainder is below the local error tolerance.
+(and symmetrically for v; ``_TaylorStart``) seeds the stepper at the
+r_start where its last two terms are below 1e-3 of the local error
+tolerance, at most r_char / 2: r = 0.5-1 on the documented shots, where an
+r^4 series had to stop near r = 0.01.  The output grid still starts at
+that r^4 radius, ``r_first``; its nodes below r_start are series values.
 
 Trajectories halt at the first zero crossing of u or v (located by
 bisection on the last step's quartic) or at r_max.  ``integrate`` is one
-march (``_march``, which records the accepted steps), how it ended
-(``_end``) and the profile builder (dense output, output grid).  A profile
+march (``_march``, a generator that can pause after a given radius and go
+on, recording the accepted steps), how it ended (``_end``) and the profile
+builder (``_profile``: dense output, output grid).  A profile
 that reaches ``r_target`` without a zero of u or v is classified
 entire-positive, and one stopped before ``r_target`` truncated.  Nothing
 else is tested there: on a positive regular solution
@@ -44,14 +49,17 @@ caller's if looser) to a bracket of relative width 1e-7, and a
 full-accuracy one from that bracket once both its ends have been probed at
 the caller's tolerances (again, unless those are the coarse ones) and kept
 their signs (else from the original ends).  A shot takes about 22-24
-probes, 17-19 of them coarse ones of about 70 steps each, and 4-5 at full
-accuracy of about 570 steps each.  Every g of a shot, at the ends (marched
-to r_target) as at the probes (to R), is read from the last step of a bare
-march without dense output or grid, through ``_end`` and the builder's
-interpolation: the profile's float.  ``polish`` only narrows the final
-bracket from v0_tol to 4 ulp.  ``iterations`` counts the probes of both
-phases and ``bracket_width`` is the final bracket (0 for the exact
-diagonal shot).
+probes, 17-19 of them coarse ones of about 50 steps each, and 4-5 at full
+accuracy of about 420 steps each.  Every probe marches toward r_target and
+pauses after the step that passes R; g is read at R from that step's
+quartic (the bracket ends: at r_target), without dense output or grid,
+through ``_end`` and the builder's interpolation: the profile's float.
+The shot keeps only the march of the full-accuracy read of smallest |g|,
+returns its v0, an end of the final bracket, and runs that march on to
+r_target for the profile, instead of integrating from the origin again.
+``polish`` only narrows the final bracket from v0_tol to 4 ulp.
+``iterations`` counts the probes of both phases and ``bracket_width`` is
+the final bracket (0 for the exact diagonal shot).
 
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
@@ -108,6 +116,8 @@ _PROBE_RADIUS = 1e2
 # ``shoot``'s coarse phase: probe tolerances (floors on the caller's) and the
 # relative bracket width at which it hands over to the full-accuracy search
 _COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-7
+# degree K of the series start in x = (r / r_char)^2: through x^12 = r^24
+_SERIES_DEGREE = 12
 # budgets: steps (accepted and rejected) of one march, probes of one shot
 _MAX_STEPS, _SHOOT_MAX_ITER = 2_000_000, 200
 
@@ -186,10 +196,26 @@ class RadialProfile:
 
 
 class _TaylorStart:
-    """Even series of the regular solution about r = 0, through r^4."""
+    """Even series of the regular solution about r = 0, in x = (r/r_char)^2.
+
+    With u = sum a_k x^k and v = sum b_k x^k, -Delta r^2k =
+    -2k(2k+N-2) r^(2k-2) gives a_k = -r_char^2 [v^p]_(k-1) / (2k(2k+N-2)),
+    where [v^p]_j is the x^j coefficient of v^p, and b_k alike from u^q.
+    The powers come from J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7)
+    on v / v0 and u / u0, whose leading coefficient is 1; with
+    r_char = sqrt(2N min(u0/v0^p, v0/u0^q)), the size of the positivity
+    region, r_char^2 v0^p <= 2N u0 and r_char^2 u0^q <= 2N v0, so every
+    coefficient is O(u0) or O(v0).
+
+    ``r_first`` is where the r^4 term reaches the local tolerance, capped
+    at 0.05 r_char: the first node of every profile grid.  ``r_start``,
+    where the march starts, is where the last two terms reach 1e-3 of the
+    local tolerance, capped at x = 1/4 (r_char / 2) and at r_max / 2, and
+    never below r_first.
+    """
 
     def __init__(self, params: ParameterTriple, init: InitialData,
-                 opts: SolverOptions):
+                 opts: SolverOptions, r_max: float = math.inf):
         p, q, N = params.p, params.q, params.N
         u0, v0 = init.u0, init.v0
         try:
@@ -203,26 +229,55 @@ class _TaylorStart:
         if not (all(map(math.isfinite, (v0p, u0q, c4u, c4v)))
                 and v0p > 0.0 and u0q > 0.0):
             raise DomainError("initial data too extreme for double precision")
-        self.u0, self.v0 = u0, v0
-        self.c2u = -v0p / (2.0 * N)
-        self.c2v = -u0q / (2.0 * N)
-        self.c4u, self.c4v = c4u, c4v
-        # r_start: keep the r^4 term below the local tolerance and stay well
-        # inside the positivity region r_char where the r^2 term is small
         tol_u = opts.atol + opts.rtol * u0
         tol_v = opts.atol + opts.rtol * v0
+        m = min(u0 / v0p, v0 / u0q)
+        self.r_char = r_char = math.sqrt(2.0 * N * m)
         r4u = (tol_u / max(c4u, 1e-290)) ** 0.25
         r4v = (tol_v / max(c4v, 1e-290)) ** 0.25
-        r_char = math.sqrt(2.0 * N * min(u0 / v0p, v0 / u0q))
-        self.r_start = max(min(r4u, r4v, 0.05 * r_char), 1e-290)
+        self.r_first = max(min(r4u, r4v, 0.05 * r_char), 1e-290)
 
-    def eval(self, r: float) -> tuple:
-        r2 = r * r
-        u = self.u0 + self.c2u * r2 + self.c4u * r2 * r2
-        v = self.v0 + self.c2v * r2 + self.c4v * r2 * r2
-        du = 2.0 * self.c2u * r + 4.0 * self.c4u * r2 * r
-        dv = 2.0 * self.c2v * r + 4.0 * self.c4v * r2 * r
-        return (u, du, v, dv)
+        # a, b: the coefficients in x; pu, pv: those of (v/v0)^p, (u/u0)^q
+        a, b, pu, pv = [u0], [v0], [1.0], [1.0]
+        su, sv = 2.0 * N * (m * v0p), 2.0 * N * (m * u0q)
+        for k in range(1, _SERIES_DEGREE + 1):
+            n = k - 1
+            if n:
+                wu = wv = 0.0
+                for j in range(1, k):
+                    wu += ((p + 1.0) * j - n) * (b[j] / v0) * pu[n - j]
+                    wv += ((q + 1.0) * j - n) * (a[j] / u0) * pv[n - j]
+                pu.append(wu / n)
+                pv.append(wv / n)
+            d = 2.0 * k * (2.0 * k + N - 2.0)
+            a.append(-su * pu[n] / d)
+            b.append(-sv * pv[n] / d)
+        if not all(map(math.isfinite, a + b)):
+            raise DomainError("initial data too extreme for double precision")
+        self.a, self.b = a, b
+        x = 0.25
+        for c, tol in ((a, tol_u), (b, tol_v)):
+            for k in (_SERIES_DEGREE - 1, _SERIES_DEGREE):
+                if c[k] != 0.0:
+                    x = min(x, (1e-3 * tol / abs(c[k])) ** (1.0 / k))
+        cap = max(self.r_first, 0.5 * r_max)
+        self.r_start = max(self.r_first, min(r_char * math.sqrt(x), cap))
+
+    def eval(self, r) -> tuple:
+        """(u, du, v, dv) at r, a radius or an array of radii, by Horner's
+        rule in x."""
+        t = r / self.r_char
+        x = t * t
+        dx = 2.0 * t / self.r_char
+        out = []
+        for c in (self.a, self.b):
+            y = c[-1]
+            dy = (len(c) - 1) * c[-1]
+            for k in range(len(c) - 2, 0, -1):
+                y = c[k] + x * y
+                dy = k * c[k] + x * dy
+            out += (c[0] + x * y, dx * dy)
+        return tuple(out)
 
 
 def _make_rhs(params: ParameterTriple):
@@ -266,13 +321,19 @@ class _Dense:
         self.r_end = starts[-1] + steps[-1]
 
     def grid(self, rs: np.ndarray) -> np.ndarray:
-        """(u, du, v, dv) at radii rs >= r_start as a (4, len(rs)) array."""
+        """(u, du, v, dv) at increasing radii rs >= 0 as a (4, len(rs))
+        array: the series below r_start, the step quartics from there."""
+        k = int(np.searchsorted(rs, self.taylor.r_start))
+        head, rs = rs[:k], rs[k:]
         i = np.clip(np.searchsorted(self.starts, rs, side="right") - 1,
                     0, self.starts.size - 1)
         h = self.steps[i]
         th = np.clip((rs - self.starts[i]) / h, 0.0, 1.0)[:, None]
         c = self.coef[i].transpose(2, 0, 1)
-        return _horner(self.y0s[i], h[:, None], th, c).T
+        tail = _horner(self.y0s[i], h[:, None], th, c).T
+        if not k:
+            return tail
+        return np.concatenate((np.array(self.taylor.eval(head)), tail), axis=1)
 
     def __call__(self, r: float) -> tuple:
         if r < self.taylor.r_start:
@@ -292,18 +353,23 @@ _March = namedtuple("_March", "taylor hit_zero end starts steps y0s stages "
 
 
 def _march(params: ParameterTriple, init: InitialData, r_max: float,
-           opts: SolverOptions) -> _March:
+           opts: SolverOptions, pause: float = math.inf):
     """The adaptive march from the series start to r_max, or through the
-    first step in which u or v reaches zero.  Each step is float arithmetic
-    without builtin calls: the seven stages unrolled on (u, u', v, v') with
-    the right-hand side inlined, every min and max a conditional expression
-    of the same semantics, and a state update that carries its rounding
-    error to the next step (compensated summation)."""
+    first step in which u or v reaches zero, as a generator of its record.
+    It yields the record once after the first accepted step that ends at or
+    past ``pause`` without a zero of u or v, and once at its end; the lists
+    of a record yielded at the pause grow when the march goes on, so read
+    it before resuming.  Each step is float arithmetic without builtin
+    calls: the seven stages unrolled on (u, u', v, v') with the right-hand
+    side inlined, every min and max a conditional expression of the same
+    semantics, and a state update that carries its rounding error to the
+    next step (compensated summation).  Where the march pauses does not
+    change a bit of it."""
     opts.validate()
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError("r_max must be positive and finite")
-    taylor = _TaylorStart(params, init, opts)
-    if taylor.r_start >= r_max:
+    taylor = _TaylorStart(params, init, opts, r_max)
+    if taylor.r_first >= r_max:
         raise DomainError(f"r_max={r_max} is inside the series-start region")
     # Dormand-Prince 5(4) tableau (Hairer-Norsett-Wanner, Solving ODEs I,
     # II.5), as locals.  Nodes C2..C5 (C1 = 0, C6 = C7 = 1); stage
@@ -446,6 +512,10 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
             r += h
             u, du, v, dv = u1, k7u, v1, k7v
             k1u, k1du, k1v, k1dv = k7u, k7du, k7v, k7dv
+            if r >= pause:
+                pause = math.inf
+                yield _March(taylor, False, (u, du, v, dv), starts, steps,
+                             y0s, stages, naccept, nreject, nfev)
             # PI control: the previous step's error damps the new step
             fac11 = err ** 0.17 if err > 0.0 else 1e-20
             fac = fac11 / facold ** 0.04 / 0.9
@@ -457,8 +527,8 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
             fac11 = err ** 0.17 / 0.9
             h = h / (fac11 if fac11 < 5.0 else 5.0)
 
-    return _March(taylor, hit_zero, (u1, k7u, v1, k7v), starts, steps, y0s,
-                  stages, naccept, nreject, nfev)
+    yield _March(taylor, hit_zero, (u1, k7u, v1, k7v), starts, steps, y0s,
+                 stages, naccept, nreject, nfev)
 
 
 def _end(rec: _March, event_tol: float) -> tuple:
@@ -488,11 +558,24 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
               opts: SolverOptions | None = None) -> RadialProfile:
     """Adaptive integration from the origin; see module docstring.
 
-    ``_march`` plus the profile builder: how the march ended (``_end``),
-    the dense output of all accepted steps and the output grid.
+    ``_march`` plus the profile builder (``_profile``).
     """
     opts = SolverOptions() if opts is None else opts
-    rec = _march(params, init, r_max, opts)
+    return _profile(params, init, opts, _finish(_march(params, init, r_max, opts)))
+
+
+def _finish(march, rec: _March | None = None) -> _March:
+    """The record at the end of a march, run on from where it stands; rec
+    is the last record it yielded, if any."""
+    for rec in march:
+        pass
+    return rec
+
+
+def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
+             rec: _March) -> RadialProfile:
+    """The profile of a finished march: how it ended (``_end``), the dense
+    output of all accepted steps and the output grid from r_first."""
     taylor, steps = rec.taylor, rec.steps
     stats = IntegratorStats(
         steps=rec.naccept, rejected=rec.nreject,
@@ -503,8 +586,8 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     r_event = None if kind is None else r_end
     classification = kind or (ProfileClass.ENTIRE_POSITIVE
                               if r_end >= opts.r_target else ProfileClass.TRUNCATED)
-    grid = np.geomspace(taylor.r_start, r_end, opts.grid_nodes)
-    grid[0] = taylor.r_start
+    grid = np.geomspace(taylor.r_first, r_end, opts.grid_nodes)
+    grid[0] = taylor.r_first
     grid[-1] = r_end
     vals = dense.grid(grid)
     return RadialProfile(
@@ -526,7 +609,7 @@ def reference_integrate(params: ParameterTriple, init: InitialData,
     r_nodes = np.asarray(r_nodes, dtype=float)
     if r_nodes.ndim != 1 or r_nodes.size < 2 or np.any(np.diff(r_nodes) <= 0):
         raise DomainError("r_nodes must be strictly increasing")
-    # only the series is read here, not the r_start the options size
+    # only the series is read here, not the radii the options size
     taylor = _TaylorStart(params, init, SolverOptions())
     rhs = _make_rhs(params)
     r = float(r_nodes[0])
@@ -575,10 +658,13 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     with ``iterations`` 0 and ``bracket_width`` 0.
 
     Otherwise the root finder searches the whole bracket for the zero of
-    a matching functional g(v0), read from a probe marched to the probe
-    radius R = min(r_target, 1e2), and the midpoint of the final bracket is
-    integrated once to r_target.  Off the entire-solution manifold by
-    d = v0 - v0*, a trajectory deviates like |d| (r/R)^-kappa, with
+    a matching functional g(v0), read at the probe radius
+    R = min(r_target, 1e2) from a probe marched toward r_target and paused
+    just past R.  The shot returns the full-accuracy read of smallest |g|
+    (the bracket ends among them), which is an end of the final bracket
+    since g is monotone there, and its profile is that read's march run on
+    to r_target: bit for bit the profile ``integrate`` gives at that v0.
+    Off the entire-solution manifold by d = v0 - v0*, a trajectory deviates like |d| (r/R)^-kappa, with
     kappa = kappa_min the transverse root of
     ``closed_form.indicial_exponents``, real and negative for every triple.
     So g is the transverse coefficient l.(Y - P) at R (``_reader``) on a
@@ -597,8 +683,10 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     already (no v0 is marched twice at one set of tolerances); if both keep
     their signs, the full-accuracy phase narrows that bracket, else it
     searches the whole original bracket.  So both ends of the final bracket
-    were integrated at the caller's tolerances.  While the bracket spans
-    more than a factor of 2, either phase halves it in log v0.  ``polish``
+    were integrated at the caller's tolerances, and a plain shot returns a
+    v0 as good as its best probe, often within a few ulp of the polished
+    one.  While the bracket spans more than a factor of 2, either phase
+    halves it in log v0.  ``polish``
     only sets where the search stops: at 4 ulp, which places v0 on the
     entire-solution manifold to a few ulp, or at v0_tol.  ``iterations``
     counts the probes to R of both phases and ``bracket_width`` is the
@@ -615,8 +703,8 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
 
     R = min(opts.r_target, _PROBE_RADIUS)
     read = _reader(params, scaling, u0, R, opts)
-    (kind_lo, g_lo), (kind_hi, g_hi) = (read(lo, opts.r_target),
-                                        read(hi, opts.r_target))
+    ends = [read(lo, opts.r_target), read(hi, opts.r_target)]
+    (kind_lo, g_lo), (kind_hi, g_hi) = ((e.kind, e.g) for e in ends)
     if {kind_lo, kind_hi} != {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO}:
         # an end without a zero stayed positive through r_target
         lo_name, hi_name = ((k or ProfileClass.ENTIRE_POSITIVE).value
@@ -625,13 +713,14 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
             f"bracket endpoints must fail in opposite ways, got "
             f"{lo_name} at {lo} and {hi_name} at {hi}"
         )
-
-    def run(v0: float) -> RadialProfile:
-        return integrate(params, InitialData(u0, v0), opts.r_target, opts)
+    # the full-accuracy read of smallest |g| so far: of all the marches of
+    # a shot, only its march is kept
+    best = min(ends, key=lambda e: abs(e.g))
+    del ends
 
     if params.p == params.q and lo < u0 < hi:
         # the diagonal is invariant: v0 = u0 gives u identical to v
-        prof = run(u0)
+        prof = integrate(params, InitialData(u0, u0), opts.r_target, opts)
         if prof.r_event is None:
             return ShootResult(u0, prof, 0, 0.0, polish)
 
@@ -639,11 +728,16 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     memo = {(opts, lo): g_lo, (opts, hi): g_hi}
 
     def probe(o: SolverOptions):
-        read_o = _reader(params, scaling, u0, R, o)
+        full = o == opts
+        read_o = read if full else _reader(params, scaling, u0, R, o)
 
         def g(v0: float) -> float:
+            nonlocal best
             if (o, v0) not in memo:
-                memo[o, v0] = read_o(v0)[1]
+                got = read_o(v0)
+                memo[o, v0] = got.g
+                if full and abs(got.g) < abs(best.g):
+                    best = got
             return memo[o, v0]
         return g
 
@@ -665,40 +759,54 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     spent = len(memo) - 2
     a, b = _bisect(fine, a, b, tol, max(_SHOOT_MAX_ITER - spent, 0),
                    fa, fb, geometric=True)
-    v0_star = 0.5 * (a + b)
-    return ShootResult(v0_star, run(v0_star), len(memo) - 2, abs(b - a), polish)
+    # g is monotone across the final bracket, so the best read is its end
+    # of smaller |g|; that march goes on to r_target
+    profile = _profile(params, InitialData(u0, best.v0), opts,
+                       _finish(best.march, best.rec))
+    return ShootResult(best.v0, profile, len(memo) - 2, abs(b - a), polish)
+
+
+# one read of g: the class of the first zero of u or v before the read
+# radius (None if none), g, v0, and the march with its last record
+_Read = namedtuple("_Read", "kind g v0 march rec")
 
 
 def _reader(params: ParameterTriple, scaling: ScalingData, u0: float,
             R: float, opts: SolverOptions):
-    """``shoot``'s reader of g at probe radius R: ``read(v0, r_max=R)``
-    marches from (u0, v0) to r_max at opts, without dense output or grid,
-    and returns the class of the first zero of u or v (None if neither
-    reached zero) and g.  On a march that reaches r_max, g is the
-    transverse coefficient l.(Y - P) of ``closed_form.transverse_covector``,
-    with Y = (r^alpha u, r^alpha (alpha u + r u'), r^beta v,
-    r^beta (beta v + r v')) read from the last step at its right end, as
-    ``integrate`` reads the last node of a profile, and P = (a, 0, b, 0)."""
+    """``shoot``'s reader of g at probe radius R: ``read(v0, r=R)`` marches
+    from (u0, v0) toward r_target at opts and pauses it after the step that
+    passes r (``_march``), without dense output or grid, and returns a
+    ``_Read``.  On a march that reached r with u and v positive through the
+    end of that step, g is the transverse coefficient l.(Y - P) of
+    ``closed_form.transverse_covector``, with Y = (r^alpha u,
+    r^alpha (alpha u + r u'), r^beta v, r^beta (beta v + r v')) read at r
+    from that step's quartic, as ``integrate``'s dense output reads it, and
+    P = (a, 0, b, 0).  On one that hit zero at r_ev, in that step or
+    before, g is +-(r_ev/R)^kappa_min, positive where v falls first."""
     kappa, (l1, l2, l3, l4) = transverse_covector(scaling)
     a, b, alpha, beta = scaling.a, scaling.b, scaling.alpha, scaling.beta
 
-    def read(v0: float, r_max: float = R) -> tuple:
-        rec = _march(params, InitialData(u0, v0), r_max, opts)
+    def read(v0: float, r: float = R) -> _Read:
+        march = _march(params, InitialData(u0, v0), opts.r_target, opts, r)
+        rec = next(march)
         kind, rr, coef = _end(rec, opts.event_tol)
         if kind is not None:
             # positive where v falls first (small v0); capped: an event
             # near the origin must not overflow
             side = 1.0 if kind == ProfileClass.V_HITS_ZERO else -1.0
-            return kind, side * math.exp(min(700.0, kappa * math.log(rr / R)))
-        # np.clip's theta at the last node, as _Dense.grid
+            g = side * math.exp(min(700.0, kappa * math.log(rr / R)))
+            return _Read(kind, g, v0, march, rec)
+        # np.clip's theta, as _Dense.grid
+        rr = r if r < rr else rr
         start, h = rec.starts[-1], rec.steps[-1]
         th = (rr - start) / h
         th = 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
         u, du, v, dv = (_horner(y0, h, th, c)
                         for y0, c in zip(rec.y0s[-4:], coef.tolist()))
         ra, rb = rr ** alpha, rr ** beta
-        return None, (l1 * (ra * u - a) + l2 * (ra * (alpha * u + rr * du))
-                      + l3 * (rb * v - b) + l4 * (rb * (beta * v + rr * dv)))
+        g = (l1 * (ra * u - a) + l2 * (ra * (alpha * u + rr * du))
+             + l3 * (rb * v - b) + l4 * (rb * (beta * v + rr * dv)))
+        return _Read(None, g, v0, march, rec)
 
     return read
 

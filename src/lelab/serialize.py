@@ -9,8 +9,8 @@ null in JSON output.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 __all__ = ["fmt_float", "to_json", "to_csv", "payload_hash"]
@@ -22,49 +22,61 @@ def fmt_float(x: float) -> str:
 
 
 def _emit(obj: Any, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    # the exact scalar types first (bool cannot be subclassed), then
+    # containers, subclasses and numpy scalars
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is float:
+        # JSON has no NaN/inf literals; absent values serialize as null
+        out.append(fmt_float(obj) if math.isfinite(obj) else "null")
+    elif t is int:
+        out.append(str(obj))
+    elif t is bool or obj is None:
+        out.append("true" if obj is True else "false" if obj is False else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        # JSON has no NaN/inf literals; absent values serialize as null
         out.append(fmt_float(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON keys must be strings, got {type(k)}")
-            out.append(pad_in + json.dumps(k) + ": ")
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        _emit_dict(obj, out, indent, level)
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad_in)
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
+        _emit_list(obj, out, indent, level)
+    elif hasattr(obj, "item"):
         # numpy scalars and the like
-        if hasattr(obj, "item"):
-            _emit(obj.item(), out, indent, level)
-        else:
-            raise TypeError(f"cannot serialize {type(obj)}")
+        _emit(obj.item(), out, indent, level)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _emit_dict(obj: dict, out: list, indent: int, level: int) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    pad_in = " " * (indent * (level + 1))
+    sep = "{\n"
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise TypeError(f"JSON keys must be strings, got {type(k)}")
+        out.append(sep + pad_in + _quote(k) + ": ")
+        _emit(v, out, indent, level + 1)
+        sep = ",\n"
+    out.append("\n" + " " * (indent * level) + "}")
+
+
+def _emit_list(obj, out: list, indent: int, level: int) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    pad_in = " " * (indent * (level + 1))
+    sep = "[\n"
+    for v in obj:
+        out.append(sep + pad_in)
+        _emit(v, out, indent, level + 1)
+        sep = ",\n"
+    out.append("\n" + " " * (indent * level) + "]")
 
 
 def to_json(obj: Any, indent: int = 2) -> str:

@@ -332,11 +332,14 @@ class TestScanCommand:
             "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
 
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
-        # the hashes since probes read g as the transverse coefficient at
-        # r = 1e2: v0* moved 2 ulp (1.0357844085117758 -> ...753), and with
-        # it r_start (...727 -> ...736), the step statistics (959 -> 960
-        # steps, 5755 -> 5761 evaluations, max_step 24220.25 -> 24167.89) and
-        # the iterations (23 -> 22)
+        # the hashes since the march starts from a degree-12 series at
+        # r = 0.52 and the shot continues its best probe: v0* moved 2 ulp
+        # (...753 -> ...758), and with it r_start (...736 -> ...727); u and
+        # v move by at most 2.4e-13 relative through r = 1 and 7.2e-12
+        # through 1e2 (the shooting error grows beyond); the step
+        # statistics move (960 -> 809 steps with 2 rejected, 5761 -> 4867
+        # evaluations, min_step 6.77e-4 -> 5.56e-3, max_step 24167.89 ->
+        # 24217.88); the iterations stay at 22
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
                             "9", "6", "11", "--u0", "1", "--shoot",
                             "--v0-lo", "0.2", "--v0-hi", "5", "--polish"],
@@ -345,8 +348,8 @@ class TestScanCommand:
         digests = {f.suffix: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.glob("profile_*")}
         assert digests == {
-            ".csv": "89ac42dbc956be03169c9b20783e35fca35a4844cbac3798a85f755c02a08fa7",
-            ".json": "5e87c681036f82df68361eedeb45d36a5ad88bebd52291b2bdd80206a2cab087"}
+            ".csv": "88e8afcffb916e7cb486a1177d330ffa84144c9cfa94705661819f376da0d463",
+            ".json": "41a71f1c5b1445a8634f7cd99b5a4546aedf245296dc7dd99870bee0851a3e35"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelab import BracketError, DomainError, InvalidOptions, ParameterTriple, \
@@ -14,7 +14,7 @@ from lelab import BracketError, DomainError, InvalidOptions, ParameterTriple, \
 from lelab.closed_form import SingularSolution
 from lelab.errors import MisclassifiedProfile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
-                          RadialProfile, SolverOptions, _horner,
+                          RadialProfile, SolverOptions, _horner, _TaylorStart,
                           decay_identity_check, integrate, ode_residual,
                           profile_from_text, profile_metadata, profile_to_csv,
                           reference_integrate, rescale, shoot)
@@ -192,6 +192,113 @@ class TestStepper:
         assert prof.dense(r_ev)[2 - comp] > 0.0
 
 
+def mp_regular_solution(params, init, r, terms=40):
+    """(u, du, v, dv) at r from the regular solution's power series in r^2,
+    summed by mpmath at 40 digits through r^(2 terms - 2).  The powers
+    v^p and u^q are exp(p log v) and exp(q log u), by the recurrences of
+    the log and exp series; each coefficient follows from the integral
+    form u = u0 - int_0^r t^(1-N) int_0^t s^(N-1) v^p ds dt.  The series is
+    checked against the ODE at r: its residual u'' + (N-1)/r u' + v^p,
+    from exact polynomial derivatives, is below 1e-16 of v^p."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        p, q, N = mp.mpf(params.p), mp.mpf(params.q), params.N
+        r = mp.mpf(r)
+        fields = [[mp.mpf(init.u0)], [mp.mpf(init.v0)]]   # u, v
+        logs = [[mp.log(c[0])] for c in fields]
+        pows = [[mp.exp(q * logs[0][0])], [mp.exp(p * logs[1][0])]]  # u^q, v^p
+        for k in range(1, terms):
+            # the x^(k-1) coefficients of log and of the power
+            n = k - 1
+            for c, lg, pw, e in zip(fields, logs, pows, (q, p)):
+                if n:
+                    lg.append((c[n] - mp.fsum(j * lg[j] * c[n - j]
+                                              for j in range(1, n)) / n) / c[0])
+                    pw.append(mp.fsum(j * e * lg[j] * pw[n - j]
+                                      for j in range(1, n + 1)) / n)
+            fields[0].append(-pows[1][n] / (2 * k * (2 * k + N - 2)))
+            fields[1].append(-pows[0][n] / (2 * k * (2 * k + N - 2)))
+        out = []
+        for c, other, e in ((fields[0], fields[1], p), (fields[1], fields[0], q)):
+            y = mp.fsum(a * r ** (2 * k) for k, a in enumerate(c))
+            dy = mp.fsum(2 * k * a * r ** (2 * k - 1) for k, a in enumerate(c))
+            d2y = mp.fsum(2 * k * (2 * k - 1) * a * r ** (2 * k - 2)
+                          for k, a in enumerate(c))
+            src = mp.fsum(a * r ** (2 * k) for k, a in enumerate(other)) ** e
+            assert abs(d2y + (N - 1) / r * dy + src) <= mp.mpf(1e-16) * abs(src)
+            out += (float(y), float(dy))
+        return out[0], out[1], out[2], out[3]
+
+
+class TestSeriesStart:
+    # the march starts from a degree-12 series in x = (r / r_char)^2 at
+    # the radius where its last two terms fall below 1e-3 of the local
+    # tolerance (at most r_char / 2); the grid keeps the r^4 radius
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(min_value=1.1, max_value=30.0),
+           s=st.floats(min_value=0.0, max_value=1.0),
+           N=st.integers(min_value=3, max_value=20),
+           u0=st.floats(min_value=0.2, max_value=5.0),
+           v0=st.floats(min_value=0.2, max_value=5.0))
+    @example(p=30.0, s=0.0, N=13, u0=1.0, v0=5.0)
+    def test_start_state_against_mpmath(self, p, s, N, u0, v0):
+        # the (30, 1, 13) end v0 = 5 once overflowed r-coefficients to inf
+        # and NaN, and the march then skipped its loop without a word
+        params = ParameterTriple(p, 1.0 + (p - 1.0) * s, N)
+        init, opts = InitialData(u0, v0), SolverOptions()
+        taylor = _TaylorStart(params, init, opts)
+        assert all(map(math.isfinite, taylor.a + taylor.b))
+        assert taylor.r_first <= taylor.r_start <= 0.5 * taylor.r_char
+        r = taylor.r_start
+        u, du, v, dv = taylor.eval(r)
+        mu, mdu, mv, mdv = mp_regular_solution(params, init, r)
+        # the values to 1e-2 of the local tolerance; the slopes so that
+        # their error moves the values across the start radius by less than
+        # it (an error d in u' excites the singular mode r^(2-N), which
+        # shifts u by r d / (N - 2) as r grows)
+        for got, want, slope, mslope in ((u, mu, du, mdu), (v, mv, dv, mdv)):
+            tol = opts.atol + opts.rtol * abs(want)
+            assert abs(got - want) <= 1e-2 * tol
+            assert r * abs(slope - mslope) <= tol
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.5, 2.0, 10.0])
+    def test_every_r_max_past_the_r4_radius_integrates(self, factor):
+        # the march starts at most at r_max / 2 (at r_first if that is
+        # larger), so each r_max the r^4 start accepted still integrates;
+        # only one inside r_first is refused
+        taylor = _TaylorStart(P33, InitialData(1.0, 1.0), SolverOptions())
+        r_max = factor * taylor.r_first
+        prof = integrate(P33, InitialData(1.0, 1.0), r_max)
+        assert prof.r[0] == taylor.r_first and prof.r_max == r_max
+        assert prof.classification is ProfileClass.TRUNCATED
+        with pytest.raises(DomainError, match="series-start"):
+            integrate(P33, InitialData(1.0, 1.0), taylor.r_first)
+
+    def test_grid_nodes_inside_the_series_radius(self, symmetric_entire):
+        # the first node is the r^4 radius; the nodes before the march's
+        # start are the series' values
+        prof = symmetric_entire
+        taylor = prof.dense.taylor
+        head = prof.r < taylor.r_start
+        assert 100 < head.sum() < prof.r.size // 2
+        want = np.array(taylor.eval(prof.r[head]))
+        assert np.array_equal(want, np.array([prof.u, prof.du, prof.v,
+                                              prof.dv])[:, head])
+
+    def test_large_v0_still_hits_zero_in_u(self):
+        prof = integrate(ParameterTriple(12, 7, 11), InitialData(1.0, 5.0), 1e6)
+        assert prof.classification is ProfileClass.U_HITS_ZERO
+
+    @pytest.mark.parametrize("triple, w0", [((8, 8, 11), 1.3), ((30, 30, 13), 0.7),
+                                            ((2.5, 2.5, 3), 4.0)])
+    def test_diagonal_keeps_u_equal_to_v(self, triple, w0):
+        prof = integrate(ParameterTriple(*triple), InitialData(w0, w0), 1e4)
+        assert np.array_equal(prof.u, prof.v)
+        assert np.array_equal(prof.du, prof.dv)
+
+
 class TestShoot:
     def test_symmetric_shortcut(self):
         res = shoot(P33, 1.0, (0.5, 2.0), SolverOptions(r_target=1e4))
@@ -211,14 +318,16 @@ class TestShoot:
         # and 1.10 (u hits zero)
         assert 1.05 < res.v0 < 1.10
 
-    def test_bracket_already_narrow(self):
-        # a bracket inside v0_tol needs no probe: its midpoint is integrated
-        # once, to r_target
+    def test_bracket_already_narrow(self, marches):
+        # a bracket inside v0_tol needs no probe: the end of smaller |g| is
+        # returned, with the march that read it (which hit zero, as an end
+        # must); no v0 is marched again
         opts = SolverOptions(r_target=1000.0, v0_tol=10.0)
         res = shoot(P32, 1.0, (0.05, 5.0), opts)
-        assert (res.v0, res.iterations, res.bracket_width) == (2.525, 0, 4.95)
-        assert res.profile.v0 == 2.525
-        assert res.profile.r_max == 1000.0 or res.profile.r_event is not None
+        assert (res.v0, res.iterations, res.bracket_width) == (0.05, 0, 4.95)
+        assert res.profile.v0 == 0.05
+        assert res.profile.classification is ProfileClass.V_HITS_ZERO
+        assert [m[1] for m in marches.runs] == [0.05, 5.0]
 
     def test_bracket_error(self):
         opts = SolverOptions(r_target=1000.0)
@@ -233,29 +342,18 @@ class TestShoot:
         assert res.bracket_width < 1e-13
 
 
-    def test_polished_probe_count(self, monkeypatch):
+    def test_polished_probe_count(self, marches):
         # the search reads the matching functional's value: about half the
         # ceil(log2(width / (4 ulp v0))) = 53 probes of bisection over the
-        # whole bracket down to 4 ulp, after the two endpoint checks; then
-        # one run to r_target
-        from lelab import radial
-
-        # every integration, profile or bare probe, is one march
-        radii = []
-        real = radial._march
-
-        def counted(params, init, r_max, opts):
-            radii.append(r_max)
-            return real(params, init, r_max, opts)
-
-        monkeypatch.setattr(radial, "_march", counted)
+        # whole bracket down to 4 ulp, after the two endpoint reads; the
+        # best probe's march then goes on to r_target
         lo, hi = 0.2, 5.0
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (lo, hi), SolverOptions(),
                     polish=True)
-        probes = len(radii) - 1
-        assert probes - 2 <= 26
-        assert res.iterations == probes - 2
-        assert radii[-1] == 1e6 and set(radii[2:-1]) == {1e2}
+        # every march, end or probe, pauses at its read radius
+        radii = [m[0] for m in marches.runs]
+        assert res.iterations == len(radii) - 2 <= 26
+        assert radii[:2] == [1e6, 1e6] and set(radii[2:]) == {1e2}
         assert res.bracket_width <= 4 * np.finfo(float).eps * res.v0
         assert res.profile.classification is ProfileClass.ENTIRE_POSITIVE
 
@@ -277,30 +375,21 @@ class TestShoot:
         # halved in v0
         assert res.iterations <= 80
 
-    def test_polish_sets_only_the_stopping_width(self, monkeypatch):
+    def test_polish_sets_only_the_stopping_width(self, marches):
         # with and without polish the shot searches the same functional at
         # the same probe radius; only the final bracket differs
-        from lelab import radial
-
-        real = radial._march
-        runs = {}
-
-        def counted(params, init, r_max, opts):
-            marched.append((r_max, init.v0))
-            return real(params, init, r_max, opts)
-
-        monkeypatch.setattr(radial, "_march", counted)
-        shots = {}
+        runs, shots = {}, {}
         for polish in (False, True):
-            marched = runs[polish] = []
+            marches.runs.clear()
+            marches.steps.clear()
             res = shots[polish] = shoot(ParameterTriple(9, 6, 11), 1.0,
                                         (0.2, 5.0), polish=polish)
+            marched = runs[polish] = [m[:2] for m in marches.runs]
             assert res.polished is polish
-            # two endpoint runs, the probes, one run to r_target
-            assert res.iterations == len(marched) - 3
+            # two endpoint runs and the probes; the last run is a probe's
+            assert res.iterations == len(marched) - 2
             assert [r for r, _ in marched[:2]] == [1e6, 1e6]
-            assert marched[-1][0] == 1e6
-            assert {r for r, _ in marched[2:-1]} == {1e2}
+            assert {r for r, _ in marched[2:]} == {1e2}
         plain, polished = shots[False], shots[True]
         assert abs(plain.v0 - polished.v0) <= \
             SolverOptions().v0_tol * max(1.0, polished.v0)
@@ -334,19 +423,22 @@ class TestShoot:
 
 @pytest.fixture
 def marches(monkeypatch):
-    """``runs``: every march, at the ``_march`` seam, as (r_max, v0, rtol,
-    atol, accepted + rejected steps); ``brackets``: the start and end
-    brackets of each of a shot's searches."""
+    """``runs``: every march, at the ``_march`` seam, as (pause radius, v0,
+    rtol, atol); ``steps``: its accepted + rejected steps so far, index by
+    index; ``brackets``: the start and end brackets of each of a shot's
+    searches."""
     from lelab import radial
 
-    log = SimpleNamespace(runs=[], brackets=[])
+    log = SimpleNamespace(runs=[], steps=[], brackets=[])
     march, bisect = radial._march, radial._bisect
 
-    def counted(params, init, r_max, opts):
-        rec = march(params, init, r_max, opts)
-        log.runs.append((r_max, init.v0, opts.rtol, opts.atol,
-                         rec.naccept + rec.nreject))
-        return rec
+    def counted(params, init, r_max, opts, pause=math.inf):
+        log.runs.append((pause, init.v0, opts.rtol, opts.atol))
+        log.steps.append(0)
+        i = len(log.steps) - 1
+        for rec in march(params, init, r_max, opts, pause):
+            log.steps[i] = rec.naccept + rec.nreject
+            yield rec
 
     def searched(f, a, b, *args, **kwargs):
         ends = bisect(f, a, b, *args, **kwargs)
@@ -368,23 +460,22 @@ class TestTwoPhaseShot:
     # caller's, and a full-accuracy search from there
 
     def test_probe_steps_of_the_workload_shots(self, marches):
-        # accepted and rejected steps: 11,769 in the probes to 1e2 and
-        # 15,078 in all marches, bracket ends and final runs included
-        # (21,399 and 24,717 with probes to 1e4)
+        # accepted and rejected steps of all marches, bracket ends and the
+        # resumed best probes included: 15,078 with an r^4 series start and
+        # a final run from the origin, 21,399 with probes to 1e4 on top
         for triple, polish in WORKLOAD_SHOTS:
             shoot(ParameterTriple(*triple), 1.0, (0.2, 5.0), polish=polish)
-        assert sum(m[4] for m in marches.runs if m[0] == 1e2) <= 12_500
-        assert sum(m[4] for m in marches.runs) <= 17_000
+        assert sum(marches.steps) <= 12_000
 
     @pytest.mark.parametrize("triple, polish, rtol", [
         *((t, p, 1e-10) for t, p in WORKLOAD_SHOTS), ((9, 6, 11), True, 1e-12)])
     def test_bracket_ends_marched_at_the_callers_options(self, marches, triple,
                                                          polish, rtol):
-        opts = SolverOptions(rtol=rtol)
-        res = shoot(ParameterTriple(*triple), 1.0, (0.2, 5.0), opts,
-                    polish=polish)
+        from lelab.radial import _reader
+
+        params, opts = ParameterTriple(*triple), SolverOptions(rtol=rtol)
+        res = shoot(params, 1.0, (0.2, 5.0), opts, polish=polish)
         (_, coarse), (start, (a, b)) = marches.brackets
-        assert abs(b - a) == res.bracket_width and 0.5 * (a + b) == res.v0
         assert start == coarse  # the coarse signs held
         # the ends of both the coarse and the final bracket
         full = {m[1] for m in marches.runs
@@ -393,6 +484,12 @@ class TestTwoPhaseShot:
         # the coarse phase did run, at its own tolerances
         assert {(m[2], m[3]) for m in marches.runs} == {
             (rtol, opts.atol), (1e-6, 1e-8)}
+        # the shot returns the end of the final bracket with smaller |g|
+        read = _reader(params, derive_scaling(params), 1.0, 1e2, opts)
+        ga, gb = read(a).g, read(b).g
+        assert abs(b - a) == res.bracket_width
+        assert res.v0 == (a if abs(ga) < abs(gb) else b)
+        assert ga >= 0.0 >= gb or gb >= 0.0 >= ga
 
     @pytest.mark.parametrize("polish", [False, True])
     @pytest.mark.parametrize("rtol, atol", [
@@ -404,18 +501,22 @@ class TestTwoPhaseShot:
         # marched again
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0),
                     SolverOptions(rtol=rtol, atol=atol), polish=polish)
-        runs = Counter(m[:4] for m in marches.runs)
+        runs = Counter(marches.runs)
         assert max(runs.values()) == 1
-        # two endpoint runs and one to r_target besides the probes
-        assert res.iterations == len(marches.runs) - 3
+        # two endpoint runs besides the probes, one of which goes on to
+        # r_target
+        assert res.iterations == len(marches.runs) - 2
 
     def test_reused_coarse_ends_keep_the_shot(self):
         # reading the coarse ends instead of marching them again leaves v0*
         # of the (9,6,11) shot at the coarse tolerances bit for bit, with
-        # two probes fewer than marching them again
+        # two probes fewer than marching them again.  The value is the end
+        # of the final bracket with |g| = 1.6e-12 (the other reads 6.6e-10),
+        # since the shot returns its best probe; the bracket midpoint it
+        # returned with probes that stopped at 1e2 was ...7954975
         res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0),
                     SolverOptions(rtol=1e-6, atol=1e-8))
-        assert res.v0 == 1.0357844087954975
+        assert res.v0 == 1.0357844086257557
         assert res.iterations == 20
 
     @pytest.mark.parametrize("triple, v0_log_ratio", [
@@ -451,7 +552,7 @@ class TestTwoPhaseShot:
             read = real(params, scaling, u0, R, opts)
             if opts.rtol == SolverOptions().rtol:
                 return read
-            return lambda v0, r_max=R: read(v0 / 1.01, r_max)
+            return lambda v0, r=R: read(v0 / 1.01, r)
 
         monkeypatch.setattr(radial, "_reader", skewed)
         marches.brackets.clear()
@@ -463,33 +564,99 @@ class TestTwoPhaseShot:
         assert res.profile.classification is not ProfileClass.TRUNCATED
 
 
-def match(prof, scaling, R):
-    """The matching functional at probe radius R, read from a full profile
-    (the shot's reader builds none): +-(r_ev/R)^kappa_min at an event,
-    positive where v falls first, else the transverse coefficient
-    l.(Y - P) at the last node, Y = (r^alpha u, r^alpha (alpha u + r u'),
+def match(prof, scaling, R, r=None):
+    """The matching functional read at radius r (default R) from a full
+    profile to r_target (the shot's reader builds none): +-(r_ev/R)^kappa_min
+    if the profile hits zero at r_ev in the step that passes r or before,
+    positive where v falls first, else the transverse coefficient l.(Y - P)
+    at r from the dense output, Y = (r^alpha u, r^alpha (alpha u + r u'),
     r^beta v, r^beta (beta v + r v')) and P = (a, 0, b, 0)."""
     from lelab.closed_form import transverse_covector
 
+    r = R if r is None else r
     kappa, (l1, l2, l3, l4) = transverse_covector(scaling)
-    if prof.r_event is not None:
+    if prof.r_event is not None and prof.dense.starts[-1] < r:
         side = 1.0 if prof.classification is ProfileClass.V_HITS_ZERO else -1.0
         return side * math.exp(min(700.0, kappa * math.log(prof.r_event / R)))
-    rr, u, du, v, dv = (float(x[-1]) for x in
-                        (prof.r, prof.u, prof.du, prof.v, prof.dv))
+    u, du, v, dv = prof.dense(r)
     al, be = scaling.alpha, scaling.beta
-    ra, rb = rr ** al, rr ** be
-    return (l1 * (ra * u - scaling.a) + l2 * (ra * (al * u + rr * du))
-            + l3 * (rb * v - scaling.b) + l4 * (rb * (be * v + rr * dv)))
+    ra, rb = r ** al, r ** be
+    return (l1 * (ra * u - scaling.a) + l2 * (ra * (al * u + r * du))
+            + l3 * (rb * v - scaling.b) + l4 * (rb * (be * v + r * dv)))
+
+
+class TestResumedShot:
+    # a shot returns its best full-accuracy probe and runs that probe's
+    # march on to r_target instead of integrating from the origin again
+
+    @pytest.mark.parametrize("triple, bracket, opts, polish", [
+        ((8, 8, 11), (0.5, 2.0), SolverOptions(), False),
+        ((9, 6, 11), (0.2, 5.0), SolverOptions(), True),
+        ((12, 7, 11), (0.2, 5.0), SolverOptions(), True),
+        ((6, 4, 11), (0.2, 5.0), SolverOptions(), False),
+        # no pause: the probes march to r_target = R
+        ((9, 6, 11), (0.2, 5.0), SolverOptions(r_target=50.0), False),
+        # the search stops at the coarse bracket: its best end is returned
+        ((9, 6, 11), (0.2, 5.0), SolverOptions(v0_tol=1e-7), False),
+    ])
+    def test_profile_is_a_fresh_integration(self, marches, triple, bracket,
+                                            opts, polish):
+        params = ParameterTriple(*triple)
+        res = shoot(params, 1.0, bracket, opts, polish=polish)
+        if opts.v0_tol == 1e-7:
+            assert res.v0 in marches.brackets[0][1]
+        fresh = integrate(params, InitialData(1.0, res.v0), opts.r_target, opts)
+        got = res.profile
+        for name in ("r", "u", "v", "du", "dv"):
+            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+        assert profile_to_csv(got) == profile_to_csv(fresh)
+        assert to_json(profile_metadata(got)) == to_json(profile_metadata(fresh))
+
+    def test_one_probe_march_alive_at_a_time(self, monkeypatch):
+        # a probe's march is dropped unless it is the best one so far, so
+        # at most one earlier march is alive when a new one starts
+        import gc
+        import weakref
+
+        from lelab import radial
+
+        real, alive, refs = radial._march, [], []
+
+        def tracked(*args):
+            gen = real(*args)
+            alive.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(gen))
+            return gen
+
+        monkeypatch.setattr(radial, "_march", tracked)
+        gc.disable()  # only reference counts may free a march
+        try:
+            shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 5.0), polish=True)
+        finally:
+            gc.enable()
+        assert len(alive) > 20 and max(alive) == 1
+
+    def test_plain_shot_keeps_the_polished_accuracy(self):
+        # the plain shot returned its bracket midpoint, 116 ulp from the
+        # polished root, with |1 - u/u_s| = 4.5e-6 at 1e4
+        params = ParameterTriple(9, 6, 11)
+        plain = shoot(params, 1.0, (0.2, 5.0))
+        polished = shoot(params, 1.0, (0.2, 5.0), polish=True)
+        assert abs(plain.v0 - polished.v0) <= 4 * math.ulp(polished.v0)
+        sc = derive_scaling(params)
+        u, _, v, _ = plain.profile.dense(1e4)
+        assert abs(1.0 - u / (sc.a * 1e4 ** -sc.alpha)) <= 1e-7
+        assert abs(1.0 - v / (sc.b * 1e4 ** -sc.beta)) <= 1e-7
 
 
 class TestProbeReader:
-    # the shot's reader marches to r_max without building a profile and
-    # reads g from the last step alone; it must give the float that
-    # ``match`` reads from the full profile.  Offsets 1e-1 and 1e-3 from v0* hit zero (u above v0*,
-    # v below), 1e-6 too except at R = 1e2, and 1e-9 and 1e-12 reach R
-    # (except 1e-9 on (6,4,11) at 1e4); R is the default probe radius 1e2
-    # and two others.
+    # the shot's reader marches toward r_target, pauses after the step that
+    # passes the probe radius and reads g from that step alone, without
+    # building a profile; it must give the float that ``match`` reads from
+    # the full profile.  Offsets 1e-1 and 1e-3 from v0* hit zero before the
+    # probe radius (u above v0*, v below), 1e-6 too except at R = 1e2, and
+    # 1e-9 and 1e-12 reach it (except 1e-9 on (6,4,11) at 1e4); R is the
+    # default probe radius 1e2 and two others.
     TRIPLES = [((9, 6, 11), 1.0357844085), ((12, 7, 11), 1.0376085531),
                ((6, 4, 11), 1.0481601140)]
 
@@ -506,20 +673,21 @@ class TestProbeReader:
         for k in (1, 3, 6, 9, 12):
             for sign in (-1.0, 1.0):
                 v0 = v0_star * (1.0 + sign * 10.0 ** -k)
-                prof = integrate(params, InitialData(1.0, v0), R, opts)
-                kinds.add(prof.classification)
-                kind, g = read(v0)
-                assert g == match(prof, scaling, R), (v0, kind)
-                assert kind == (None if prof.r_event is None
-                                else prof.classification)
+                prof = integrate(params, InitialData(1.0, v0), opts.r_target,
+                                 opts)
+                got = read(v0)
+                kinds.add(got.kind)
+                assert got.g == match(prof, scaling, R), (v0, got.kind)
+                assert got.kind == (prof.classification
+                                    if prof.dense.starts[-1] < R else None)
         assert kinds == {ProfileClass.U_HITS_ZERO, ProfileClass.V_HITS_ZERO,
-                         ProfileClass.TRUNCATED}
+                         None}
 
     @pytest.mark.parametrize("triple, v0_star", TRIPLES)
     def test_end_read_gives_the_profile_class(self, triple, v0_star):
-        # the bracket ends are read to r_target: the class and g of the
-        # profile a full run to r_target would build (all four v0 hit zero,
-        # as a bracket end must)
+        # the bracket ends are read at r_target: the class and g of the
+        # profile a full run to r_target builds (all four v0 hit zero, as a
+        # bracket end must)
         from lelab.radial import _reader
 
         params = ParameterTriple(*triple)
@@ -528,9 +696,9 @@ class TestProbeReader:
         read = _reader(params, scaling, 1.0, 1e4, opts)
         for v0 in (0.2, 0.9 * v0_star, 1.1 * v0_star, 5.0):
             prof = integrate(params, InitialData(1.0, v0), opts.r_target, opts)
-            kind, g = read(v0, opts.r_target)
-            assert kind is prof.classification
-            assert g == match(prof, scaling, 1e4)
+            got = read(v0, opts.r_target)
+            assert got.kind is prof.classification
+            assert got.g == match(prof, scaling, 1e4, opts.r_target)
 
 
 class TestTransverseModel:

@@ -1,7 +1,13 @@
-"""The README's experiment scripts run end to end and write their CSVs."""
+"""The README's experiment scripts run end to end and write their CSVs;
+the benchmark trajectory script reads every committed BENCH file."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -51,3 +57,30 @@ def test_intersection_demo(tmp_path, monkeypatch, capsys):
     out = tmp_path / "data"
     assert rows(out / "crossings_p3_q3_N11.csv")
     assert rows(out / "crossings_p8_q8_N11.csv") == []
+
+
+def test_bench_trajectory_reads_both_layouts():
+    # every committed BENCH file, in the about/pairs layout (BENCH_11-13)
+    # and the what/workloads one (BENCH_14 on), gives one row per workload
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", SCRIPTS / "bench_trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    files = module.bench_files()
+    assert {p.name for p in files} >= {"BENCH_11.json", "BENCH_17.json"}
+    done = subprocess.run([sys.executable, str(SCRIPTS / "bench_trajectory.py")],
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()[1:]
+    want = [(p.name, w) for p in files
+            for w in module.pair_lists(json.loads(p.read_text()))]
+    assert [tuple(ln.split()[:2]) for ln in lines] == want
+    assert ("BENCH_11.json", "shoot_seed7") in want
+    assert ("BENCH_17.json", "map_30s") in want
+    # BENCH_17 records the medians of its shoot pairs itself
+    doc = json.loads((files[0].parent / "BENCH_17.json").read_text())
+    (row,) = [r for r in module.rows(files[0].parent / "BENCH_17.json")
+              if r[1] == "shoot"]
+    for metric in module.METRICS:
+        summary = doc["summary"]["shoot"][metric]
+        assert row[3][metric] == pytest.approx(
+            (summary["parent_median"], summary["change_median"]), rel=1e-12)
