@@ -23,11 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import (BracketError, ConfigError, ConvergenceError,
-                     DomainError, GridTooCoarse, InvalidOptions,
-                     MisclassifiedProfile, StepUnderflow)
+from .errors import (BracketError, ConvergenceError, DomainError,
+                     GridTooCoarse, MisclassifiedProfile, StepUnderflow)
 from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
-from .options import DEFAULT_BAND, Annulus, SolverOptions, default_ladder
+from .options import DEFAULT_BAND, Annulus, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
@@ -256,10 +255,7 @@ def _cmd_scan(args, cfg: RunConfig):
 
 def _cmd_solve(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
-    opts = SolverOptions(
-        rtol=cfg.rtol, atol=cfg.atol, event_tol=cfg.event_tol,
-        r_target=cfg.r_target, grid_nodes=cfg.grid_nodes, v0_tol=cfg.v0_tol,
-    )
+    opts = cfg.solver_options()
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
             raise DomainError("--shoot requires --v0-lo and --v0-hi")
@@ -494,7 +490,7 @@ def main(argv=None) -> int:
         if job is not None:  # classify has printed its answer, uncached
             _run_cached(cfg, *job)
         return 0
-    except (ConfigError, InvalidOptions, MisclassifiedProfile, DomainError) as exc:
+    except (MisclassifiedProfile, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, BracketError, StepUnderflow,

@@ -1,21 +1,9 @@
-"""Exact evaluation of the singular solution and the linearization pair.
+"""Exact evaluation of the singular solution and of its linearization.
 
-The singular solution is (u_s, v_s) = (a r^-alpha, b r^-beta).  The radial
-Laplacian of a pure power is closed form,
-
-    -Delta r^-m = m (N-2-m) r^-(m+2),
-
-so every identity in this module can be checked pointwise to rounding.
-
-The explicit supersolution pair for the linearized system is
-
-    phi(r) = (K1 / sqrt(C_gamma)) r^-m_phi,   psi(r) = r^-m_psi,
-
-with m_phi = (N-2+gamma)/2 and m_psi = (N-2-gamma)/2.  The exponent
-assignment follows from power balance in -Delta phi = p v_s^{p-1} psi, since
-p v_s^{p-1} = K1 r^{-(2+gamma)}: the first equation then holds with equality
-and the second holds with a one-signed residual whose sign equals the sign
-of C_gamma - K1 K2.
+The singular solution is (u_s, v_s) = (a r^-alpha, b r^-beta).  Its
+linearization has power-law modes whose exponents solve a quartic in closed
+form (``indicial_exponents``); ``transverse_covector`` reads the one
+growing mode, on which ``radial.shoot`` matches.
 """
 
 from __future__ import annotations
@@ -29,17 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .exponents import ScalingData
 
-__all__ = [
-    "SingularSolution",
-    "SupersolutionPair",
-    "SupersolutionReport",
-    "eval_singular",
-    "singular_residuals",
-    "supersolution_residuals",
-    "default_sample_radii",
-    "indicial_exponents",
-    "transverse_covector",
-]
+__all__ = ["SingularSolution", "indicial_exponents", "transverse_covector"]
 
 
 def _check_positive_radii(r: np.ndarray) -> np.ndarray:
@@ -72,111 +50,6 @@ class SingularSolution:
         r = _check_positive_radii(r)
         s = self.scaling
         return -s.b * s.beta * r ** (-s.beta - 1.0)
-
-
-def eval_singular(scaling: ScalingData, r):
-    """Values and first derivatives (u_s, v_s, u_s', v_s') at radius r > 0."""
-    sol = SingularSolution(scaling)
-    return sol.u(r), sol.v(r), sol.du(r), sol.dv(r)
-
-
-def _neg_laplacian_power(coeff: float, m: float, N: int, r: np.ndarray):
-    """-Delta of coeff * r^-m for the radial Laplacian in dimension N."""
-    return coeff * m * (N - 2.0 - m) * r ** (-m - 2.0)
-
-
-def singular_residuals(scaling: ScalingData, r):
-    """Relative pointwise residuals of -Delta u_s = v_s^p, -Delta v_s = u_s^q."""
-    r = _check_positive_radii(r)
-    s = scaling
-    lhs_u = _neg_laplacian_power(s.a, s.alpha, s.N, r)
-    rhs_u = (s.b * r ** (-s.beta)) ** s.p
-    lhs_v = _neg_laplacian_power(s.b, s.beta, s.N, r)
-    rhs_v = (s.a * r ** (-s.alpha)) ** s.q
-    res_u = np.abs(lhs_u - rhs_u) / np.abs(rhs_u)
-    res_v = np.abs(lhs_v - rhs_v) / np.abs(rhs_v)
-    return res_u, res_v
-
-
-def default_sample_radii(n: int = 64):
-    """n logarithmically spaced radii on [1e-3, 1e3] for the residual checks."""
-    return np.geomspace(1e-3, 1e3, n)
-
-
-@dataclass(frozen=True)
-class SupersolutionPair:
-    """The explicit positive pair (phi, psi) solving the linearized system."""
-
-    scaling: ScalingData
-
-    @property
-    def m_phi(self) -> float:
-        s = self.scaling
-        return 0.5 * (s.N - 2.0 + s.gamma)
-
-    @property
-    def m_psi(self) -> float:
-        s = self.scaling
-        return 0.5 * (s.N - 2.0 - s.gamma)
-
-    @property
-    def phi_coefficient(self) -> float:
-        s = self.scaling
-        return 4.0 * s.K1 / ((s.N - 2.0 - s.gamma) * (s.N - 2.0 + s.gamma))
-
-    def phi(self, r):
-        r = _check_positive_radii(r)
-        return self.phi_coefficient * r ** (-self.m_phi)
-
-    def psi(self, r):
-        r = _check_positive_radii(r)
-        return r ** (-self.m_psi)
-
-
-@dataclass(frozen=True)
-class SupersolutionReport:
-    """Residuals of the two linearized inequalities at the sample radii.
-
-    ``res_linear`` is the relative residual of -Delta phi = p v_s^{p-1} psi
-    (zero to rounding).  ``res_coupling`` is the signed raw residual of
-    -Delta psi - q u_s^{q-1} phi, one-signed in r; ``res_coupling_rel`` is
-    its constant relative value (C_gamma - K1K2)/C_gamma.  The witness flag
-    is True when the residual is nonnegative everywhere, i.e. the pair is a
-    genuine supersolution and the singular solution is stable.
-    """
-
-    r: np.ndarray
-    res_linear: np.ndarray
-    res_coupling: np.ndarray
-    res_coupling_rel: float
-    sign_constant: bool
-    stability_witness: bool
-
-
-def supersolution_residuals(scaling: ScalingData, r_samples=None) -> SupersolutionReport:
-    r = default_sample_radii() if r_samples is None else _check_positive_radii(r_samples)
-    s = scaling
-    pair = SupersolutionPair(s)
-    sing = SingularSolution(s)
-
-    lhs1 = _neg_laplacian_power(pair.phi_coefficient, pair.m_phi, s.N, r)
-    rhs1 = s.p * sing.v(r) ** (s.p - 1.0) * pair.psi(r)
-    res1 = np.abs(lhs1 - rhs1) / np.abs(rhs1)
-
-    lhs2 = _neg_laplacian_power(1.0, pair.m_psi, s.N, r)
-    rhs2 = s.q * sing.u(r) ** (s.q - 1.0) * pair.phi(r)
-    res2 = lhs2 - rhs2
-
-    scale2 = np.abs(lhs2) + np.abs(rhs2)
-    normalized = res2 / scale2
-    sign_constant = bool(np.all(normalized >= -1e-13) or np.all(normalized <= 1e-13))
-    witness = bool(np.all(normalized >= -1e-13))
-    rel = (s.C_gamma - s.K1K2) / s.C_gamma
-    return SupersolutionReport(
-        r=r, res_linear=res1, res_coupling=res2,
-        res_coupling_rel=rel, sign_constant=sign_constant,
-        stability_witness=witness,
-    )
 
 
 def indicial_exponents(scaling: ScalingData) -> np.ndarray:

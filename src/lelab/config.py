@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidOptions
 from .options import LADDER_KMAX, SolverOptions
 
 __all__ = ["RunConfig", "parse_config_file", "load_config"]
@@ -35,19 +35,25 @@ class RunConfig:
     cache: bool = True
     cache_dir: str = ""
 
+    def solver_options(self) -> SolverOptions:
+        """The six solver keys as validated ``SolverOptions``; a value that
+        fails is a ConfigError that names its key."""
+        opts = SolverOptions(**{f.name: getattr(self, f.name)
+                                for f in fields(SolverOptions)})
+        try:
+            opts.validate()
+        except InvalidOptions as exc:
+            raise ConfigError(f"config key {exc}") from None
+        return opts
+
     def validate(self) -> None:
-        positive = ("rtol", "atol", "event_tol", "r_target", "v0_tol",
-                    "tol_curve")
-        for name in positive:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"config key '{name}' must be positive, got {v!r}")
-        for name in ("rtol", "tol_curve"):  # relative tolerances
-            v = getattr(self, name)
-            if not v < 1.0:
-                raise ConfigError(f"config key '{name}' must be below 1, got {v!r}")
-        for name, lo in (("grid_nodes", 16), ("resolution", 16),
-                         ("ladder_kmax", 1)):
+        self.solver_options()
+        v = self.tol_curve  # a relative tolerance
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise ConfigError(f"config key 'tol_curve' must be positive, got {v!r}")
+        if not v < 1.0:
+            raise ConfigError(f"config key 'tol_curve' must be below 1, got {v!r}")
+        for name, lo in (("resolution", 16), ("ladder_kmax", 1)):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= lo):
                 raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")

@@ -246,7 +246,6 @@ def _gap_estimate(N: int, gamma: float, L: float) -> float:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    params: ParameterTriple
     k1k2: float
     gamma: float
     reports: list
@@ -311,7 +310,7 @@ def singular_stability_verdict(
     lecv_holds = side in (CurvePosition.ABOVE, CurvePosition.ON)
     consistent = (verdict == "SingularStable") == lecv_holds
     return StabilityReport(
-        params=params, k1k2=k1k2, gamma=sc.gamma,
+        k1k2=k1k2, gamma=sc.gamma,
         reports=[replace(rep, verdict=verdict, k1k2=k1k2, marginal=marginal)
                  for rep in reports],
         verdict=verdict, marginal=marginal, lecv_consistent=consistent,

@@ -44,7 +44,7 @@ class SolverOptions:
     def validate(self) -> None:
         for name in ("rtol", "atol", "event_tol", "r_target", "v0_tol"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
                 raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
             raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")

@@ -60,10 +60,6 @@ r_target for the profile, instead of integrating from the origin again.
 ``polish`` only narrows the final bracket from v0_tol to 4 ulp.
 ``iterations`` counts the probes of both phases and ``bracket_width`` is
 the final bracket (0 for the exact diagonal shot).
-
-A classical fixed-step RK4 integrator over the same output nodes (10
-substeps per node interval) serves as the independent reference
-for solver verification; it shares only the closed-form series start.
 """
 
 from __future__ import annotations
@@ -96,7 +92,6 @@ __all__ = [
     "ProfileClass",
     "RadialProfile",
     "integrate",
-    "reference_integrate",
     "ShootResult",
     "shoot",
     "rescale",
@@ -190,10 +185,6 @@ class RadialProfile:
     stats: IntegratorStats
     dense: Callable[[float], tuple] | None = field(default=None, repr=False)
 
-    @property
-    def params(self) -> ParameterTriple:
-        return ParameterTriple(self.p, self.q, self.N)
-
 
 class _TaylorStart:
     """Even series of the regular solution about r = 0, in x = (r/r_char)^2.
@@ -280,20 +271,6 @@ class _TaylorStart:
         return tuple(out)
 
 
-def _make_rhs(params: ParameterTriple):
-    p, q, N = params.p, params.q, params.N
-    nm1 = N - 1.0
-
-    def rhs(r: float, y: tuple) -> tuple:
-        u, du, v, dv = y
-        vp = v ** p if v > 0.0 else 0.0
-        uq = u ** q if u > 0.0 else 0.0
-        inv = nm1 / r
-        return (du, -vp - inv * du, dv, -uq - inv * dv)
-
-    return rhs
-
-
 def _horner(y0, h, th, c):
     """Shampine's quartic on one step, y0 + h th (c0 + th (c1 + th (c2 + th c3)));
     the one interpolation formula, on floats and on broadcast arrays alike."""
@@ -349,7 +326,7 @@ class _Dense:
 # of the last step; the lists hold, per accepted step, its left end, size,
 # start state (4 floats) and stages (28, as ``_Dense`` reads them)
 _March = namedtuple("_March", "taylor hit_zero end starts steps y0s stages "
-                              "naccept nreject nfev")
+                              "naccept nreject")
 
 
 def _march(params: ParameterTriple, init: InitialData, r_max: float,
@@ -402,7 +379,6 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
     k1u, k1v = du, dv
     # compensation carries: the rounding error of the last state update
     cu = cdu = cv = cdv = 0.0
-    nfev = 1
     h = 0.1 * r
     facold = 1e-4
     naccept = nreject = 0
@@ -474,7 +450,6 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
         k7u, k7v = du + idu, dv + idv
         k7du = -(v1 ** p if v1 > 0.0 else 0.0) - inv * k7u
         k7dv = -(u1 ** q if u1 > 0.0 else 0.0) - inv * k7v
-        nfev += 6
 
         # error norm; each scale is max(|y|, |y1|), and a -0.0 where abs
         # gives 0.0 leaves atol + rtol * scale unchanged
@@ -515,7 +490,7 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
             if r >= pause:
                 pause = math.inf
                 yield _March(taylor, False, (u, du, v, dv), starts, steps,
-                             y0s, stages, naccept, nreject, nfev)
+                             y0s, stages, naccept, nreject)
             # PI control: the previous step's error damps the new step
             fac11 = err ** 0.17 if err > 0.0 else 1e-20
             fac = fac11 / facold ** 0.04 / 0.9
@@ -528,7 +503,7 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
             h = h / (fac11 if fac11 < 5.0 else 5.0)
 
     yield _March(taylor, hit_zero, (u1, k7u, v1, k7v), starts, steps, y0s,
-                 stages, naccept, nreject, nfev)
+                 stages, naccept, nreject)
 
 
 def _end(rec: _March, event_tol: float) -> tuple:
@@ -577,9 +552,11 @@ def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
     """The profile of a finished march: how it ended (``_end``), the dense
     output of all accepted steps and the output grid from r_first."""
     taylor, steps = rec.taylor, rec.steps
+    # one evaluation at the series start, then six per attempted step (FSAL)
     stats = IntegratorStats(
         steps=rec.naccept, rejected=rec.nreject,
-        min_step=min(steps), max_step=max(steps), nfev=rec.nfev,
+        min_step=min(steps), max_step=max(steps),
+        nfev=1 + 6 * (rec.naccept + rec.nreject),
     )
     dense = _Dense(taylor, rec.starts, steps, rec.y0s, rec.stages)
     kind, r_end, _ = _end(rec, opts.event_tol)
@@ -596,45 +573,6 @@ def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
         classification=classification, r_event=r_event, r_max=r_end,
         rtol=opts.rtol, atol=opts.atol, stats=stats, dense=dense,
     )
-
-
-def reference_integrate(params: ParameterTriple, init: InitialData,
-                        r_nodes) -> np.ndarray:
-    """Classical fixed-step RK4 across the given nodes (independent oracle).
-
-    Starts from the same closed-form series state at r_nodes[0] and takes
-    10 equal steps per node interval; returns a (4, len(nodes)) array of
-    (u, du, v, dv).
-    """
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    if r_nodes.ndim != 1 or r_nodes.size < 2 or np.any(np.diff(r_nodes) <= 0):
-        raise DomainError("r_nodes must be strictly increasing")
-    # only the series is read here, not the radii the options size
-    taylor = _TaylorStart(params, init, SolverOptions())
-    rhs = _make_rhs(params)
-    r = float(r_nodes[0])
-    y = taylor.eval(r)
-    out = np.empty((4, r_nodes.size))
-    out[:, 0] = y
-    for k in range(1, r_nodes.size):
-        rb = float(r_nodes[k])
-        hh = (rb - r) / 10
-        for _ in range(10):
-            k1 = rhs(r, y)
-            y2 = tuple(y[d] + 0.5 * hh * k1[d] for d in range(4))
-            k2 = rhs(r + 0.5 * hh, y2)
-            y3 = tuple(y[d] + 0.5 * hh * k2[d] for d in range(4))
-            k3 = rhs(r + 0.5 * hh, y3)
-            y4 = tuple(y[d] + hh * k3[d] for d in range(4))
-            k4 = rhs(r + hh, y4)
-            y = tuple(
-                y[d] + hh / 6.0 * (k1[d] + 2.0 * k2[d] + 2.0 * k3[d] + k4[d])
-                for d in range(4)
-            )
-            r += hh
-        r = rb
-        out[:, k] = y
-    return out
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,9 @@ __all__ = ["ScanResult", "scan_codes", "region_codes"]
 
 @dataclass(frozen=True)
 class ScanResult:
-    N: int
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-    resolution: int
     p: np.ndarray
     q: np.ndarray
     codes: np.ndarray  # (resolution, resolution), [i, j] ~ (p_i, q_j)
-    tol_curve: float
 
     def cell_count(self) -> int:
         return int(self.codes.size)
@@ -79,8 +72,4 @@ def scan_codes(N: int, window, resolution: int,
     p = np.linspace(p_min, p_max, resolution) if resolution > 1 else np.array([p_min])
     q = np.linspace(q_min, q_max, resolution) if resolution > 1 else np.array([q_min])
     codes = region_codes(p[:, None], q[None, :], N, tol_curve)
-    return ScanResult(
-        N=N, p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max,
-        resolution=int(resolution), p=p, q=q, codes=codes,
-        tol_curve=tol_curve,
-    )
+    return ScanResult(p=p, q=q, codes=codes)

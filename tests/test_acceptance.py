@@ -12,20 +12,19 @@ import pytest
 
 from lelab import (CurvePosition, DomainError, ParameterTriple, classify,
                    derive_scaling, hardy_rellich_constant, jl_diagonal)
-from lelab.closed_form import (default_sample_radii, singular_residuals,
-                               supersolution_residuals)
 from lelab.eigen import (Annulus, _gap_estimate, eig_ladder,
                          principal_eigenvalue, richardson_limit)
 from lelab.profiles import compare, ratio_suprema, truncate_profile
 from lelab.radial import (InitialData, SolverOptions, decay_identity_check,
-                          integrate, ode_residual, reference_integrate,
-                          rescale, shoot)
+                          integrate, ode_residual, rescale, shoot)
 from lelab.scan import scan_codes
 from lelab.cli import main as cli_main
 from lelab.closed_form import SingularSolution
 from lelab.radial import IntegratorStats, ProfileClass, RadialProfile
 
 from conftest import valid_triples
+from references import (default_sample_radii, reference_integrate,
+                        singular_residuals, supersolution_residuals)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -12,6 +12,7 @@ from lelab import cli
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
 from lelab.errors import ConfigError
+from lelab.options import SolverOptions
 from lelab.scan import scan_codes
 from lelab.serialize import to_csv
 
@@ -56,6 +57,22 @@ class TestConfig:
         cfg_file.write_text("resolution = 4\n")
         with pytest.raises(ConfigError, match="resolution"):
             load_config(cfg_file)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rtol", "1e-8"), ("atol", None), ("grid_nodes", 64.5),
+        ("tol_curve", "x"), ("resolution", 4.0)])
+    def test_mistyped_override_refused(self, key, value):
+        # a value of the wrong type is a ConfigError naming its key, not a
+        # TypeError from a comparison
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+    def test_solver_options_from_config(self, tmp_path):
+        # the six solver keys become the solvers' options, other keys not
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("rtol = 1e-8\ngrid_nodes = 256\nresolution = 64\n")
+        assert load_config(cfg_file).solver_options() == SolverOptions(
+            rtol=1e-8, grid_nodes=256)
 
     def test_relative_tolerances_below_one(self, tmp_path):
         # a relative tolerance of 1 or more accepts anything

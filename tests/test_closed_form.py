@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from lelab import CurvePosition, DomainError, ParameterTriple, classify, derive_scaling
-from lelab.closed_form import (SingularSolution, SupersolutionPair,
-                               default_sample_radii, eval_singular,
-                               indicial_exponents, singular_residuals,
-                               supersolution_residuals, transverse_covector)
+from lelab.closed_form import (SingularSolution, indicial_exponents,
+                               transverse_covector)
 
 from conftest import valid_triples
+from references import (SupersolutionPair, default_sample_radii,
+                        eval_singular, singular_residuals,
+                        supersolution_residuals)
 
 
 class TestSingularSolution:
