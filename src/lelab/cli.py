@@ -90,22 +90,30 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
 # r = 1e2 and the coarse phase stops at 1e-7, so v0* moves by ulps;
 # solve 5 and shoot 10: the march starts from a degree-12 series, and a shot
 # returns its best probe, whose march goes on to r_target, not the final
-# bracket's midpoint.
+# bracket's midpoint; curve 4: the curve root search starts from the
+# prescan's margin values, not their signs, so q* moves within the root
+# tolerance.
 # compare stays at 2: its key hashes the stored profile, and a given
 # profile compares to the same bytes.
-_REVISION = {"curve": 3, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
+_REVISION = {"curve": 4, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
              "eig": 5}
+
+
+def _write_chunks(path: Path, chunks: list) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
 
 
 def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
     """Write a cache entry atomically: into a temporary directory under the
     cache root, ``__stdout__`` last, then renamed onto the key.  A reader
-    therefore never sees a half-written entry."""
+    therefore never sees a half-written entry.  ``files`` maps each name
+    to its text as a list of chunks."""
     root.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
     try:
-        for name, text in files.items():
-            (tmp / name).write_text(text)
+        for name, chunks in files.items():
+            _write_chunks(tmp / name, chunks)
         (tmp / "__stdout__").write_text(stdout)
         if entry.is_dir() and not (entry / "__stdout__").exists():
             # left incomplete by an interrupted writer of an older version
@@ -126,12 +134,13 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
     to ``cfg.out``, h being the payload's hash, and print the name of the
     ``show`` one ("csv" or "json") and then the command's own lines.
 
-    ``produce(h)`` returns the CSV text, the JSON document and those lines.
-    It runs on a cache miss only: the key is the payload with the package
-    version and the command's revision, and a hit copies the stored files'
-    bytes (copies, not links: editing an output must not edit the entry)
-    and prints the stored stdout.  ``cfg.out`` is created only once there
-    is something to write into it.
+    ``produce(h)`` returns the CSV text (a string, or a list of chunks
+    that are written one after the other), the JSON document and those
+    lines.  It runs on a cache miss only: the key is the payload with the
+    package version and the command's revision, and a hit copies the
+    stored files' bytes (copies, not links: editing an output must not
+    edit the entry) and prints the stored stdout.  ``cfg.out`` is created
+    only once there is something to write into it.
     """
     h = payload_hash(payload)
     base = f"{stem}_{h}"
@@ -150,13 +159,14 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
         print(f"cache hit {key}", file=sys.stderr)
     else:
         csv, doc, lines = produce(h)
-        files = {base + ".csv": csv, base + ".json": to_json(doc)}
+        files = {base + ".csv": [csv] if isinstance(csv, str) else csv,
+                 base + ".json": [to_json(doc)]}
         stdout = "".join(f"{line}\n" for line in [f"{base}.{show}", *lines])
         if cfg.cache:
             _store_entry(root, entry, files, stdout)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (out_dir / name).write_text(text)
+        for name, chunks in files.items():
+            _write_chunks(out_dir / name, chunks)
     sys.stdout.write(stdout)
 
 
@@ -214,6 +224,9 @@ def _cmd_curve(args, cfg: RunConfig):
     return stem, payload, produce, "csv"
 
 
+_CSV_CHUNK_CELLS = 1024  # cells per chunk of the scan CSV, about 32 KB
+
+
 def _cmd_scan(args, cfg: RunConfig):
     resolution = cfg.resolution if args.resolution is None else args.resolution
     window = args.window or [1.0, 12.0, 1.0, 12.0]
@@ -228,17 +241,34 @@ def _cmd_scan(args, cfg: RunConfig):
         from . import scan
         p_min, p_max, q_min, q_max = window
         result = scan.scan_codes(args.N, window, resolution, cfg.tol_curve)
-        # tails[code, j] is the text of a row after its p cell; the codes
-        # pick one tail per cell, and a row is its p cell joined over them
+        # tails[code][j] is the text of a row after its p cell.  A row is
+        # its p cell joined over one tail per cell, so each run of equal
+        # codes is one slice of one tails list, joined by the p cell; runs
+        # start at 0 and after each j where codes[i, j] != codes[i, j + 1].
+        # Rows are joined into chunks of about _CSV_CHUNK_CELLS cells, so
+        # the CSV is never one string
         q_cells = [fmt_float(q) for q in result.q.tolist()]
-        tails = np.array([[f"{qc},{code}\n" for qc in q_cells]
-                          for code in range(3)], dtype=object)
-        picked = tails[result.codes, np.arange(resolution)].tolist()
-        parts = ["p,q,code\n"]
-        for p, row in zip(result.p.tolist(), picked):
+        tails = [[f"{qc},{code}\n" for qc in q_cells] for code in range(3)]
+        codes = result.codes
+        run_i, run_j = np.nonzero(codes[:, 1:] != codes[:, :-1])
+        run_j += 1
+        starts = run_j.tolist()
+        start_codes = codes[run_i, run_j].tolist()
+        row_runs = np.searchsorted(run_i, np.arange(resolution + 1)).tolist()
+        first_codes = codes[:, 0].tolist()
+        rows_per_chunk = max(1, _CSV_CHUNK_CELLS // resolution)
+        chunks, parts = [], ["p,q,code\n"]
+        for i, p in enumerate(result.p.tolist()):
             prefix = fmt_float(p) + ","
-            parts.append(prefix + prefix.join(row))
-        counts = np.bincount(result.codes.ravel(), minlength=3)
+            a, code = 0, first_codes[i]
+            for k in range(row_runs[i], row_runs[i + 1]):
+                b = starts[k]
+                parts += (prefix, prefix.join(tails[code][a:b]))
+                a, code = b, start_codes[k]
+            parts += (prefix, prefix.join(tails[code][a:]))
+            if (i + 1) % rows_per_chunk == 0 or i + 1 == resolution:
+                chunks.append("".join(parts))
+                parts = []
         doc = _document(
             "region_scan", N=args.N,
             window={"p_min": p_min, "p_max": p_max,
@@ -246,9 +276,9 @@ def _cmd_scan(args, cfg: RunConfig):
             resolution=resolution, cell_count=result.cell_count(),
             codes={"0": "sub-Sobolev", "1": "super-Sobolev below curve",
                    "2": "on/above curve"},
-            counts={str(code): int(n) for code, n in enumerate(counts)},
+            counts={str(code): n for code, n in enumerate(result.counts)},
             tol_curve=cfg.tol_curve, payload_hash=h)
-        return "".join(parts), doc, []
+        return chunks, doc, []
 
     return f"scan_N{args.N}_r{resolution}", payload, produce, "csv"
 

@@ -426,31 +426,36 @@ def _candidates(x0, f0, x1, f1, x2, f2, x3, f3):
 
 
 def _prescan_bisect(f, xs, tol: float):
-    """Prescan f on the nodes xs and bisect its first sign change.
+    """Prescan f on the nodes xs and search its first sign change.
 
     Returns (root, values at xs, number of sign changes); the root is None
-    when f keeps one sign, else the midpoint of a bracket no wider than
-    tol * max(1, hi); the bisection may take 200 evaluations of f."""
+    when f keeps one sign, a node where f is exactly 0 at that change, or
+    else the midpoint of a bracket no wider than tol * max(1, hi).  The
+    search reads f's values, oriented positive on xs[i]'s side, from the
+    prescan's values at the ends on, and may take 200 evaluations of f."""
     ms = [f(x) for x in xs]
     flips = [i for i in range(len(ms) - 1)
              if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
     if not flips:
         return None, ms, 0
     i = flips[0]
-    pos_lo = ms[i] > 0.0
-    lo, hi = _bisect(lambda x: 1 if (f(x) > 0.0) == pos_lo else -1,
-                     xs[i], xs[i + 1], tol, 200)
+    for j in (i, i + 1):
+        if ms[j] == 0.0:
+            return xs[j], ms, len(flips)
+    sign = 1.0 if ms[i] > 0.0 else -1.0
+    lo, hi = _bisect(lambda x: sign * f(x), xs[i], xs[i + 1], tol, 200,
+                     sign * ms[i], sign * ms[i + 1])
     return 0.5 * (lo + hi), ms, len(flips)
 
 
 def jl_curve_q(N: int, p: float, *, tol_curve: float = 1e-9) -> float | None:
     """Solve the critical-curve equality for q on the slice [1, p] at fixed p.
 
-    Returns the root q* of C_gamma - K1 K2 = 0 located by bisection on a
+    Returns the root q* of C_gamma - K1 K2 = 0 located by ``_bisect`` on a
     sign-changing bracket found by a pre-scan of 64 nodes (which also
     verifies the margin changes sign exactly once), or None when the margin
     has constant sign on the admissible part of [1, p] (the curve does not
-    cross this slice; in particular for every p when N <= 10).  Bisection
+    cross this slice; in particular for every p when N <= 10).  The search
     stops at a bracket width in q of ``_ROOT_TOL``.
 
     The scan is restricted to q on or above the Sobolev hyperbola; see

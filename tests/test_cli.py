@@ -348,6 +348,33 @@ class TestScanCommand:
         assert hashlib.sha256(csv).hexdigest() == (
             "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
 
+    def test_scan_bytes_pinned_400(self, tmp_path, capsys):
+        # 48^2 is one block of the kernel; 400^2 (20 blocks, 200 chunks of
+        # the CSV) is pinned to its hash before the blocked kernel and the
+        # run joins
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", "11",
+                            "--resolution", "400"], capsys)
+        assert rc == 0
+        csv = next(tmp_path.glob("scan_*.csv")).read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "b9965ff65cbedb135eb36bcff7a3da6f3870b2aa0deebc3de11b97d53a830591")
+
+    def test_scan_holds_no_whole_csv(self, tmp_path, capsys):
+        # the CSV is written in chunks: the traced peak of a 400^2 miss
+        # stays below 1.5 times the CSV's size (one whole-CSV string and
+        # its encoding took it to 2.25 times)
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan",
+                                "11", "--resolution", "400"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        size = next(tmp_path.glob("scan_*.csv")).stat().st_size
+        assert peak < 1.5 * size
+
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
         # the hashes since the march starts from a degree-12 series at
         # r = 0.52 and the shot continues its best probe: v0* moved 2 ulp
@@ -369,14 +396,16 @@ class TestScanCommand:
             ".json": "41a71f1c5b1445a8634f7cd99b5a4546aedf245296dc7dd99870bee0851a3e35"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
-    @pytest.mark.parametrize("resolution", [1, 2, 17, 48])
+    @pytest.mark.parametrize("resolution", [1, 2, 17, 48, 130])
     @pytest.mark.parametrize("window", [("1", "12", "1", "12"),
                                         ("1", "1e308", "1", "1e308")],
                              ids=["default", "wide"])
     def test_scan_csv_matches_row_path(self, tmp_path, capsys, N, resolution,
                                        window):
-        # the scan writes its CSV from a code x column table of row tails;
-        # the oracle is the generic to_csv over (p, q, code) rows
+        # the scan writes its CSV from a code x column table of row tails,
+        # one join per run of equal codes, in chunks of rows (130^2 spans
+        # 3 kernel blocks and 19 chunks); the oracle is the generic to_csv
+        # over (p, q, code) rows
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", N,
                             "--window", *window,
                             "--resolution", str(resolution)], capsys)

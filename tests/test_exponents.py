@@ -10,7 +10,7 @@ from lelab import (CurvePosition, DomainError, ParameterTriple, SobolevClass,
                    hardy_rellich_constant, jl_curve_q, jl_diagonal, jl_margin,
                    sobolev_margin)
 from lelab.errors import ConvergenceError
-from lelab.exponents import _bisect
+from lelab.exponents import _bisect, _prescan_bisect
 
 from conftest import valid_triples
 
@@ -211,6 +211,52 @@ class TestCurveRootFinding:
         with pytest.raises(DomainError):
             jl_curve_q(2, 3.0)
 
+    @pytest.mark.parametrize("N, p_min, p_max, most", [(13, 4.0, 12.0, 4514),
+                                                       (11, 7.0, 12.0, 4469)])
+    def test_trace_reads_margin_values(self, monkeypatch, N, p_min, p_max,
+                                       most):
+        # the two curve traces of the benchmark's map workload: the search
+        # starts from the prescan's margins, where sign-only halving took
+        # 6429 and 6335 margin evaluations (64 of them per slice in the
+        # prescan)
+        from lelab import exponents
+        calls = []
+        kernel = exponents.curve_margins
+        monkeypatch.setattr(exponents, "curve_margins",
+                            lambda *a: calls.append(a) or kernel(*a))
+        roots = [jl_curve_q(N, p_min + (p_max - p_min) * i / 63)
+                 for i in range(64)]
+        assert len(calls) <= most
+        assert sum(q is not None for q in roots) > 32
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_prescan_zero_node_is_the_root(self, sign):
+        # a node where f is exactly 0 at the first sign change is returned
+        # as it is, with no search and no 0 handed to _bisect as an end
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return sign * (x - 2.0)
+
+        xs = [0.0, 1.0, 2.0, 3.0]
+        assert _prescan_bisect(f, xs, 1e-12) == (
+            2.0, [sign * (x - 2.0) for x in xs], 1)
+        assert calls == xs
+
+    def test_prescan_search_reads_values(self):
+        # on a linear margin the first secant from the prescan values is
+        # the root
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5 - x
+
+        root, _, flips = _prescan_bisect(f, [0.0, 0.25, 0.75, 1.0], 1e-12)
+        assert (root, flips) == (0.5, 1)
+        assert len(calls) == 5
+
 
 class TestBisect:
     ROOT = math.sqrt(2.0)
@@ -404,6 +450,24 @@ def test_kernel_floats_match_arrays():
         for s, v in zip(scalar, vector):
             assert isinstance(s, float)
             assert np.float64(s).tobytes() == v[0].tobytes(), (p, q, N)
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 20, 21, 41, 400])
+@pytest.mark.parametrize("window", [(1.0, 12.0, 1.0, 12.0),
+                                    (1.0, 1e308, 1.0, 1e308)],
+                         ids=["default", "wide"])
+def test_blocked_scan_matches_whole_lattice(resolution, window):
+    # scan_codes evaluates blocks of 8192 // resolution rows (20 at 400^2);
+    # the codes and counts equal one region_codes call on the whole lattice
+    from lelab.scan import region_codes, scan_codes
+
+    for N in (10, 11, 13):
+        res = scan_codes(N, window, resolution)
+        whole = region_codes(res.p[:, None], res.q[None, :], N)
+        assert res.codes.dtype == whole.dtype
+        assert res.codes.tobytes() == whole.tobytes()
+        assert res.counts == tuple(np.bincount(whole.ravel(),
+                                               minlength=3).tolist())
 
 
 def test_region_codes_match_classify(rng):
