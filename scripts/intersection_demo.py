@@ -26,7 +26,7 @@ def run() -> None:
         scaling = derive_scaling(params)
         res = shoot(params, 1.0, (0.5, 2.0), opts)
         prof = truncate_profile(res.profile, r_trust) \
-            if r_trust < res.profile.r_max else res.profile
+            if r_trust < res.profile.r[-1] else res.profile
         rep = compare(prof, scaling)
         print(f"({p},{q},{N}): ordered={rep.ordered} "
               f"crossings_u={len(rep.crossings_u)} M1={rep.m1:.9f}")

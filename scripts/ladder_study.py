@@ -9,7 +9,7 @@ approaches, and writes the ladders as CSV under data/.
 import math
 from pathlib import Path
 
-from lelab.eigen import eig_ladder, richardson_limit
+from lelab.eigen import default_ladder, principal_eigenvalue, richardson_limit
 from lelab.exponents import hardy_rellich_constant
 from lelab.serialize import to_csv
 
@@ -21,7 +21,8 @@ CASES = [(11, 0.0), (11, 0.4), (13, 1.0)]
 def run() -> None:
     OUT.mkdir(exist_ok=True)
     for N, gamma in CASES:
-        reports = eig_ladder(N, gamma)
+        reports = [principal_eigenvalue(ann, N, gamma)
+                   for ann in default_ladder()]
         C = hardy_rellich_constant(N, gamma)
         ext = richardson_limit(reports)
         print(f"N={N} gamma={gamma}: C_gamma={C:.6f} extrapolated={ext:.6f} "

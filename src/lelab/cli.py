@@ -65,36 +65,11 @@ def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
     return out_dir / ".lelab-cache"
 
 
-# Algorithm revision per cached command, part of the cache key: bump a
-# command's entry whenever its numbers change, so that entries written by the
-# older algorithm are not served.  eig 2: shifted inverse iteration in
-# ground-state variables; curve 2: the prescan ends exactly at p; eig 3 and
-# curve 3: K1K2 and the curve margin are p q S T from the shared kernel;
-# solve 2 and shoot 2: unrolled stages with a compensated state update;
-# shoot 3: the polished shot bisects the matching functional to 4 ulp, and
-# solve 3 with it: the PI step controller reads the previous step's error;
-# compare 2: the dead band is floored at the profile's rtol; shoot 4: every
-# shot bisects the matching functional, and polish only sets the stopping
-# width; shoot 5: the search interpolates the value of the matching
-# functional (Dekker-Brent) instead of halving on its sign; eig 4: the
-# ladder extension starts past both ends of the top rung; shoot 6: a coarse
-# search at loose tolerances, then a full-accuracy search from its checked
-# bracket, with one-sided secants and log-halving of a wide bracket;
-# shoot 7: when the caller's tolerances are the coarse ones, the ends of the
-# coarse bracket are not probed again (two probes fewer in ``iterations``);
-# solve 4 and shoot 8: a profile that reaches r_target without a zero is
-# EntirePositive, with no decay threshold; eig 5: lambda is the root of
-# the sine-basis secular equation, the CSV and JSON carry lambda_err in
-# place of the inverse iteration's residual, and the payload drops eig_tol
-# and eig_max_iter; shoot 9: probes read the transverse coefficient at
-# r = 1e2 and the coarse phase stops at 1e-7, so v0* moves by ulps;
-# solve 5 and shoot 10: the march starts from a degree-12 series, and a shot
-# returns its best probe, whose march goes on to r_target, not the final
-# bracket's midpoint; curve 4: the curve root search starts from the
-# prescan's margin values, not their signs, so q* moves within the root
-# tolerance.
-# compare stays at 2: its key hashes the stored profile, and a given
-# profile compares to the same bytes.
+# Algorithm revision per cached command, part of the cache key, so that
+# entries written by an older algorithm are not served.  Bump a command's
+# entry whenever the bytes it writes change; CHANGES.md records each bump and
+# its reason.  compare is left alone while a given profile compares to the
+# same bytes: its key hashes the stored profile.
 _REVISION = {"curve": 4, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
              "eig": 5}
 
@@ -317,7 +292,7 @@ def _cmd_solve(args, cfg: RunConfig):
                        is radial.ProfileClass.ENTIRE_POSITIVE)
             extra = {"v0_star": res.v0, "iterations": res.iterations,
                      "bracket_width": res.bracket_width,
-                     "polished": res.polished,
+                     "polished": args.polish,
                      "reached_target": reached}
         else:
             r_max = opts.r_target if args.r_max is None else args.r_max
@@ -397,7 +372,9 @@ def _cmd_eig(args, cfg: RunConfig):
             lecv_consistent=sr.lecv_consistent,
             extended_rungs=sr.extended,
             lambda_top=sr.lam_top,
-            ladder=[rep.as_dict() for rep in sr.reports],
+            # each rung's entry repeats the verdict, K1K2 and marginal
+            ladder=[{**rep.as_dict(), "verdict": sr.verdict, "K1K2": sr.k1k2,
+                     "marginal": sr.marginal} for rep in sr.reports],
             payload_hash=h)
         csv = to_csv(["k", "M", "lambda", "lambda_err", "iterations"], rows)
         return csv, doc, [sr.verdict]

@@ -60,7 +60,7 @@ lambda < K1 K2 witnesses instability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ __all__ = [
     "EigReport",
     "StabilityReport",
     "principal_eigenvalue",
-    "eig_ladder",
     "default_ladder",
     "singular_stability_verdict",
     "richardson_limit",
@@ -92,9 +91,6 @@ class EigReport:
     lam: float
     iterations: int
     lambda_err: float
-    verdict: str | None = None
-    k1k2: float | None = None
-    marginal: bool | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -106,9 +102,6 @@ class EigReport:
             "lambda": self.lam,
             "iterations": self.iterations,
             "lambda_err": self.lambda_err,
-            "verdict": self.verdict,
-            "K1K2": self.k1k2,
-            "marginal": self.marginal,
         }
 
 
@@ -210,13 +203,6 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float) -> EigReport:
                      iterations=n, lambda_err=err / h**4 + 8.0 * _U * lam)
 
 
-def eig_ladder(N: int, gamma: float,
-               ladder: list[Annulus] | None = None) -> list[EigReport]:
-    """Eigenvalues along a nested-annulus ladder, each rung solved on its own."""
-    ladder = default_ladder() if ladder is None else ladder
-    return [principal_eigenvalue(ann, N, gamma) for ann in ladder]
-
-
 def richardson_limit(reports: list[EigReport]) -> float:
     """Extrapolated infinite-annulus limit from the last ladder rungs.
 
@@ -286,7 +272,8 @@ def singular_stability_verdict(
     N = params.N
     sc = derive_scaling(params)
     k1k2 = sc.K1K2
-    reports = eig_ladder(N, sc.gamma, ladder)
+    reports = [principal_eigenvalue(ann, N, sc.gamma)
+               for ann in (default_ladder() if ladder is None else ladder)]
     last = reports[-1].annulus
     k = max(round(math.log10(last.r_outer)), round(-math.log10(last.r_inner)))
     extended = 0
@@ -310,9 +297,6 @@ def singular_stability_verdict(
     lecv_holds = side in (CurvePosition.ABOVE, CurvePosition.ON)
     consistent = (verdict == "SingularStable") == lecv_holds
     return StabilityReport(
-        k1k2=k1k2, gamma=sc.gamma,
-        reports=[replace(rep, verdict=verdict, k1k2=k1k2, marginal=marginal)
-                 for rep in reports],
-        verdict=verdict, marginal=marginal, lecv_consistent=consistent,
-        extended=extended,
+        k1k2=k1k2, gamma=sc.gamma, reports=reports, verdict=verdict,
+        marginal=marginal, lecv_consistent=consistent, extended=extended,
     )

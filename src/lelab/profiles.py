@@ -1,8 +1,9 @@
 """Comparison of regular radial profiles with the singular solution.
 
 Locates sign changes of u - u_s and v - v_s, computes the suprema
-M1 = sup u/u_s and M2 = sup v/v_s over the profile grid, and checks the
-Newtonian-potential chain M1 <= M2^p, M2 <= M1^q for ordered profiles.
+M1 = sup u/u_s and M2 = sup v/v_s over the profile grid, and reports the
+deficits of the Newtonian-potential chain M1 <= M2^p, M2 <= M1^q for
+ordered profiles.
 
 Sign changes are counted with a dead band relative to |u_s| so that
 rounding-level oscillations of a trajectory that has locked onto the
@@ -16,7 +17,7 @@ interior-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from .exponents import ScalingData, _bisect
 from .options import DEFAULT_BAND
 from .radial import ProfileClass, RadialProfile
 
-__all__ = ["ComparisonReport", "RatioReport", "compare", "ratio_suprema",
-           "truncate_profile"]
+__all__ = ["ComparisonReport", "compare", "truncate_profile"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,9 @@ class ComparisonReport:
     degenerate: bool
     interior_only: bool
     band_rel: float
+    # M1 - M2^p and M2 - M1^q when ordered, else None; not in as_dict
+    chain_deficit_p: float | None
+    chain_deficit_q: float | None
 
     def as_dict(self) -> dict:
         return {
@@ -56,19 +59,6 @@ class ComparisonReport:
         }
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    m1: float
-    m2: float
-    r_m1: float
-    r_m2: float
-    ordered: bool
-    chain_deficit_p: float | None
-    chain_deficit_q: float | None
-    diagnostics: list = field(default_factory=list)
-    interior_only: bool = False
-
-
 def truncate_profile(profile: RadialProfile, r_cut: float) -> RadialProfile:
     """Restrict a profile to grid radii <= r_cut (dense output kept)."""
     if r_cut <= profile.r[0]:
@@ -81,7 +71,6 @@ def truncate_profile(profile: RadialProfile, r_cut: float) -> RadialProfile:
         profile,
         r=profile.r[:n], u=profile.u[:n], v=profile.v[:n],
         du=profile.du[:n], dv=profile.dv[:n],
-        r_max=float(profile.r[n - 1]),
         classification=cls,
     )
 
@@ -171,7 +160,12 @@ def compare(profile: RadialProfile, scaling: ScalingData,
     The profile must belong to the scaling's triple (p, q, N).  The dead
     band is band_rel (positive and finite) floored at the profile's own
     rtol: below it a sign of u/u_s - 1 is the solver's error, not the
-    solution's; the report carries the band used."""
+    solution's; the report carries the band used.
+
+    On an ordered profile the chain M1 <= M2^p and M2 <= M1^q holds for the
+    true suprema over (0, inf); the report carries the signed deficits
+    M1 - M2^p and M2 - M1^q of the grid's suprema, which a truncated
+    (``interior_only``) profile can leave positive."""
     if (profile.p, profile.q, profile.N) != (scaling.p, scaling.q, scaling.N):
         raise DomainError(
             f"profile of (p, q, N) = ({profile.p:g}, {profile.q:g}, "
@@ -211,42 +205,14 @@ def compare(profile: RadialProfile, scaling: ScalingData,
         and np.all(rel_u <= band_rel) and np.all(rel_v <= band_rel)
     )
     interior_only = profile.classification is not ProfileClass.ENTIRE_POSITIVE
+    deficit_p = deficit_q = None
+    if ordered:
+        deficit_p = m1 - m2 ** profile.p
+        deficit_q = m2 - m1 ** profile.q
     return ComparisonReport(
         crossings_u=cross_u, crossings_v=cross_v,
         m1=m1, m2=m2, r_m1=rm1, r_m2=rm2,
         ordered=ordered, degenerate=degenerate,
         interior_only=interior_only, band_rel=band_rel,
-    )
-
-
-def ratio_suprema(profile: RadialProfile, scaling: ScalingData) -> RatioReport:
-    """Refined suprema plus the Newtonian-potential chain diagnostics.
-
-    When the profile is ordered below the singular solution (``compare``
-    at the default band) the chain M1 <= M2^p and M2 <= M1^q holds for the
-    true suprema over (0, inf); with grid-truncated suprema the signed
-    deficits M1 - M2^p and M2 - M1^q are reported, with a diagnostic entry
-    when one is positive.
-    """
-    rep = compare(profile, scaling)
-    diagnostics: list = []
-    deficit_p = deficit_q = None
-    if rep.ordered:
-        deficit_p = rep.m1 - rep.m2 ** scaling.p
-        deficit_q = rep.m2 - rep.m1 ** scaling.q
-        if deficit_p > 0.0:
-            diagnostics.append(
-                f"M1 <= M2^p violated by {deficit_p:.3e} (truncated suprema)"
-            )
-        if deficit_q > 0.0:
-            diagnostics.append(
-                f"M2 <= M1^q violated by {deficit_q:.3e} (truncated suprema)"
-            )
-    if rep.interior_only:
-        diagnostics.append("suprema are interior-only (profile truncated)")
-    return RatioReport(
-        m1=rep.m1, m2=rep.m2, r_m1=rep.r_m1, r_m2=rep.r_m2,
-        ordered=rep.ordered,
         chain_deficit_p=deficit_p, chain_deficit_q=deficit_q,
-        diagnostics=diagnostics, interior_only=rep.interior_only,
     )

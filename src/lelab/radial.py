@@ -162,9 +162,11 @@ class ProfileClass(Enum):
 class RadialProfile:
     """Sampled radial trajectory on a logarithmic output grid.
 
-    The grid covers [r_start, r_max]; values below r_start come from the
-    series start (available through ``dense``).  ``dense`` is an in-memory
-    interpolant and is not serialized.
+    The grid covers [r_first, r[-1]]: its first node is the series start's
+    r_first, which the stored metadata writes as ``r_start``, and its last
+    is where the march ended.  Values below r_first come from the series
+    (available through ``dense``).  ``dense`` is an in-memory interpolant
+    and is not serialized.
     """
 
     p: float
@@ -179,7 +181,6 @@ class RadialProfile:
     dv: np.ndarray
     classification: ProfileClass
     r_event: float | None
-    r_max: float
     rtol: float
     atol: float
     stats: IntegratorStats
@@ -341,8 +342,8 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
     side inlined, every min and max a conditional expression of the same
     semantics, and a state update that carries its rounding error to the
     next step (compensated summation).  Where the march pauses does not
-    change a bit of it."""
-    opts.validate()
+    change a bit of it.  ``opts`` must be valid: ``integrate`` and
+    ``shoot`` check them."""
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError("r_max must be positive and finite")
     taylor = _TaylorStart(params, init, opts, r_max)
@@ -536,6 +537,7 @@ def integrate(params: ParameterTriple, init: InitialData, r_max: float,
     ``_march`` plus the profile builder (``_profile``).
     """
     opts = SolverOptions() if opts is None else opts
+    opts.validate()
     return _profile(params, init, opts, _finish(_march(params, init, r_max, opts)))
 
 
@@ -570,7 +572,7 @@ def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
     return RadialProfile(
         p=params.p, q=params.q, N=params.N, u0=init.u0, v0=init.v0,
         r=grid, u=vals[0], v=vals[2], du=vals[1], dv=vals[3],
-        classification=classification, r_event=r_event, r_max=r_end,
+        classification=classification, r_event=r_event,
         rtol=opts.rtol, atol=opts.atol, stats=stats, dense=dense,
     )
 
@@ -581,7 +583,6 @@ class ShootResult:
     profile: RadialProfile
     iterations: int
     bracket_width: float
-    polished: bool
 
 
 def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
@@ -660,7 +661,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
         # the diagonal is invariant: v0 = u0 gives u identical to v
         prof = integrate(params, InitialData(u0, u0), opts.r_target, opts)
         if prof.r_event is None:
-            return ShootResult(u0, prof, 0, 0.0, polish)
+            return ShootResult(u0, prof, 0, 0.0)
 
     # g by (options, v0), seeded with the ends; each miss is one probe
     memo = {(opts, lo): g_lo, (opts, hi): g_hi}
@@ -701,7 +702,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     # of smaller |g|; that march goes on to r_target
     profile = _profile(params, InitialData(u0, best.v0), opts,
                        _finish(best.march, best.rec))
-    return ShootResult(best.v0, profile, len(memo) - 2, abs(b - a), polish)
+    return ShootResult(best.v0, profile, len(memo) - 2, abs(b - a))
 
 
 # one read of g: the class of the first zero of u or v before the read
@@ -774,7 +775,6 @@ def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialPro
         du=profile.du * (cu * R), dv=profile.dv * (cv * R),
         classification=profile.classification,
         r_event=None if profile.r_event is None else profile.r_event / R,
-        r_max=profile.r_max / R,
         rtol=profile.rtol, atol=profile.atol,
         stats=profile.stats, dense=wrapped,
     )
@@ -818,7 +818,8 @@ def decay_identity_check(profile: RadialProfile) -> DecayReport:
     body = float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(r)))
     head = profile.v0 ** p * r[0] ** 2 / 2.0
     # tail: fit log v against log r over the last decade of the grid
-    mask = r >= profile.r_max / 10.0
+    r_end = float(r[-1])
+    mask = r >= r_end / 10.0
     lr = np.log(r[mask])
     lv = np.log(profile.v[mask])
     slope, intercept = np.polyfit(lr, lv, 1)
@@ -827,7 +828,7 @@ def decay_identity_check(profile: RadialProfile) -> DecayReport:
     if beta_hat * p <= 2.0:
         tail = math.inf
     else:
-        tail = C ** p * profile.r_max ** (2.0 - beta_hat * p) / (beta_hat * p - 2.0)
+        tail = C ** p * r_end ** (2.0 - beta_hat * p) / (beta_hat * p - 2.0)
     total = head + body + tail
     residual = abs(profile.u0 - total / (N - 2.0)) / profile.u0
     share = tail / total if math.isfinite(tail) else 1.0
@@ -873,7 +874,7 @@ def profile_metadata(profile: RadialProfile) -> dict:
         "classification": profile.classification.value,
         "r_event": profile.r_event,
         "r_start": float(profile.r[0]),
-        "r_max": profile.r_max,
+        "r_max": float(profile.r[-1]),
         "rtol": profile.rtol,
         "atol": profile.atol,
         "grid_nodes": int(profile.r.size),
@@ -918,7 +919,6 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
             dv=data[:, 4],
             classification=ProfileClass(meta["classification"]),
             r_event=None if meta["r_event"] is None else float(meta["r_event"]),
-            r_max=float(meta["r_max"]),
             rtol=float(meta["rtol"]), atol=float(meta["atol"]),
             stats=IntegratorStats(
                 steps=int(stats["steps"]), rejected=int(stats["rejected"]),

@@ -12,9 +12,9 @@ import pytest
 
 from lelab import (CurvePosition, DomainError, ParameterTriple, classify,
                    derive_scaling, hardy_rellich_constant, jl_diagonal)
-from lelab.eigen import (Annulus, _gap_estimate, eig_ladder,
+from lelab.eigen import (Annulus, _gap_estimate, default_ladder,
                          principal_eigenvalue, richardson_limit)
-from lelab.profiles import compare, ratio_suprema, truncate_profile
+from lelab.profiles import compare, truncate_profile
 from lelab.radial import (InitialData, SolverOptions, decay_identity_check,
                           integrate, ode_residual, rescale, shoot)
 from lelab.scan import scan_codes
@@ -177,7 +177,8 @@ def test_c5_hardy_rellich_convergence():
     t0 = time.perf_counter()
     details = []
     for N, gamma in ((11, 0.0), (11, 0.4), (13, 1.0)):
-        reports = eig_ladder(N, gamma)
+        reports = [principal_eigenvalue(ann, N, gamma)
+                   for ann in default_ladder()]
         lams = [r.lam for r in reports]
         c = hardy_rellich_constant(N, gamma)
         assert all(b < a for a, b in zip(lams, lams[1:])), (N, gamma, lams)
@@ -232,7 +233,7 @@ def _ordering_case(p, q, N, bracket, r_target):
         r_star = min(0.68 * _crossover_radius(res.profile, sc),
                      0.8 * r_target)
     prof = truncate_profile(res.profile, r_star)
-    rep = ratio_suprema(prof, sc)
+    rep = compare(prof, sc)
     return rep, r_star, res
 
 
@@ -368,7 +369,7 @@ def test_c8_solver_verification():
     pseudo = RadialProfile(
         p=3.0, q=3.0, N=11, u0=math.inf, v0=math.inf,
         r=r, u=sing.u(r), v=sing.v(r), du=sing.du(r), dv=sing.dv(r),
-        classification=ProfileClass.TRUNCATED, r_event=None, r_max=100.0,
+        classification=ProfileClass.TRUNCATED, r_event=None,
         rtol=1e-10, atol=1e-12, stats=IntegratorStats(0, 0, 0.0, 0.0, 0),
         dense=None,
     )

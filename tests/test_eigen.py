@@ -4,12 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lelab import DomainError, ParameterTriple, hardy_rellich_constant, \
-    jl_curve_q
+from lelab import DomainError, ParameterTriple, derive_scaling, \
+    hardy_rellich_constant, jl_curve_q
 from lelab.cli import main as cli_main
-from lelab.eigen import (Annulus, default_ladder, eig_ladder,
-                         principal_eigenvalue, richardson_limit,
-                         singular_stability_verdict)
+from lelab.eigen import (Annulus, default_ladder, principal_eigenvalue,
+                         richardson_limit, singular_stability_verdict)
 
 
 def exact_zero_gamma_eigenvalue(N: int, annulus: Annulus) -> float:
@@ -185,7 +184,8 @@ class TestLadder:
         assert default_ladder(308, 16)[-1].r_outer == 1e308
 
     def test_decreasing_and_extrapolates_to_constant(self):
-        reports = eig_ladder(11, 0.4, default_ladder(4, 512))
+        reports = [principal_eigenvalue(ann, 11, 0.4)
+                   for ann in default_ladder(4, 512)]
         lams = [r.lam for r in reports]
         assert all(b < a for a, b in zip(lams, lams[1:]))
         c = hardy_rellich_constant(11, 0.4)
@@ -193,9 +193,12 @@ class TestLadder:
         assert richardson_limit(reports) == pytest.approx(c, rel=0.01)
 
     def test_rung_matches_single_annulus(self):
+        # the verdict solves each rung on its own, as a single annulus
+        params = ParameterTriple(9, 6, 11)
         ann = default_ladder(3, 512)
-        rung = eig_ladder(11, 1.1, ann)[-1].lam
-        single = principal_eigenvalue(ann[-1], 11, 1.1).lam
+        rung = singular_stability_verdict(params, ann).reports[2].lam
+        single = principal_eigenvalue(ann[-1], 11,
+                                      derive_scaling(params).gamma).lam
         assert rung == single
 
 
@@ -277,5 +280,3 @@ class TestStabilityVerdict:
                                         ladder=[Annulus(1e-2, 1e2, 512)])
         assert sr.verdict == "SingularUnstable"
         assert len(sr.reports) == 1
-        assert sr.reports[0].verdict == sr.verdict
-        assert sr.reports[0].k1k2 == sr.k1k2

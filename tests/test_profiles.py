@@ -5,7 +5,7 @@ import pytest
 
 from lelab import DomainError, GridTooCoarse, ParameterTriple, derive_scaling
 from lelab.closed_form import SingularSolution
-from lelab.profiles import compare, ratio_suprema, truncate_profile
+from lelab.profiles import compare, truncate_profile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
                           RadialProfile, SolverOptions, integrate, rescale,
                           shoot)
@@ -22,7 +22,7 @@ def pseudo_profile(sc, u, v, r, dense=None, cls=ProfileClass.TRUNCATED):
     return RadialProfile(
         p=sc.p, q=sc.q, N=sc.N, u0=math.inf, v0=math.inf,
         r=r, u=u, v=v, du=np.gradient(u, r), dv=np.gradient(v, r),
-        classification=cls, r_event=None, r_max=float(r[-1]),
+        classification=cls, r_event=None,
         rtol=1e-10, atol=1e-12, stats=IntegratorStats(0, 0, 0.0, 0.0, 0),
         dense=dense,
     )
@@ -35,6 +35,7 @@ class TestCompare:
         assert len(rep.crossings_u) >= 1
         assert rep.crossings_u == rep.crossings_v  # symmetric trajectory
         assert not rep.ordered
+        assert rep.chain_deficit_p is None and rep.chain_deficit_q is None
         # refined crossing radii satisfy u = u_s via dense re-evaluation
         sol = SingularSolution(sc)
         for r_star in rep.crossings_u[:3]:
@@ -122,9 +123,12 @@ class TestRatioSuprema:
         opts = SolverOptions(r_target=1e5, rtol=1e-12, atol=1e-14)
         res = shoot(params, 1.0, (0.2, 5.0), opts, polish=True)
         prof = truncate_profile(res.profile, 380.0)
-        rep = ratio_suprema(prof, sc)
+        rep = compare(prof, sc)
         assert rep.ordered
-        assert 0.0 < rep.m1 < 1.0 and 0.0 < rep.m2 < 1.0
+        m1, m2 = rep.m1, rep.m2
+        assert 0.0 < m1 < 1.0 and 0.0 < m2 < 1.0
+        assert rep.chain_deficit_p == m1 - m2 ** params.p
+        assert rep.chain_deficit_q == m2 - m1 ** params.q
         assert rep.chain_deficit_p < 1e-8
         assert rep.chain_deficit_q < 1e-8
 
@@ -132,16 +136,14 @@ class TestRatioSuprema:
         sc = derive_scaling(P33)
         trunc = truncate_profile(below_curve_profile, 50.0)
         assert trunc.classification is ProfileClass.TRUNCATED
-        rep = ratio_suprema(trunc, sc)
+        rep = compare(trunc, sc)
         assert rep.interior_only
-        assert any("interior-only" in d for d in rep.diagnostics)
 
     def test_chain_violation_reported_for_small_window(self, below_curve_profile):
         # far below its supremum the truncated chain must fail; the report
-        # carries a diagnostic instead of asserting
+        # carries the positive deficit instead of asserting
         sc = derive_scaling(P33)
         trunc = truncate_profile(below_curve_profile, 2.0)
-        rep = ratio_suprema(trunc, sc)
+        rep = compare(trunc, sc)
         if rep.ordered:
             assert rep.chain_deficit_p > 0.0
-            assert any("violated" in d for d in rep.diagnostics)

@@ -1,8 +1,10 @@
 """The README's experiment scripts run end to end and write their CSVs;
-the benchmark trajectory script reads every committed BENCH file."""
+the benchmark trajectory script reads every committed BENCH file, and the
+artifact digest script hashes every output of a benchmark op list."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,25 @@ def test_intersection_demo(tmp_path, monkeypatch, capsys):
     out = tmp_path / "data"
     assert rows(out / "crossings_p3_q3_N11.csv")
     assert rows(out / "crossings_p8_q8_N11.csv") == []
+
+
+def test_artifact_digests_of_the_stability_list():
+    # 11 eig ops: one line per stdout and per written CSV and JSON, sorted
+    done = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py"),
+                           "--workload", "stability"],
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines == sorted(lines)
+    fields = [ln.split() for ln in lines]
+    assert all(len(f) == 3 and f[0] == "stability"
+               and re.fullmatch("[0-9a-f]{64}", f[2]) for f in fields)
+    names = [f[1] for f in fields]
+    assert [n for n in names if n.endswith(".stdout")] == \
+        [f"op{i:03d}.stdout" for i in range(11)]
+    files = [n for n in names if not n.endswith(".stdout")]
+    assert len(files) == len(set(files)) == 22
+    assert all(n.startswith("eig_") and n.endswith((".csv", ".json"))
+               for n in files)
 
 
 def test_bench_trajectory_reads_both_layouts():

@@ -92,30 +92,33 @@ class TestEmitter:
             == "ce61dc59a248"
 
 
-# one document of every artifact kind: (argv, the file glob or None for
-# stdout, its sha256), each also written by the json.dumps emitter; the
-# classify, curve, scan and eig bytes are those of the emitter that called
-# json.dumps per string, the solve and compare bytes those of the degree-12
-# series start
-ARTIFACTS = [
-    (["classify", "8", "8", "11"], None,
-     "6eada0eed54a5697c62f788537c7c8fe010b7bd1f2ad72e3ac3ccf54ee729837"),
-    (["curve", "11", "--p-min", "7", "--p-max", "9", "--steps", "5"],
-     "curve_*.json",
-     "65b514fac5ebe0457d39d0af771862db4de886ef247e326ed1c66bc2960e35fb"),
-    (["scan", "11", "--window", "1", "12", "1", "12", "--resolution", "16"],
-     "scan_*.json",
-     "3c84f378e01041ee557b74fc874643c50d4f5935c0008c9a863b2b3a828b1087"),
-    (["--ladder", "1", "eig", "9", "6", "11"], "eig_*.json",
-     "dc40af630f0439a76782cd22ac34e589afe770118552246c6911fd58c097ecf6"),
-    (["solve", "3", "3", "11", "--u0", "1", "--v0", "1"], "profile_*.json",
-     "1e27fd19b1576875e81bf2845554a0257ae886ef66e71cd40329169b025b3b37"),
-]
+# one document of every artifact kind, by test id: (argv, the file glob or
+# None for stdout, its sha256), each also written by the json.dumps emitter;
+# the classify, curve, scan and eig bytes are those of the emitter that
+# called json.dumps per string, the solve and compare bytes those of the
+# degree-12 series start.  eig_extended's ladder is the 5 default rungs and
+# 3 appended ones, each with its copy of the verdict
+ARTIFACTS = {
+    "classify": (["classify", "8", "8", "11"], None,
+                 "6eada0eed54a5697c62f788537c7c8fe010b7bd1f2ad72e3ac3ccf54ee729837"),
+    "curve": (["curve", "11", "--p-min", "7", "--p-max", "9", "--steps", "5"],
+              "curve_*.json",
+              "65b514fac5ebe0457d39d0af771862db4de886ef247e326ed1c66bc2960e35fb"),
+    "scan": (["scan", "11", "--window", "1", "12", "1", "12",
+              "--resolution", "16"], "scan_*.json",
+             "3c84f378e01041ee557b74fc874643c50d4f5935c0008c9a863b2b3a828b1087"),
+    "eig": (["--ladder", "1", "eig", "9", "6", "11"], "eig_*.json",
+            "dc40af630f0439a76782cd22ac34e589afe770118552246c6911fd58c097ecf6"),
+    "eig_extended": (["eig", "6.9", "6.9", "11"], "eig_*.json",
+                     "b64afc1169647ccc6578eb65d3991e1ec405fba9722b72a7fa465e915bd8827e"),
+    "solve": (["solve", "3", "3", "11", "--u0", "1", "--v0", "1"],
+              "profile_*.json",
+              "1e27fd19b1576875e81bf2845554a0257ae886ef66e71cd40329169b025b3b37"),
+}
 
 
-@pytest.mark.parametrize("argv, pattern, digest", ARTIFACTS,
-                         ids=[a[0][0] if a[0][0] != "--ladder" else "eig"
-                              for a in ARTIFACTS])
+@pytest.mark.parametrize("argv, pattern, digest", ARTIFACTS.values(),
+                         ids=ARTIFACTS.keys())
 def test_artifact_json_bytes_pinned(tmp_path, capsys, argv, pattern, digest):
     assert main(["--out", str(tmp_path), "--no-cache", *argv]) == 0
     out = capsys.readouterr().out
