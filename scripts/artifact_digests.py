@@ -3,9 +3,13 @@
 
 Runs each op of the ``stability``, ``shoot`` and ``map`` lists of
 ``bench/workloads.py`` in process, through ``lelab.cli.main`` with
-``--no-cache``, into a temporary ``--out`` directory, and prints one line
-``workload name sha256`` per op's stdout (named ``opNNN.stdout``) and per
-written file, sorted.  A ``compare`` op reads the profile its solve op
+``--no-cache``, each into a temporary ``--out`` directory of its own, and
+prints one line ``workload name sha256`` per op's stdout and per file it
+wrote, sorted.  Each line is named after its op (``opNNN.stdout``,
+``opNNN.csv``, ``opNNN.json``), not after the artifact, whose name carries
+the payload's hash.  So a change that only moves a payload keeps every
+line name, and only the hashes of the stdouts and JSONs that print the
+payload hash move.  A ``compare`` op reads the profile its solve op
 wrote, as ``bench/run.py`` does.  Run it on two checkouts and diff the
 outputs to show that a change keeps every artifact byte-identical:
 
@@ -37,12 +41,13 @@ def digests(name: str, seed: int) -> tuple[list, list]:
     workload's op list."""
     lines, failed, stdouts = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
         for i, op in enumerate(WORKLOADS[name](seed)):
+            out = Path(tmp) / f"op{i:03d}"
             argv = list(op.argv)
             if op.profile_of is not None:
                 first = stdouts[op.profile_of].split("\n", 1)[0]
-                argv += ["--profile", str(out / Path(first).stem)]
+                argv += ["--profile", str(Path(tmp) / f"op{op.profile_of:03d}"
+                                          / Path(first).stem)]
             so = io.StringIO()
             with contextlib.redirect_stdout(so), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -50,10 +55,12 @@ def digests(name: str, seed: int) -> tuple[list, list]:
             if rc != 0:
                 failed.append(f"{name}: {op.label} exited {rc}")
             stdouts.append(so.getvalue())
-            lines.append((name, f"op{i:03d}.stdout",
+            lines.append((name, f"{out.name}.stdout",
                           hashlib.sha256(stdouts[-1].encode()).hexdigest()))
-        lines += [(name, f.name, hashlib.sha256(f.read_bytes()).hexdigest())
-                  for f in out.iterdir() if f.is_file()]
+            if out.is_dir():  # classify writes no file
+                lines += [(name, out.name + f.suffix,
+                           hashlib.sha256(f.read_bytes()).hexdigest())
+                          for f in out.iterdir()]
     return lines, failed
 
 

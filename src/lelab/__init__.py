@@ -19,7 +19,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GridTooCoarse,
-    InvalidOptions,
     LaneEmdenError,
     MisclassifiedProfile,
     StepUnderflow,
@@ -42,9 +41,8 @@ from .exponents import (
 
 __all__ = [
     "__version__",
-    "LaneEmdenError", "DomainError", "ConfigError", "InvalidOptions",
+    "LaneEmdenError", "DomainError", "ConfigError", "MisclassifiedProfile",
     "ConvergenceError", "BracketError", "StepUnderflow", "GridTooCoarse",
-    "MisclassifiedProfile",
     "ParameterTriple", "ScalingData", "RegionVerdict",
     "SobolevClass", "CurvePosition",
     "derive_scaling", "curve_margins", "classify", "sobolev_margin", "jl_margin",

@@ -4,8 +4,9 @@ Subcommands: classify, curve, scan, solve, compare, eig.  All file output
 is deterministic (17-significant-digit floats, fixed key order, no
 timestamps); rerunning a command with identical arguments and
 configuration produces byte-identical artifacts, and cached results are
-returned verbatim.  Exit codes: 0 success, 2 domain/config error,
-3 convergence error, 4 I/O error or a lattice too large to allocate.
+returned verbatim.  Exit codes: 0 success, 2 a ``DomainError`` (bad input
+or configuration), 3 a ``ConvergenceError``, 4 I/O error or a lattice too
+large to allocate.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import (BracketError, ConvergenceError, DomainError,
-                     GridTooCoarse, MisclassifiedProfile, StepUnderflow)
+from .errors import ConvergenceError, DomainError
 from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
 from .options import DEFAULT_BAND, Annulus, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
@@ -56,13 +56,9 @@ def __getattr__(name: str):
 # ----------------------------------------------------------------------
 # cache
 
-def _cache_root(cfg: RunConfig, out_dir: Path) -> Path:
+def _cache_root(out_dir: Path) -> Path:
     env = os.environ.get("LEL_CACHE_DIR")
-    if env:
-        return Path(env)
-    if cfg.cache_dir:
-        return Path(cfg.cache_dir)
-    return out_dir / ".lelab-cache"
+    return Path(env) if env else out_dir / ".lelab-cache"
 
 
 # Algorithm revision per cached command, part of the cache key, so that
@@ -123,7 +119,7 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
                         "revision": _REVISION[payload["cmd"]],
                         "payload": payload})
     out_dir = Path(cfg.out)
-    root = _cache_root(cfg, out_dir)
+    root = _cache_root(out_dir)
     entry = root / key
     if cfg.cache and (entry / "__stdout__").exists():
         stdout = (entry / "__stdout__").read_text()
@@ -203,7 +199,7 @@ _CSV_CHUNK_CELLS = 1024  # cells per chunk of the scan CSV, about 32 KB
 
 
 def _cmd_scan(args, cfg: RunConfig):
-    resolution = cfg.resolution if args.resolution is None else args.resolution
+    resolution = cfg.resolution
     window = args.window or [1.0, 12.0, 1.0, 12.0]
     payload = {
         "cmd": "scan", "N": args.N, "window": window,
@@ -345,16 +341,13 @@ def _cmd_compare(args, cfg: RunConfig):
 
 def _cmd_eig(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
-    kmax = cfg.ladder_kmax if args.ladder is None else args.ladder
-    if kmax < 1:
-        raise DomainError("--ladder must be >= 1")
     if args.annulus:
         r_in, r_out, m = args.annulus
         if not m.is_integer():
             raise DomainError(f"the annulus node count must be an integer, got {m}")
         ladder = [Annulus(r_in, r_out, int(m))]
     else:
-        ladder = default_ladder(kmax)
+        ladder = default_ladder(cfg.ladder_kmax)
     payload = {
         "cmd": "eig", "p": args.p, "q": args.q, "N": args.N,
         "ladder": [[a.r_inner, a.r_outer, a.M] for a in ladder],
@@ -386,12 +379,11 @@ def _cmd_eig(args, cfg: RunConfig):
 # ----------------------------------------------------------------------
 # parser / dispatch
 
-# tolerance flag -> the config key it overrides.  --resolution stays a
-# per-command argument: the config default must be >= 16 but a degenerate
-# single-cell scan is a legitimate request
-_TOLERANCE_FLAGS = {
-    "--tol-curve": "tol_curve", "--tol-event": "event_tol",
-    "--tol-ode-rel": "rtol", "--tol-ode-abs": "atol", "--tol-v0": "v0_tol",
+# flag -> the config key it overrides and the flag's type
+_KEY_FLAGS = {
+    "--tol-curve": ("tol_curve", float), "--tol-ode-rel": ("rtol", float),
+    "--tol-ode-abs": ("atol", float), "--tol-v0": ("v0_tol", float),
+    "--resolution": ("resolution", int), "--ladder": ("ladder_kmax", int),
 }
 
 
@@ -408,10 +400,8 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="disable the artifact cache")
-    for flag, key in _TOLERANCE_FLAGS.items():
-        parser.add_argument(flag, dest=key, type=float, default=d)
-    parser.add_argument("--resolution", type=int, default=d)
-    parser.add_argument("--ladder", type=int, default=d)
+    for flag, (key, kind) in _KEY_FLAGS.items():
+        parser.add_argument(flag, dest=key, type=kind, default=d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,7 +476,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        overrides = {key: getattr(args, key) for key in _TOLERANCE_FLAGS.values()
+        overrides = {key: getattr(args, key) for key, _ in _KEY_FLAGS.values()
                      if getattr(args, key) is not None}
         if args.out is not None:
             overrides["out"] = args.out
@@ -497,11 +487,10 @@ def main(argv=None) -> int:
         if job is not None:  # classify has printed its answer, uncached
             _run_cached(cfg, *job)
         return 0
-    except (MisclassifiedProfile, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, BracketError, StepUnderflow,
-            GridTooCoarse) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -2,16 +2,18 @@
 
 The config file is a TOML-compatible subset: one ``key = value`` pair per
 line, ``#`` comments, values being integers, floats, booleans or (optionally
-quoted) strings.  Unknown keys are rejected by name.
+quoted) strings.  A ``#`` inside a quoted string is part of the string.
+Unknown keys are rejected by name.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, InvalidOptions
+from .errors import ConfigError
 from .options import LADDER_KMAX, SolverOptions
 
 __all__ = ["RunConfig", "parse_config_file", "load_config"]
@@ -24,7 +26,6 @@ class RunConfig:
 
     rtol: float = SolverOptions.rtol
     atol: float = SolverOptions.atol
-    event_tol: float = SolverOptions.event_tol
     r_target: float = SolverOptions.r_target
     grid_nodes: int = SolverOptions.grid_nodes
     v0_tol: float = SolverOptions.v0_tol
@@ -33,17 +34,13 @@ class RunConfig:
     ladder_kmax: int = LADDER_KMAX
     out: str = "."
     cache: bool = True
-    cache_dir: str = ""
 
     def solver_options(self) -> SolverOptions:
-        """The six solver keys as validated ``SolverOptions``; a value that
+        """The five solver keys as validated ``SolverOptions``; a value that
         fails is a ConfigError that names its key."""
         opts = SolverOptions(**{f.name: getattr(self, f.name)
                                 for f in fields(SolverOptions)})
-        try:
-            opts.validate()
-        except InvalidOptions as exc:
-            raise ConfigError(f"config key {exc}") from None
+        opts.validate()
         return opts
 
     def validate(self) -> None:
@@ -53,15 +50,18 @@ class RunConfig:
             raise ConfigError(f"config key 'tol_curve' must be positive, got {v!r}")
         if not v < 1.0:
             raise ConfigError(f"config key 'tol_curve' must be below 1, got {v!r}")
-        for name, lo in (("resolution", 16), ("ladder_kmax", 1)):
+        for name in ("resolution", "ladder_kmax"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= lo):
-                raise ConfigError(f"config key '{name}' must be an integer >= {lo}, got {v!r}")
+            if not (isinstance(v, int) and v >= 1):
+                raise ConfigError(f"config key '{name}' must be an integer >= 1, got {v!r}")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _TRUTH = {"true": True, "True": True, "false": False, "False": False}
 _EXPECTS = {int: "an integer", float: "a number", bool: "true/false"}
+# the longest start of a line without a comment: characters other than '"'
+# and '#', and whole quoted strings
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*")*')
 
 
 def _parse_value(raw: str, want: type):
@@ -81,7 +81,10 @@ def parse_config_file(path: str | Path) -> dict:
     text = Path(path).read_text()
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        end = _BEFORE_COMMENT.match(line).end()
+        if line[end:end + 1] == '"':
+            raise ConfigError(f"{path}:{lineno}: unterminated quote in {line!r}")
+        stripped = line[:end].strip()
         if not stripped:
             continue
         if "=" not in stripped:

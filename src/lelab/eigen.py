@@ -66,9 +66,8 @@ import numpy as np
 
 from .errors import DomainError
 from .exponents import (CurvePosition, ParameterTriple, _bisect,
-                        check_dimension, classify, derive_scaling,
-                        hardy_rellich_constant)
-from .options import LADDER_M_PER_K, Annulus, default_ladder
+                        check_dimension, classify, derive_scaling)
+from .options import Annulus, default_ladder, ladder_rung
 
 __all__ = [
     "Annulus",
@@ -217,8 +216,8 @@ def richardson_limit(reports: list[EigReport]) -> float:
     return (x1 * r2.lam - x2 * r1.lam) / (x1 - x2)
 
 
-# rungs appended while the verdict is undecided: [10^-k, 10^k] up to k = 14,
-# with the default ladder's LADDER_M_PER_K * k interior nodes
+# rungs appended while the verdict is undecided: ``ladder_rung(k)`` up to
+# k = 14
 _EXTEND_MAX_K = 14
 # |lambda - K1K2| within this share of max(1, K1K2) at the top rung is marginal
 _VERDICT_BAND = 1e-6
@@ -226,8 +225,8 @@ _VERDICT_BAND = 1e-6
 
 # closed-form gap model 2 sqrt(C_gamma) (pi/L)^2: used only to decide when a
 # wider annulus could still flip the verdict near the critical curve
-def _gap_estimate(N: int, gamma: float, L: float) -> float:
-    return 2.0 * math.sqrt(hardy_rellich_constant(N, gamma)) * (math.pi / L) ** 2
+def _gap_estimate(c_gamma: float, L: float) -> float:
+    return 2.0 * math.sqrt(c_gamma) * (math.pi / L) ** 2
 
 
 @dataclass(frozen=True)
@@ -280,12 +279,11 @@ def singular_stability_verdict(
     while True:
         top = reports[-1]
         close = (top.lam >= k1k2 and top.lam - k1k2 < 2.0 * _gap_estimate(
-            N, sc.gamma, top.annulus.log_width))
+            sc.C_gamma, top.annulus.log_width))
         if not close or k >= _EXTEND_MAX_K:
             break
         k += 1
-        ann = Annulus(10.0 ** (-k), 10.0 ** k, LADDER_M_PER_K * k)
-        reports.append(principal_eigenvalue(ann, N, sc.gamma))
+        reports.append(principal_eigenvalue(ladder_rung(k), N, sc.gamma))
         extended += 1
     unstable = min(rep.lam for rep in reports) < k1k2
     verdict = "SingularUnstable" if unstable else "SingularStable"

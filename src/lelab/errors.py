@@ -1,4 +1,5 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory: each one raised is a
+``DomainError`` (bad input, exit code 2) or a ``ConvergenceError`` (3)."""
 
 
 class LaneEmdenError(Exception):
@@ -13,25 +14,21 @@ class ConfigError(DomainError):
     """Bad configuration file or option value."""
 
 
-class InvalidOptions(DomainError):
-    """Solver options fail validation (nonpositive tolerances etc.)."""
-
-
 class ConvergenceError(LaneEmdenError):
     """An iteration exhausted its budget without meeting its tolerance."""
 
 
-class BracketError(LaneEmdenError):
+class BracketError(ConvergenceError):
     """A shooting bracket does not exhibit the two required failure modes."""
 
 
-class StepUnderflow(LaneEmdenError):
+class StepUnderflow(ConvergenceError):
     """The adaptive step size collapsed below the floor 16 eps r."""
 
 
-class GridTooCoarse(LaneEmdenError):
+class GridTooCoarse(ConvergenceError):
     """Sign structure inside one grid cell could not be resolved."""
 
 
-class MisclassifiedProfile(LaneEmdenError):
+class MisclassifiedProfile(DomainError):
     """Operation requires a profile classification the input does not have."""

@@ -1,11 +1,10 @@
 """The solvers' plain-value inputs, without numpy.
 
-``SolverOptions`` (radial solver and shooting), ``Annulus`` and
-``default_ladder`` (eigen ladder), and ``DEFAULT_BAND`` (the dead band of
-profile comparison).  The command line builds its cache
-payloads and parser defaults from these, so a cache hit needs no numerical
-layer; ``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles`` re-export
-them.
+``SolverOptions`` (radial solver and shooting), ``Annulus``, ``ladder_rung``
+and ``default_ladder`` (eigen ladder), and ``DEFAULT_BAND`` (the dead band
+of profile comparison).  The command line builds its cache payloads and
+parser defaults from these, so a cache hit needs no numerical layer;
+``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles`` re-export them.
 """
 
 from __future__ import annotations
@@ -15,16 +14,16 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidOptions
+from .errors import ConfigError, DomainError
 
-__all__ = ["SolverOptions", "Annulus", "default_ladder", "DEFAULT_BAND",
-           "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES"]
+__all__ = ["SolverOptions", "Annulus", "ladder_rung", "default_ladder",
+           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES"]
 
 # relative dead band of ``profiles.compare``, floored at the profile's rtol
 DEFAULT_BAND = 1e-12
 
-# the default ladder: rungs k = 1..LADDER_KMAX, with LADDER_M_PER_K * k
-# interior nodes each; the eigen ladder's extension rungs take as many
+# the default ladder: rungs k = 1..LADDER_KMAX (``ladder_rung``), with
+# LADDER_M_PER_K * k interior nodes each, as the eigen ladder's extension
 LADDER_KMAX, LADDER_M_PER_K = 5, 1024
 
 # the most interior nodes of an annulus: the eigen solve allocates a few
@@ -36,21 +35,20 @@ MAX_NODES = 2 ** 22
 class SolverOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
-    event_tol: float = 1e-12
     r_target: float = 1e6
     grid_nodes: int = 2048
     v0_tol: float = 1e-13
 
     def validate(self) -> None:
-        for name in ("rtol", "atol", "event_tol", "r_target", "v0_tol"):
+        for name in ("rtol", "atol", "r_target", "v0_tol"):
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
-                raise InvalidOptions(f"{name} must be positive and finite, got {v!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
-            raise InvalidOptions(f"rtol must be below 1, got {self.rtol!r}")
+            raise ConfigError(f"rtol must be below 1, got {self.rtol!r}")
         n = self.grid_nodes
         if not (isinstance(n, numbers.Integral) and n >= 16):
-            raise InvalidOptions(f"grid_nodes must be an integer >= 16, got {n!r}")
+            raise ConfigError(f"grid_nodes must be an integer >= 16, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,16 @@ class Annulus:
         return math.log(self.r_outer / self.r_inner)
 
 
+def ladder_rung(k: int, m_per_k: int = LADDER_M_PER_K) -> Annulus:
+    """The annulus [10^-k, 10^k] with M = m_per_k * k interior nodes."""
+    return Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
+
+
 def default_ladder(k_max: int = LADDER_KMAX,
                    m_per_k: int = LADDER_M_PER_K) -> list[Annulus]:
-    """Annuli [10^-k, 10^k] with M = m_per_k * k interior nodes, for
-    k = 1..k_max; DomainError when 10^k_max overflows a double."""
+    """The rungs k = 1..k_max (``ladder_rung``); DomainError when 10^k_max
+    overflows a double."""
     if k_max > sys.float_info.max_10_exp:
         raise DomainError(f"ladder rung k = {k_max} is past the double range: "
                           f"need k <= {sys.float_info.max_10_exp}")
-    return [Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
-            for k in range(1, k_max + 1)]
+    return [ladder_rung(k, m_per_k) for k in range(1, k_max + 1)]

@@ -115,6 +115,8 @@ _COARSE_RTOL, _COARSE_ATOL, _COARSE_WIDTH = 1e-6, 1e-8, 1e-7
 _SERIES_DEGREE = 12
 # budgets: steps (accepted and rejected) of one march, probes of one shot
 _MAX_STEPS, _SHOOT_MAX_ITER = 2_000_000, 200
+# radius width to which ``_end`` locates the zero of u or v
+_EVENT_TOL = 1e-12
 
 # quartic dense-output matrix (Shampine's interpolant for this pair): row j
 # weights stage j, column c the power theta^(c+1) of the step fraction
@@ -507,10 +509,10 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
                  stages, naccept, nreject)
 
 
-def _end(rec: _March, event_tol: float) -> tuple:
+def _end(rec: _March) -> tuple:
     """How a march ended: (class, r_end, coef).  The class is that of the
     first zero crossing of u or v inside the last step, located by
-    bisection on that step's quartic down to a radius width of event_tol,
+    bisection on that step's quartic down to a radius width of _EVENT_TOL,
     and r_end that zero; or None and the right end of the last step, when
     no field reached zero.  ``coef`` is the last step's (4, 4) quartic."""
     coef = np.array(rec.stages[-28:]).reshape(4, 7) @ _PD
@@ -523,7 +525,7 @@ def _end(rec: _March, event_tol: float) -> tuple:
         y0, c = rec.y0s[comp - 4], coef[comp].tolist()
         if y0 > 0.0 and rec.end[comp] <= 0.0:
             th = _bisect(lambda t: 1 if _horner(y0, h, t, c) > 0.0 else -1,
-                         0.0, 1.0, event_tol / h, 200)[1]
+                         0.0, 1.0, _EVENT_TOL / h, 200)[1]
             if hit is None or th < hit[0]:
                 hit = (th, kind)
     th_star, kind = hit
@@ -561,7 +563,7 @@ def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
         nfev=1 + 6 * (rec.naccept + rec.nreject),
     )
     dense = _Dense(taylor, rec.starts, steps, rec.y0s, rec.stages)
-    kind, r_end, _ = _end(rec, opts.event_tol)
+    kind, r_end, _ = _end(rec)
     r_event = None if kind is None else r_end
     classification = kind or (ProfileClass.ENTIRE_POSITIVE
                               if r_end >= opts.r_target else ProfileClass.TRUNCATED)
@@ -728,7 +730,7 @@ def _reader(params: ParameterTriple, scaling: ScalingData, u0: float,
     def read(v0: float, r: float = R) -> _Read:
         march = _march(params, InitialData(u0, v0), opts.r_target, opts, r)
         rec = next(march)
-        kind, rr, coef = _end(rec, opts.event_tol)
+        kind, rr, coef = _end(rec)
         if kind is not None:
             # positive where v falls first (small v0); capped: an event
             # near the origin must not overflow

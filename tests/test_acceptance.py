@@ -105,7 +105,7 @@ def _eig_stable_top(N, sc, k_top, m_per_k):
     lam = principal_eigenvalue(Annulus(10.0 ** -k, 10.0 ** k, m_per_k * k),
                                N, sc.gamma).lam
     while (lam >= sc.K1K2
-           and lam - sc.K1K2 < 2.0 * _gap_estimate(N, sc.gamma,
+           and lam - sc.K1K2 < 2.0 * _gap_estimate(sc.C_gamma,
                                                    2.0 * k * math.log(10.0))
            and k < 14):
         k += 1

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import lelab
 from lelab import cli
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
@@ -49,14 +50,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config_file(cfg_file)
 
-    def test_invalid_values_rejected(self, tmp_path):
+    def test_invalid_values_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "lab.cfg"
         cfg_file.write_text("rtol = -1e-8\n")
         with pytest.raises(ConfigError, match="rtol"):
             load_config(cfg_file)
-        cfg_file.write_text("resolution = 4\n")
+        cfg_file.write_text("resolution = 0\n")
         with pytest.raises(ConfigError, match="resolution"):
             load_config(cfg_file)
+        # the flag has the key's floor, 1, and is checked for every command
+        cfg_file.write_text("resolution = 1\n")
+        assert load_config(cfg_file).resolution == 1
+        rc, _, err = run_cli(["--resolution", "0", "classify", "8", "8", "11"],
+                             capsys)
+        assert rc == 2
+        assert "'resolution'" in err
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", "1e-8"), ("atol", None), ("grid_nodes", 64.5),
@@ -98,11 +106,22 @@ class TestConfig:
     def test_typed_values(self, tmp_path):
         cfg_file = tmp_path / "lab.cfg"
         cfg_file.write_text("rtol = 1\nladder_kmax = 3\ncache = False\n"
-                            'cache_dir = "c d"\nout = results\n')
+                            'out = "c d"\n')
         cfg = parse_config_file(cfg_file)
         assert cfg == {"rtol": 1.0, "ladder_kmax": 3, "cache": False,
-                       "cache_dir": "c d", "out": "results"}
+                       "out": "c d"}
         assert type(cfg["rtol"]) is float
+        # unquoted; and a '#' inside quotes is part of the string
+        for line, out in (("out = results", "results"),
+                          ('out = "runs#2"  # the second', "runs#2")):
+            cfg_file.write_text(line + "\n")
+            assert parse_config_file(cfg_file) == {"out": out}
+        # a quote that is never closed, also before a '#'
+        for line in ('out = "runs', 'out = "runs # the second'):
+            cfg_file.write_text("cache = true\n" + line + "\n")
+            with pytest.raises(ConfigError,
+                               match="lab.cfg:2: unterminated quote"):
+                parse_config_file(cfg_file)
         # a float key given a 400-digit integer is refused by value, not by
         # an OverflowError
         cfg_file.write_text("rtol = 1" + "0" * 400 + "\n")
@@ -233,16 +252,17 @@ class TestScanCommand:
     @pytest.mark.parametrize("name, shown", [
         ("curve", "curve_N11_7-9_s5_bcd14d1d20a8.csv"),
         ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
-        ("solve", "profile_p3_q3_N11_55a7d97cdc48.csv"),
-        ("shot", "profile_p8_q8_N11_d5712ba79770.csv"),
+        ("solve", "profile_p3_q3_N11_3035f761b5a7.csv"),
+        ("shot", "profile_p8_q8_N11_814bbfe8b34f.csv"),
         ("eig", "eig_p3_q3_N11_61211bb6a705.csv"),
     ])
     def test_file_names_pinned(self, tmp_path, capsys, name, shown):
         # the names of version 0.1.0 before the one artifact writer; they
         # hash the arguments and the config only, so they hold on any
         # platform, and any change to a payload moves them: solve and shot
-        # moved when four solver settings left the payload's "opts", eig
-        # when eig_tol and eig_max_iter left its payload
+        # moved when four solver settings left the payload's "opts", and
+        # again when the event tolerance became a constant, eig when
+        # eig_tol and eig_max_iter left its payload
         rc, out, _ = run_cli(["--out", str(tmp_path), "--no-cache",
                               *CACHED_OPS[name]], capsys)
         assert rc == 0
@@ -308,7 +328,7 @@ class TestScanCommand:
         assert "cache hit" not in err
         assert out.endswith("Truncated\n")
 
-    def test_env_cache_dir(self, tmp_path, capsys, monkeypatch):
+    def test_env_cache_root(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cachehome"
         monkeypatch.setenv("LEL_CACHE_DIR", str(cache))
         out = tmp_path / "o"
@@ -383,7 +403,8 @@ class TestScanCommand:
         # through 1e2 (the shooting error grows beyond); the step
         # statistics move (960 -> 809 steps with 2 rejected, 5761 -> 4867
         # evaluations, min_step 6.77e-4 -> 5.56e-3, max_step 24167.89 ->
-        # 24217.88); the iterations stay at 22
+        # 24217.88); the iterations stay at 22.  The JSON's payload_hash
+        # moved, and no other byte, when the event tolerance left the payload
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "solve",
                             "9", "6", "11", "--u0", "1", "--shoot",
                             "--v0-lo", "0.2", "--v0-hi", "5", "--polish"],
@@ -393,7 +414,7 @@ class TestScanCommand:
                    for f in tmp_path.glob("profile_*")}
         assert digests == {
             ".csv": "88e8afcffb916e7cb486a1177d330ffa84144c9cfa94705661819f376da0d463",
-            ".json": "41a71f1c5b1445a8634f7cd99b5a4546aedf245296dc7dd99870bee0851a3e35"}
+            ".json": "1348a513b90137cccac7856c88e6c69628872ab4303d161064f7d08fcb933cdd"}
 
     @pytest.mark.parametrize("N", ["10", "11", "13"])
     @pytest.mark.parametrize("resolution", [1, 2, 17, 48, 130])
@@ -622,12 +643,12 @@ class TestSolveCompareEig:
 
     def test_eig_rejects_ladder_below_one(self, tmp_path, capsys):
         # an empty ladder has no verdict, and 0 is not a request for the
-        # config's ladder
+        # config's ladder; the error names the key that --ladder overrides
         for k in ("0", "-1"):
             rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache",
                                   "--ladder", k, "eig", "8", "8", "11"], capsys)
             assert rc == 2
-            assert "--ladder" in err
+            assert "ladder_kmax" in err
         assert not list(tmp_path.glob("eig_*"))
 
     def test_eig_rejects_non_finite_annulus_nodes(self, tmp_path, capsys):
@@ -861,3 +882,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# every concrete error class that lelab exports, by the exit code it gets:
+# 2 for the DomainError family (bad input), 3 for the ConvergenceError
+# family (a solver that did not converge)
+EXIT_CODES = {"DomainError": 2, "ConfigError": 2, "MisclassifiedProfile": 2,
+              "ConvergenceError": 3, "BracketError": 3, "StepUnderflow": 3,
+              "GridTooCoarse": 3}
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES.items(), ids=EXIT_CODES)
+def test_error_class_decides_exit_code(capsys, monkeypatch, name, code):
+    exported = {n for n in lelab.__all__
+                if isinstance(getattr(lelab, n), type)
+                and issubclass(getattr(lelab, n), lelab.LaneEmdenError)}
+    assert exported - {"LaneEmdenError"} == set(EXIT_CODES)
+
+    def fail(args, cfg):
+        raise getattr(lelab, name)("no answer")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", fail)
+    rc, out, err = run_cli(["--no-cache", "classify", "8", "8", "11"], capsys)
+    assert (rc, out, err) == (code, "", "error: no answer\n")

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lelab import BracketError, DomainError, InvalidOptions, ParameterTriple, \
+from lelab import BracketError, ConfigError, DomainError, ParameterTriple, \
     StepUnderflow, derive_scaling
 from lelab.closed_form import SingularSolution
 from lelab.errors import MisclassifiedProfile
-from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
-                          RadialProfile, SolverOptions, _horner, _TaylorStart,
-                          decay_identity_check, integrate, ode_residual,
-                          profile_from_text, profile_metadata, profile_to_csv,
-                          rescale, shoot)
+from lelab.radial import (_EVENT_TOL, InitialData, IntegratorStats,
+                          ProfileClass, RadialProfile, SolverOptions, _horner,
+                          _TaylorStart, decay_identity_check, integrate,
+                          ode_residual, profile_from_text, profile_metadata,
+                          profile_to_csv, rescale, shoot)
 from lelab.serialize import to_csv, to_json
 
 from references import reference_integrate
@@ -134,22 +134,22 @@ class TestIntegrate:
     def test_validation(self):
         with pytest.raises(DomainError):
             integrate(P33, InitialData(1.0, 1.0), -1.0)
-        with pytest.raises(InvalidOptions):
+        with pytest.raises(ConfigError):
             integrate(P33, InitialData(1.0, 1.0), 1.0, SolverOptions(rtol=-1))
 
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
-        ("event_tol", math.nan), ("r_target", math.inf), ("v0_tol", math.inf),
+        ("r_target", math.inf), ("v0_tol", math.inf),
         ("grid_nodes", 15), ("grid_nodes", 64.5)])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, an
         # infinite tolerance in an OverflowError, and a fractional node
         # count in a TypeError from numpy
         opts = SolverOptions(**{field: value})
-        with pytest.raises(InvalidOptions, match=field):
+        with pytest.raises(ConfigError, match=field):
             integrate(ParameterTriple(3, 3, 11), InitialData(1.0, 1.0), 1e6,
                       opts)
-        with pytest.raises(InvalidOptions, match=field):
+        with pytest.raises(ConfigError, match=field):
             shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), opts)
         with pytest.raises(DomainError):
             InitialData(0.0, 1.0)
@@ -207,13 +207,12 @@ class TestStepper:
         (1.0, 0.8, ProfileClass.V_HITS_ZERO),
     ])
     def test_event_radius_at_a_sign_change(self, u0, v0, kind):
-        opts = SolverOptions()
-        prof = integrate(P32, InitialData(u0, v0), 1e3, opts)
+        prof = integrate(P32, InitialData(u0, v0), 1e3)
         assert prof.classification is kind
         comp = 0 if kind is ProfileClass.U_HITS_ZERO else 2
         r_ev = prof.r_event
         assert prof.r[-1] == r_ev
-        assert prof.dense(r_ev)[comp] <= 0.0 < prof.dense(r_ev - opts.event_tol)[comp]
+        assert prof.dense(r_ev)[comp] <= 0.0 < prof.dense(r_ev - _EVENT_TOL)[comp]
         # the other field is still positive there
         assert prof.dense(r_ev)[2 - comp] > 0.0
 

@@ -74,10 +74,10 @@ def test_artifact_digests_of_the_stability_list():
     names = [f[1] for f in fields]
     assert [n for n in names if n.endswith(".stdout")] == \
         [f"op{i:03d}.stdout" for i in range(11)]
+    # each file is named after the op that wrote it
     files = [n for n in names if not n.endswith(".stdout")]
-    assert len(files) == len(set(files)) == 22
-    assert all(n.startswith("eig_") and n.endswith((".csv", ".json"))
-               for n in files)
+    assert files == [f"op{i:03d}.{ext}" for i in range(11)
+                     for ext in ("csv", "json")]
 
 
 def test_bench_trajectory_reads_both_layouts():
