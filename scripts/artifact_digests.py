@@ -15,17 +15,24 @@ outputs to show that a change keeps every artifact byte-identical:
 
     python scripts/artifact_digests.py [--workload stability] [--seed 7]
 
+Each op then runs twice more with the cache on, in a temporary
+``LEL_CACHE_DIR`` of its own and each time into a fresh ``--out``: once
+as a miss and once as a hit.  Their exit status, stdout and files must
+equal those of the ``--no-cache`` run; the printed lines do not change.
 It uses the ``src`` and ``bench`` of the checkout it sits in, and writes
-nothing there.  Exit status 1 when an op exits nonzero.
+nothing there.  Exit status 1, naming the op, when an op exits nonzero or
+a cached run differs.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # import bench/workloads.py without a cache
@@ -34,6 +41,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from workloads import WORKLOADS  # noqa: E402
 
 from lelab.cli import main as lelab_main  # noqa: E402
+
+
+def run(argv: list, out: Path) -> tuple:
+    """(exit status, stdout, {file name: bytes}) of one call into ``out``."""
+    so = io.StringIO()
+    with contextlib.redirect_stdout(so), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = lelab_main(argv + ["--out", str(out)])
+    files = ({f.name: f.read_bytes() for f in out.iterdir()}
+             if out.is_dir() else {})  # classify writes no file
+    return rc, so.getvalue(), files
 
 
 def digests(name: str, seed: int) -> tuple[list, list]:
@@ -48,19 +66,21 @@ def digests(name: str, seed: int) -> tuple[list, list]:
                 first = stdouts[op.profile_of].split("\n", 1)[0]
                 argv += ["--profile", str(Path(tmp) / f"op{op.profile_of:03d}"
                                           / Path(first).stem)]
-            so = io.StringIO()
-            with contextlib.redirect_stdout(so), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                rc = lelab_main(argv + ["--out", str(out), "--no-cache"])
+            plain = run(argv + ["--no-cache"], out)
+            rc, stdout, files = plain
             if rc != 0:
                 failed.append(f"{name}: {op.label} exited {rc}")
-            stdouts.append(so.getvalue())
+            stdouts.append(stdout)
             lines.append((name, f"{out.name}.stdout",
-                          hashlib.sha256(stdouts[-1].encode()).hexdigest()))
-            if out.is_dir():  # classify writes no file
-                lines += [(name, out.name + f.suffix,
-                           hashlib.sha256(f.read_bytes()).hexdigest())
-                          for f in out.iterdir()]
+                          hashlib.sha256(stdout.encode()).hexdigest()))
+            lines += [(name, out.name + Path(f).suffix,
+                       hashlib.sha256(data).hexdigest())
+                      for f, data in files.items()]
+            with mock.patch.dict(os.environ, LEL_CACHE_DIR=f"{out}.cache"):
+                for mode in ("miss", "hit"):
+                    if run(argv, Path(f"{out}.{mode}")) != plain:
+                        failed.append(f"{name}: {op.label} differs from "
+                                      f"--no-cache on a cache {mode}")
     return lines, failed
 
 

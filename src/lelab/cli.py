@@ -12,6 +12,7 @@ large to allocate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import importlib
@@ -70,21 +71,25 @@ _REVISION = {"curve": 4, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
              "eig": 5}
 
 
-def _write_chunks(path: Path, chunks: list) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(chunks)
+def _write_files(files, dirs: list) -> None:
+    """Write each ``(name, pieces)`` into every one of ``dirs`` in one pass."""
+    for name, pieces in files:
+        with contextlib.ExitStack() as stack:
+            fhs = [stack.enter_context(open(d / name, "w")) for d in dirs]
+            for piece in pieces:
+                for fh in fhs:
+                    fh.write(piece)
 
 
-def _store_entry(root: Path, entry: Path, files: dict, stdout: str) -> None:
-    """Write a cache entry atomically: into a temporary directory under the
-    cache root, ``__stdout__`` last, then renamed onto the key.  A reader
-    therefore never sees a half-written entry.  ``files`` maps each name
-    to its text as a list of chunks."""
+def _store_entry(root: Path, entry: Path, out_dir: Path, files,
+                 stdout: str) -> None:
+    """Write ``files`` to ``out_dir`` and, in the same pass, into a cache
+    entry: a temporary directory under the cache root, ``__stdout__`` last,
+    then renamed onto the key, so a reader never sees a half-written entry."""
     root.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=root))
     try:
-        for name, chunks in files.items():
-            _write_chunks(tmp / name, chunks)
+        _write_files(files, [tmp, out_dir])
         (tmp / "__stdout__").write_text(stdout)
         if entry.is_dir() and not (entry / "__stdout__").exists():
             # left incomplete by an interrupted writer of an older version
@@ -105,13 +110,14 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
     to ``cfg.out``, h being the payload's hash, and print the name of the
     ``show`` one ("csv" or "json") and then the command's own lines.
 
-    ``produce(h)`` returns the CSV text (a string, or a list of chunks
-    that are written one after the other), the JSON document and those
-    lines.  It runs on a cache miss only: the key is the payload with the
-    package version and the command's revision, and a hit copies the
-    stored files' bytes (copies, not links: editing an output must not
-    edit the entry) and prints the stored stdout.  ``cfg.out`` is created
-    only once there is something to write into it.
+    ``produce(h)`` returns the CSV text (a string, or an iterable of
+    strings), the JSON document and those lines.  It runs on a cache miss
+    only, and each string is written as it is made to ``cfg.out`` and, with
+    the cache on, to the new entry.  The key is the payload with the package
+    version and the command's revision; a hit copies the stored files' bytes
+    (copies, not links: editing an output must not edit the entry) and
+    prints the stored stdout.  ``cfg.out`` is created only once there is
+    something to write into it.
     """
     h = payload_hash(payload)
     base = f"{stem}_{h}"
@@ -130,14 +136,14 @@ def _run_cached(cfg: RunConfig, stem: str, payload: dict, produce,
         print(f"cache hit {key}", file=sys.stderr)
     else:
         csv, doc, lines = produce(h)
-        files = {base + ".csv": [csv] if isinstance(csv, str) else csv,
-                 base + ".json": [to_json(doc)]}
+        files = ((base + ".csv", [csv] if isinstance(csv, str) else csv),
+                 (base + ".json", [to_json(doc)]))
         stdout = "".join(f"{line}\n" for line in [f"{base}.{show}", *lines])
-        if cfg.cache:
-            _store_entry(root, entry, files, stdout)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, chunks in files.items():
-            _write_chunks(out_dir / name, chunks)
+        if cfg.cache:
+            _store_entry(root, entry, out_dir, files, stdout)
+        else:
+            _write_files(files, [out_dir])
     sys.stdout.write(stdout)
 
 
@@ -195,9 +201,6 @@ def _cmd_curve(args, cfg: RunConfig):
     return stem, payload, produce, "csv"
 
 
-_CSV_CHUNK_CELLS = 1024  # cells per chunk of the scan CSV, about 32 KB
-
-
 def _cmd_scan(args, cfg: RunConfig):
     resolution = cfg.resolution
     window = args.window or [1.0, 12.0, 1.0, 12.0]
@@ -210,14 +213,11 @@ def _cmd_scan(args, cfg: RunConfig):
         import numpy as np
 
         from . import scan
-        p_min, p_max, q_min, q_max = window
         result = scan.scan_codes(args.N, window, resolution, cfg.tol_curve)
         # tails[code][j] is the text of a row after its p cell.  A row is
-        # its p cell joined over one tail per cell, so each run of equal
-        # codes is one slice of one tails list, joined by the p cell; runs
-        # start at 0 and after each j where codes[i, j] != codes[i, j + 1].
-        # Rows are joined into chunks of about _CSV_CHUNK_CELLS cells, so
-        # the CSV is never one string
+        # its p cell, then one tail per cell joined by the p cell, and the
+        # tails of each run of equal codes are one slice of one tails list;
+        # runs start at 0 and after each j where codes[i, j] != codes[i, j + 1]
         q_cells = [fmt_float(q) for q in result.q.tolist()]
         tails = [[f"{qc},{code}\n" for qc in q_cells] for code in range(3)]
         codes = result.codes
@@ -227,29 +227,26 @@ def _cmd_scan(args, cfg: RunConfig):
         start_codes = codes[run_i, run_j].tolist()
         row_runs = np.searchsorted(run_i, np.arange(resolution + 1)).tolist()
         first_codes = codes[:, 0].tolist()
-        rows_per_chunk = max(1, _CSV_CHUNK_CELLS // resolution)
-        chunks, parts = [], ["p,q,code\n"]
-        for i, p in enumerate(result.p.tolist()):
-            prefix = fmt_float(p) + ","
-            a, code = 0, first_codes[i]
-            for k in range(row_runs[i], row_runs[i + 1]):
-                b = starts[k]
-                parts += (prefix, prefix.join(tails[code][a:b]))
-                a, code = b, start_codes[k]
-            parts += (prefix, prefix.join(tails[code][a:]))
-            if (i + 1) % rows_per_chunk == 0 or i + 1 == resolution:
-                chunks.append("".join(parts))
-                parts = []
+
+        def rows():
+            yield "p,q,code\n"
+            for i, p in enumerate(result.p.tolist()):
+                prefix = fmt_float(p) + ","
+                cells, a, code = [], 0, first_codes[i]
+                for k in range(row_runs[i], row_runs[i + 1]):
+                    cells += tails[code][a:starts[k]]
+                    a, code = starts[k], start_codes[k]
+                yield prefix + prefix.join(cells + tails[code][a:])
+
         doc = _document(
             "region_scan", N=args.N,
-            window={"p_min": p_min, "p_max": p_max,
-                    "q_min": q_min, "q_max": q_max},
+            window=dict(zip(("p_min", "p_max", "q_min", "q_max"), window)),
             resolution=resolution, cell_count=result.cell_count(),
             codes={"0": "sub-Sobolev", "1": "super-Sobolev below curve",
                    "2": "on/above curve"},
             counts={str(code): n for code, n in enumerate(result.counts)},
             tol_curve=cfg.tol_curve, payload_hash=h)
-        return chunks, doc, []
+        return rows(), doc, []
 
     return f"scan_N{args.N}_r{resolution}", payload, produce, "csv"
 
@@ -487,12 +484,9 @@ def main(argv=None) -> int:
         if job is not None:  # classify has printed its answer, uncached
             _run_cached(cfg, *job)
         return 0
-    except DomainError as exc:
+    except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -3,7 +3,7 @@
 The config file is a TOML-compatible subset: one ``key = value`` pair per
 line, ``#`` comments, values being integers, floats, booleans or (optionally
 quoted) strings.  A ``#`` inside a quoted string is part of the string.
-Unknown keys are rejected by name.
+Unknown keys, a key given twice and text that is not UTF-8 are refused.
 """
 
 from __future__ import annotations
@@ -78,7 +78,10 @@ def _parse_value(raw: str, want: type):
 def parse_config_file(path: str | Path) -> dict:
     """Parse a flat key=value file into a dict of known config keys, each
     value typed like its key's default."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         end = _BEFORE_COMMENT.match(line).end()
@@ -93,6 +96,8 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' given twice")
         want = type(_DEFAULTS[key])
         try:
             out[key] = _parse_value(raw.strip(), want)

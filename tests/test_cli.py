@@ -103,7 +103,7 @@ class TestConfig:
                            match=f"lab.cfg:1: key '{key}' expects {expects}"):
             parse_config_file(cfg_file)
 
-    def test_typed_values(self, tmp_path):
+    def test_typed_values(self, tmp_path, capsys):
         cfg_file = tmp_path / "lab.cfg"
         cfg_file.write_text("rtol = 1\nladder_kmax = 3\ncache = False\n"
                             'out = "c d"\n')
@@ -122,6 +122,21 @@ class TestConfig:
             with pytest.raises(ConfigError,
                                match="lab.cfg:2: unterminated quote"):
                 parse_config_file(cfg_file)
+        # a key given twice is refused at its second line, as in TOML, and
+        # a file that is not UTF-8 by a ConfigError, not a traceback
+        cfg_file.write_text("rtol = 1e-8\ncache = true\nrtol = 1e-6\n")
+        with pytest.raises(ConfigError,
+                           match="lab.cfg:3: key 'rtol' given twice"):
+            parse_config_file(cfg_file)
+        cfg_file.write_bytes(b'out = "r\xffs"\n')
+        with pytest.raises(ConfigError, match="lab.cfg: not UTF-8"):
+            parse_config_file(cfg_file)
+        for text in ("rtol = 1e-8\nrtol = 1e-6\n", 'out = "r\xffs"\n'):
+            cfg_file.write_bytes(text.encode("latin-1"))
+            rc, out, err = run_cli(["--config", str(cfg_file), "classify",
+                                    "8", "8", "11"], capsys)
+            assert (rc, out, err.count("\n")) == (2, "", 1)
+            assert err.startswith("error: ")
         # a float key given a 400-digit integer is refused by value, not by
         # an OverflowError
         cfg_file.write_text("rtol = 1" + "0" * 400 + "\n")
@@ -369,9 +384,9 @@ class TestScanCommand:
             "60123b5c327625e351695d263b93d3a6ae47d1b630a73222c400e6cbe67b8278")
 
     def test_scan_bytes_pinned_400(self, tmp_path, capsys):
-        # 48^2 is one block of the kernel; 400^2 (20 blocks, 200 chunks of
-        # the CSV) is pinned to its hash before the blocked kernel and the
-        # run joins
+        # 48^2 is one block of the kernel; 400^2 (20 blocks, 400 rows
+        # written one at a time) is pinned to its hash before the blocked
+        # kernel and the run joins
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", "11",
                             "--resolution", "400"], capsys)
         assert rc == 0
@@ -379,21 +394,26 @@ class TestScanCommand:
         assert hashlib.sha256(csv).hexdigest() == (
             "b9965ff65cbedb135eb36bcff7a3da6f3870b2aa0deebc3de11b97d53a830591")
 
-    def test_scan_holds_no_whole_csv(self, tmp_path, capsys):
-        # the CSV is written in chunks: the traced peak of a 400^2 miss
-        # stays below 1.5 times the CSV's size (one whole-CSV string and
-        # its encoding took it to 2.25 times)
+    @pytest.mark.parametrize("cache", [[], ["--no-cache"]],
+                             ids=["cache", "no-cache"])
+    def test_scan_holds_no_whole_csv(self, tmp_path, capsys, monkeypatch,
+                                     cache):
+        # the CSV is written a row at a time, to --out and to the entry
+        # alike: the traced peak of a 400^2 miss stays below a quarter of
+        # the CSV's size (a list of chunks of the whole CSV took it to 1.06
+        # times, one whole-CSV string and its encoding to 2.25 times)
         import tracemalloc
+        monkeypatch.setenv("LEL_CACHE_DIR", str(tmp_path / "cache"))
         tracemalloc.start()
         try:
-            rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan",
+            rc, _, _ = run_cli(["--out", str(tmp_path), *cache, "scan",
                                 "11", "--resolution", "400"], capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 0
         size = next(tmp_path.glob("scan_*.csv")).stat().st_size
-        assert peak < 1.5 * size
+        assert peak < 0.25 * size
 
     def test_polished_shot_bytes_pinned(self, tmp_path, capsys):
         # the hashes since the march starts from a degree-12 series at
@@ -423,10 +443,10 @@ class TestScanCommand:
                              ids=["default", "wide"])
     def test_scan_csv_matches_row_path(self, tmp_path, capsys, N, resolution,
                                        window):
-        # the scan writes its CSV from a code x column table of row tails,
-        # one join per run of equal codes, in chunks of rows (130^2 spans
-        # 3 kernel blocks and 19 chunks); the oracle is the generic to_csv
-        # over (p, q, code) rows
+        # the scan writes its CSV a row at a time from a code x column
+        # table of row tails, one slice per run of equal codes (130^2 spans
+        # 3 kernel blocks); the oracle is the generic to_csv over
+        # (p, q, code) rows
         rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "scan", N,
                             "--window", *window,
                             "--resolution", str(resolution)], capsys)

@@ -62,10 +62,13 @@ def test_intersection_demo(tmp_path, monkeypatch, capsys):
 
 
 def test_artifact_digests_of_the_stability_list():
-    # 11 eig ops: one line per stdout and per written CSV and JSON, sorted
+    # 11 eig ops: one line per stdout and per written CSV and JSON, sorted;
+    # exit 0 also says that a cache miss and a cache hit of each op wrote
+    # the same stdout and bytes as its --no-cache run
     done = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py"),
                            "--workload", "stability"],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
     assert lines == sorted(lines)
     fields = [ln.split() for ln in lines]
