@@ -35,8 +35,6 @@ from .exponents import (
     hardy_rellich_constant,
     jl_curve_q,
     jl_diagonal,
-    jl_margin,
-    sobolev_margin,
 )
 
 __all__ = [
@@ -45,6 +43,6 @@ __all__ = [
     "ConvergenceError", "BracketError", "StepUnderflow", "GridTooCoarse",
     "ParameterTriple", "ScalingData", "RegionVerdict",
     "SobolevClass", "CurvePosition",
-    "derive_scaling", "curve_margins", "classify", "sobolev_margin", "jl_margin",
+    "derive_scaling", "curve_margins", "classify",
     "hardy_rellich_constant", "jl_curve_q", "jl_diagonal",
 ]

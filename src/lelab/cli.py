@@ -26,7 +26,8 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConvergenceError, DomainError
-from .exponents import ParameterTriple, classify, derive_scaling, jl_curve_q
+from .exponents import (_TOL_CURVE, ParameterTriple, classify, derive_scaling,
+                        jl_curve_q)
 from .options import DEFAULT_BAND, Annulus, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
@@ -67,7 +68,7 @@ def _cache_root(out_dir: Path) -> Path:
 # entry whenever the bytes it writes change; CHANGES.md records each bump and
 # its reason.  compare is left alone while a given profile compares to the
 # same bytes: its key hashes the stored profile.
-_REVISION = {"curve": 4, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
+_REVISION = {"curve": 5, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
              "eig": 5}
 
 
@@ -163,7 +164,7 @@ def _slug(x: float) -> str:
 
 def _cmd_classify(args, cfg: RunConfig) -> None:
     params = ParameterTriple(args.p, args.q, args.N)
-    verdict = classify(params, cfg.tol_curve)
+    verdict = classify(params)
     try:
         scaling = derive_scaling(params).as_dict()
     except DomainError:
@@ -183,18 +184,18 @@ def _cmd_curve(args, cfg: RunConfig):
         raise DomainError("--steps must be >= 1")
     payload = {
         "cmd": "curve", "N": args.N, "p_min": args.p_min, "p_max": args.p_max,
-        "steps": args.steps, "tol_curve": cfg.tol_curve,
+        "steps": args.steps, "tol_curve": _TOL_CURVE,
     }
 
     def produce(h):
         rows = []
         for i in range(args.steps):
             p = args.p_min + (args.p_max - args.p_min) * i / max(args.steps - 1, 1)
-            qs = jl_curve_q(args.N, p, tol_curve=cfg.tol_curve)
+            qs = jl_curve_q(args.N, p)
             rows.append((p, "" if qs is None else fmt_float(qs)))
         doc = _document("critical_curve", N=args.N, p_min=args.p_min,
                         p_max=args.p_max, steps=args.steps,
-                        tol_curve=cfg.tol_curve, payload_hash=h)
+                        tol_curve=_TOL_CURVE, payload_hash=h)
         return to_csv(["p", "q_star"], rows), doc, []
 
     stem = f"curve_N{args.N}_{_slug(args.p_min)}-{_slug(args.p_max)}_s{args.steps}"
@@ -206,14 +207,14 @@ def _cmd_scan(args, cfg: RunConfig):
     window = args.window or [1.0, 12.0, 1.0, 12.0]
     payload = {
         "cmd": "scan", "N": args.N, "window": window,
-        "resolution": resolution, "tol_curve": cfg.tol_curve,
+        "resolution": resolution, "tol_curve": _TOL_CURVE,
     }
 
     def produce(h):
         import numpy as np
 
         from . import scan
-        result = scan.scan_codes(args.N, window, resolution, cfg.tol_curve)
+        result = scan.scan_codes(args.N, window, resolution)
         # tails[code][j] is the text of a row after its p cell.  A row is
         # its p cell, then one tail per cell joined by the p cell, and the
         # tails of each run of equal codes are one slice of one tails list;
@@ -245,7 +246,7 @@ def _cmd_scan(args, cfg: RunConfig):
             codes={"0": "sub-Sobolev", "1": "super-Sobolev below curve",
                    "2": "on/above curve"},
             counts={str(code): n for code, n in enumerate(result.counts)},
-            tol_curve=cfg.tol_curve, payload_hash=h)
+            tol_curve=_TOL_CURVE, payload_hash=h)
         return rows(), doc, []
 
     return f"scan_N{args.N}_r{resolution}", payload, produce, "csv"
@@ -378,8 +379,8 @@ def _cmd_eig(args, cfg: RunConfig):
 
 # flag -> the config key it overrides and the flag's type
 _KEY_FLAGS = {
-    "--tol-curve": ("tol_curve", float), "--tol-ode-rel": ("rtol", float),
-    "--tol-ode-abs": ("atol", float), "--tol-v0": ("v0_tol", float),
+    "--tol-ode-rel": ("rtol", float), "--tol-ode-abs": ("atol", float),
+    "--tol-v0": ("v0_tol", float),
     "--resolution": ("resolution", int), "--ladder": ("ladder_kmax", int),
 }
 

@@ -8,7 +8,6 @@ Unknown keys, a key given twice and text that is not UTF-8 are refused.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -29,7 +28,6 @@ class RunConfig:
     r_target: float = SolverOptions.r_target
     grid_nodes: int = SolverOptions.grid_nodes
     v0_tol: float = SolverOptions.v0_tol
-    tol_curve: float = 1e-9
     resolution: int = 400
     ladder_kmax: int = LADDER_KMAX
     out: str = "."
@@ -45,14 +43,9 @@ class RunConfig:
 
     def validate(self) -> None:
         self.solver_options()
-        v = self.tol_curve  # a relative tolerance
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ConfigError(f"config key 'tol_curve' must be positive, got {v!r}")
-        if not v < 1.0:
-            raise ConfigError(f"config key 'tol_curve' must be below 1, got {v!r}")
         for name in ("resolution", "ladder_kmax"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ConfigError(f"config key '{name}' must be an integer >= 1, got {v!r}")
 
 

@@ -252,7 +252,8 @@ def singular_stability_verdict(
 
     An annulus with lambda < K1 K2 certifies instability; if every tested
     annulus has lambda >= K1 K2 the verdict is stable.  The rungs are
-    ``ladder`` (``default_ladder()`` when None).  Because lambda -> C_gamma
+    ``ladder`` (``default_ladder()`` when None; an empty one is a
+    DomainError).  Because lambda -> C_gamma
     with a known O(1/L^2) gap, rungs [10^-k, 10^k] with the default
     ladder's 1024 k nodes, whatever the given rungs have, are
     appended (up to k = 14) while the top-rung margin lambda - K1K2 is
@@ -271,8 +272,10 @@ def singular_stability_verdict(
     N = params.N
     sc = derive_scaling(params)
     k1k2 = sc.K1K2
-    reports = [principal_eigenvalue(ann, N, sc.gamma)
-               for ann in (default_ladder() if ladder is None else ladder)]
+    ladder = default_ladder() if ladder is None else ladder
+    if not ladder:
+        raise DomainError("an empty ladder has no rung to test")
+    reports = [principal_eigenvalue(ann, N, sc.gamma) for ann in ladder]
     last = reports[-1].annulus
     k = max(round(math.log10(last.r_outer)), round(-math.log10(last.r_inner)))
     extended = 0

@@ -34,8 +34,6 @@ __all__ = [
     "RegionVerdict",
     "derive_scaling",
     "curve_margins",
-    "sobolev_margin",
-    "jl_margin",
     "classify",
     "hardy_rellich_constant",
     "jl_curve_q",
@@ -43,6 +41,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-12  # bracket width at which ``jl_curve_q`` and ``jl_diagonal`` stop
+_TOL_CURVE = 1e-9  # half-width of the Critical and OnCurve bands (_curve_floor)
 
 
 @dataclass(frozen=True)
@@ -255,40 +254,31 @@ class RegionVerdict:
         }
 
 
-def sobolev_margin(params: ParameterTriple) -> float:
-    return _sobolev_margin(params.p, params.q, params.N)
+def _curve_floor(k1k2, maximum=max):
+    """-_TOL_CURVE max(1, K1K2): a curve margin is OnCurve within this of
+    0, and on or above the curve from it on (a Sobolev margin is Critical
+    within _TOL_CURVE of 0).  The one band rule of ``classify``,
+    ``scan.region_codes`` and ``jl_curve_q``; ``np.maximum`` on arrays."""
+    return -_TOL_CURVE * maximum(1.0, k1k2)
 
 
-def jl_margin(params: ParameterTriple) -> float:
-    """Signed residual C_gamma - K1 K2 of the critical-curve inequality.
-
-    Raises DomainError where the scaling data is undefined.
-    """
-    _require_curve_hypotheses(params)
-    _, jm, _, alpha = curve_margins(params.p, params.q, params.N)
-    _require_singular_solution(alpha, params.N)
-    return jm
-
-
-def classify(params: ParameterTriple, tol_curve: float = 1e-9) -> RegionVerdict:
+def classify(params: ParameterTriple) -> RegionVerdict:
     """Classify (p, q, N) against both critical curves.
 
     Total for p >= q >= 1: where the scaling data does not exist (pq <= 1,
     N < 3, or alpha >= N-2) the curve position is UNDEFINED while the
-    Sobolev classification is still reported. OnCurve (and Critical) are
-    declared inside a band of half-width tol_curve, measured relative to
-    max(1, K1K2) for the curve margin.
+    Sobolev classification is still reported. Critical and OnCurve are
+    declared inside the bands of ``_curve_floor``: |Sobolev margin| <= 1e-9,
+    and |curve margin| <= 1e-9 max(1, K1K2).
     """
     if params.q < 1.0:
         raise DomainError(f"classify requires p >= q >= 1, got q={params.q}")
-    if tol_curve <= 0.0:
-        raise DomainError("tol_curve must be positive")
     p, q, N = params.p, params.q, params.N
     if p * q > 1.0:
         sm, jm, k1k2, alpha = curve_margins(p, q, N)
     else:
-        sm, alpha = sobolev_margin(params), math.inf
-    if abs(sm) <= tol_curve:
+        sm, alpha = _sobolev_margin(p, q, N), math.inf
+    if abs(sm) <= _TOL_CURVE:
         sob = SobolevClass.CRITICAL
     elif sm > 0.0:
         sob = SobolevClass.SUPERCRITICAL
@@ -296,8 +286,7 @@ def classify(params: ParameterTriple, tol_curve: float = 1e-9) -> RegionVerdict:
         sob = SobolevClass.SUBCRITICAL
     if not alpha < N - 2.0:  # also every N < 3, where N-2 <= 0 < alpha
         return RegionVerdict(sob, CurvePosition.UNDEFINED, sm, math.nan)
-    band = tol_curve * max(1.0, k1k2)
-    if abs(jm) <= band:
+    if abs(jm) <= -_curve_floor(k1k2):
         jl = CurvePosition.ON
     elif jm > 0.0:
         jl = CurvePosition.ABOVE
@@ -425,38 +414,39 @@ def _candidates(x0, f0, x1, f1, x2, f2, x3, f3):
         return
 
 
-def _prescan_bisect(f, xs, tol: float):
+def _prescan_bisect(f, xs):
     """Prescan f on the nodes xs and search its first sign change.
 
-    Returns (root, values at xs, number of sign changes); the root is None
-    when f keeps one sign, a node where f is exactly 0 at that change, or
-    else the midpoint of a bracket no wider than tol * max(1, hi).  The
-    search reads f's values, oriented positive on xs[i]'s side, from the
-    prescan's values at the ends on, and may take 200 evaluations of f."""
+    Returns (root, number of sign changes); the root is None when f keeps
+    one sign, a node where f is exactly 0 at that change, or else the
+    midpoint of a bracket no wider than _ROOT_TOL * max(1, hi).  The search
+    reads f's values, oriented positive on xs[i]'s side, from the prescan's
+    values at the ends on, and may take 200 evaluations of f."""
     ms = [f(x) for x in xs]
     flips = [i for i in range(len(ms) - 1)
              if (ms[i] > 0.0) != (ms[i + 1] > 0.0)]
     if not flips:
-        return None, ms, 0
+        return None, 0
     i = flips[0]
     for j in (i, i + 1):
         if ms[j] == 0.0:
-            return xs[j], ms, len(flips)
+            return xs[j], len(flips)
     sign = 1.0 if ms[i] > 0.0 else -1.0
-    lo, hi = _bisect(lambda x: sign * f(x), xs[i], xs[i + 1], tol, 200,
+    lo, hi = _bisect(lambda x: sign * f(x), xs[i], xs[i + 1], _ROOT_TOL, 200,
                      sign * ms[i], sign * ms[i + 1])
-    return 0.5 * (lo + hi), ms, len(flips)
+    return 0.5 * (lo + hi), len(flips)
 
 
-def jl_curve_q(N: int, p: float, *, tol_curve: float = 1e-9) -> float | None:
+def jl_curve_q(N: int, p: float) -> float | None:
     """Solve the critical-curve equality for q on the slice [1, p] at fixed p.
 
     Returns the root q* of C_gamma - K1 K2 = 0 located by ``_bisect`` on a
     sign-changing bracket found by a pre-scan of 64 nodes (which also
-    verifies the margin changes sign exactly once), or None when the margin
-    has constant sign on the admissible part of [1, p] (the curve does not
-    cross this slice; in particular for every p when N <= 10).  The search
-    stops at a bracket width in q of ``_ROOT_TOL``.
+    verifies the margin changes sign exactly once).  Where the margin keeps
+    one sign on the admissible part of [1, p], returns p when ``classify``
+    puts (p, p) OnCurve (its band, ``_curve_floor``), and None otherwise:
+    the curve does not cross this slice, in particular for every p when
+    N <= 10.  The search stops at a bracket width in q of ``_ROOT_TOL``.
 
     The scan is restricted to q on or above the Sobolev hyperbola; see
     ``_sobolev_q_lower``.
@@ -473,15 +463,16 @@ def jl_curve_q(N: int, p: float, *, tol_curve: float = 1e-9) -> float | None:
     q_lo = min(p, q_lo * (1.0 + 1e-14) + 1e-300)
     qs = [q_lo + (p - q_lo) * i / 63 for i in range(64)]
     qs[-1] = p  # the formula can round 1 ulp past p, off the admissible slice
-    root, ms, flips = _prescan_bisect(
-        lambda q: curve_margins(p, q, N)[1], qs, _ROOT_TOL)
+    root, flips = _prescan_bisect(lambda q: curve_margins(p, q, N)[1], qs)
     if flips > 1:
         raise ConvergenceError(
             f"curve margin changes sign {flips} times on the slice "
             f"p={p}, N={N}; bisection bracket is ambiguous"
         )
-    if root is None and abs(ms[-1]) <= tol_curve * max(1.0, abs(ms[-1]) + 1.0):
-        return qs[-1]  # tangency at the diagonal endpoint
+    if root is None:
+        _, jm, k1k2, _ = curve_margins(p, p, N)
+        if abs(jm) <= -_curve_floor(k1k2):
+            return p  # the diagonal endpoint lies on the curve
     return root
 
 
@@ -499,4 +490,4 @@ def jl_diagonal(N: int) -> float | None:
     p_lo = (N + 2.0) / (N - 2.0) * (1.0 + 1e-12)  # diagonal Sobolev exponent
     # geometric pre-scan: the root can sit far out for N barely above 10
     ps = [p_lo * (1e4 / p_lo) ** (i / 255) for i in range(256)]
-    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1], ps, _ROOT_TOL)[0]
+    return _prescan_bisect(lambda p: curve_margins(p, p, N)[1], ps)[0]

@@ -40,14 +40,17 @@ class SolverOptions:
     v0_tol: float = 1e-13
 
     def validate(self) -> None:
+        # bool is an Integral, and so a Real: True would pass as 1
         for name in ("rtol", "atol", "r_target", "v0_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
             raise ConfigError(f"rtol must be below 1, got {self.rtol!r}")
         n = self.grid_nodes
-        if not (isinstance(n, numbers.Integral) and n >= 16):
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n >= 16):
             raise ConfigError(f"grid_nodes must be an integer >= 16, got {n!r}")
 
 
@@ -77,8 +80,10 @@ def ladder_rung(k: int, m_per_k: int = LADDER_M_PER_K) -> Annulus:
 
 def default_ladder(k_max: int = LADDER_KMAX,
                    m_per_k: int = LADDER_M_PER_K) -> list[Annulus]:
-    """The rungs k = 1..k_max (``ladder_rung``); DomainError when 10^k_max
-    overflows a double."""
+    """The rungs k = 1..k_max (``ladder_rung``); DomainError when k_max < 1
+    (no rung) or 10^k_max overflows a double."""
+    if k_max < 1:
+        raise DomainError(f"a ladder needs a rung: k_max >= 1, got {k_max}")
     if k_max > sys.float_info.max_10_exp:
         raise DomainError(f"ladder rung k = {k_max} is past the double range: "
                           f"need k <= {sys.float_info.max_10_exp}")

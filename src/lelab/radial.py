@@ -896,8 +896,8 @@ def profile_to_csv(profile: RadialProfile) -> str:
 
 def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
     """The profile that ``profile_to_csv`` and ``profile_metadata`` stored;
-    DomainError for a document that is not one (cut short, non-numeric,
-    keys missing)."""
+    DomainError for a document that is not one (cut short, non-numeric or
+    non-finite cells, keys missing)."""
     import json as _json
 
     try:
@@ -912,6 +912,8 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
         # one split and one conversion for all cells
         data = np.array(body.replace("\n", ",").split(","),
                         dtype=float).reshape(-1, 5)
+        if not np.isfinite(data).all():  # float() reads "nan" and "inf"
+            raise ValueError("a radial-profile CSV cell is not finite")
         stats = meta["stats"]
         return RadialProfile(
             p=float(meta["params"]["p"]), q=float(meta["params"]["q"]),

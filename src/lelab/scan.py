@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponents import check_dimension, curve_margins
+from .exponents import _TOL_CURVE, _curve_floor, check_dimension, curve_margins
 
 __all__ = ["ScanResult", "scan_codes", "region_codes"]
 
@@ -51,9 +51,9 @@ class ScanResult:
         return int(self.codes.size)
 
 
-def region_codes(p: np.ndarray, q: np.ndarray, N: int,
-                 tol_curve: float = 1e-9) -> np.ndarray:
-    """Vectorized region code for arrays of exponent pairs (broadcast)."""
+def region_codes(p: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
+    """Vectorized region code for arrays of exponent pairs (broadcast), in
+    ``classify``'s bands (``exponents._curve_floor``)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     hi = np.maximum(p, q)
@@ -65,16 +65,15 @@ def region_codes(p: np.ndarray, q: np.ndarray, N: int,
     with np.errstate(all="ignore"):
         sob, margin, k1k2, alpha = curve_margins(hi, lo, N)
         on_or_above = (alpha < N - 2.0) & (
-            margin >= -tol_curve * np.maximum(1.0, k1k2))
-    super_sob = sob >= -tol_curve
+            margin >= _curve_floor(k1k2, np.maximum))
+    super_sob = sob >= -_TOL_CURVE
     codes = np.zeros(np.broadcast(p, q).shape, dtype=np.int8)
     codes[super_sob] = 1
     codes[super_sob & on_or_above] = 2
     return codes
 
 
-def scan_codes(N: int, window, resolution: int,
-               tol_curve: float = 1e-9) -> ScanResult:
+def scan_codes(N: int, window, resolution: int) -> ScanResult:
     """Region codes on a resolution^2 lattice over the given window."""
     N = check_dimension(N, 1)
     p_min, p_max, q_min, q_max = map(float, window)
@@ -89,6 +88,6 @@ def scan_codes(N: int, window, resolution: int,
     rows = max(1, _BLOCK_CELLS // q.size)
     for i in range(0, resolution, rows):
         block = codes[i:i + rows]
-        block[...] = region_codes(p[i:i + rows, None], q[None, :], N, tol_curve)
+        block[...] = region_codes(p[i:i + rows, None], q[None, :], N)
         counts += np.bincount(block.ravel(), minlength=3)
     return ScanResult(p=p, q=q, codes=codes, counts=tuple(counts.tolist()))

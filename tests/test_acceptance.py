@@ -294,7 +294,7 @@ def test_c6_ordering_biharmonic_edge():
            "first appears at N = 13",
 )
 def test_c6_biharmonic_edge_exists_at_dimension_eleven():
-    from lelab import SobolevClass, sobolev_margin
+    from lelab import SobolevClass
     ps = np.geomspace(11.0 / 7.0 + 1e-6, 1e6, 600)
     found = False
     for p in ps:

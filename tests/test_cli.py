@@ -6,15 +6,16 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lelab
-from lelab import cli
+from lelab import cli, jl_diagonal
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
 from lelab.errors import ConfigError
 from lelab.options import SolverOptions
-from lelab.scan import scan_codes
+from lelab.scan import region_codes, scan_codes
 from lelab.serialize import to_csv
 
 
@@ -68,12 +69,26 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", "1e-8"), ("atol", None), ("grid_nodes", 64.5),
-        ("tol_curve", "x"), ("resolution", 4.0)])
+        ("resolution", 4.0), ("resolution", True), ("r_target", True)])
     def test_mistyped_override_refused(self, key, value):
         # a value of the wrong type is a ConfigError naming its key, not a
-        # TypeError from a comparison
+        # TypeError from a comparison; a bool is not a number
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
+
+    def test_curve_band_is_not_a_setting(self, tmp_path, capsys):
+        # the Critical and OnCurve bands are fixed: tol_curve is neither a
+        # config key nor a flag
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("tol_curve = 1e-9\n")
+        rc, _, err = run_cli(["--config", str(cfg_file), "classify", "8", "8",
+                              "11"], capsys)
+        assert rc == 2
+        assert "unknown config key 'tol_curve'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "8", "8", "11", "--tol-curve", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tol-curve" in capsys.readouterr().err
 
     def test_solver_options_from_config(self, tmp_path):
         # the six solver keys become the solvers' options, other keys not
@@ -85,10 +100,9 @@ class TestConfig:
     def test_relative_tolerances_below_one(self, tmp_path):
         # a relative tolerance of 1 or more accepts anything
         cfg_file = tmp_path / "lab.cfg"
-        for key in ("rtol", "tol_curve"):
-            cfg_file.write_text(f"{key} = 1e308\n")
-            with pytest.raises(ConfigError, match=key):
-                load_config(cfg_file)
+        cfg_file.write_text("rtol = 1e308\n")
+        with pytest.raises(ConfigError, match="rtol"):
+            load_config(cfg_file)
 
     @pytest.mark.parametrize("line, expects", [
         ("resolution = 4.5", "an integer"), ("resolution = true", "an integer"),
@@ -638,6 +652,35 @@ class TestSolveCompareEig:
         assert all(q for q in qs)  # every slice at p >= 7 crosses the curve
         assert float(qs[-1]) < 9.0
 
+    @pytest.mark.parametrize("N", [11, 13])
+    @pytest.mark.parametrize("factor", [1 - 1e-8, 1 - 1e-9, 1.0, 1 + 1e-9,
+                                        1 + 1e-8])
+    def test_curve_classify_and_scan_agree_at_the_diagonal(
+            self, tmp_path, capsys, N, factor):
+        # one band decides "on or above the curve" for all three: next to
+        # the diagonal crossing p*, curve reports a q* on the slice p
+        # exactly where classify puts (p, p) OnCurve or AboveCurve, and
+        # exactly where the scan's code is 2.  The curve's diagonal end
+        # once had a band about 400 times narrower, and reported no q* at
+        # p*(1 - 1e-9)
+        p = jl_diagonal(N) * factor
+        rc, out, _ = run_cli(["classify", repr(p), repr(p), str(N)], capsys)
+        assert rc == 0
+        on_or_above = json.loads(out)["verdict"]["jl"] in ("OnCurve",
+                                                           "AboveCurve")
+        assert on_or_above == (factor >= 1 - 1e-9)
+        code = region_codes(np.array([p]), np.array([p]), N)[0]
+        assert (code == 2) == on_or_above
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "curve",
+                            str(N), "--p-min", repr(p), "--p-max", repr(p),
+                            "--steps", "1"], capsys)
+        assert rc == 0
+        (row,) = next(tmp_path.glob("curve_*.csv")).read_text().split()[1:]
+        q_star = row.split(",")[1]
+        assert (q_star != "") == on_or_above
+        if factor < 1.0 and on_or_above:  # the margin is negative on (p, p)
+            assert float(q_star) == p
+
     def test_curve_slices_ending_past_p(self, tmp_path, capsys):
         # at p = 9.3015873 the prescan formula once rounded past p
         out = tmp_path / "curve3"
@@ -876,6 +919,19 @@ class TestCompareRefuses:
                               "".join(lines), json_text)
         assert rc == 2
         assert "malformed stored profile" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, capsys, stored_profile, cell):
+        # a u cell of nan once compared with exit 0 and "M1": null
+        csv_text, json_text = stored_profile
+        lines = csv_text.splitlines(keepends=True)
+        r, _, rest = lines[5].split(",", 2)
+        lines[5] = f"{r},{cell},{rest}"
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
+                              "".join(lines), json_text)
+        assert rc == 2
+        assert "malformed stored profile" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bytes_that_are_not_text(self, tmp_path, capsys, stored_profile):
         csv_text, json_text = stored_profile

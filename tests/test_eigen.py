@@ -183,6 +183,13 @@ class TestLadder:
             default_ladder(309)
         assert default_ladder(308, 16)[-1].r_outer == 1e308
 
+    def test_empty_ladder_refused(self):
+        # no rung, no verdict: once an IndexError at the top rung
+        with pytest.raises(DomainError, match="k_max >= 1"):
+            default_ladder(0)
+        with pytest.raises(DomainError, match="empty ladder"):
+            singular_stability_verdict(ParameterTriple(9, 6, 11), ladder=[])
+
     def test_decreasing_and_extrapolates_to_constant(self):
         reports = [principal_eigenvalue(ann, 11, 0.4)
                    for ann in default_ladder(4, 512)]

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from lelab import (CurvePosition, DomainError, ParameterTriple, SobolevClass,
                    classify, curve_margins, derive_scaling,
-                   hardy_rellich_constant, jl_curve_q, jl_diagonal, jl_margin,
-                   sobolev_margin)
+                   hardy_rellich_constant, jl_curve_q, jl_diagonal)
 from lelab.errors import ConvergenceError
 from lelab.exponents import _bisect, _prescan_bisect
 
@@ -125,9 +124,16 @@ class TestClassify:
         assert v2.jl is CurvePosition.UNDEFINED
 
     def test_on_curve_band(self):
+        # the band is 1e-9 max(1, K1K2), about 4e-7 here
         q_star = jl_curve_q(11, 8.0)
-        v = classify(ParameterTriple(8.0, q_star, 11), tol_curve=1e-6)
+        v = classify(ParameterTriple(8.0, q_star, 11))
         assert v.jl is CurvePosition.ON
+        k1k2 = curve_margins(8.0, q_star, 11)[2]
+        for q, want in ((q_star * (1 + 1e-8), CurvePosition.ABOVE),
+                        (q_star * (1 - 1e-8), CurvePosition.BELOW)):
+            _, jm, _, _ = curve_margins(8.0, q, 11)
+            assert abs(jm) > 1e-9 * k1k2
+            assert classify(ParameterTriple(8.0, q, 11)).jl is want
 
     def test_diagonal_margin_strictly_monotone(self, rng):
         # strict monotonicity of the diagonal margin above the Sobolev
@@ -135,7 +141,7 @@ class TestClassify:
         # sign convention margin = C_gamma - K1K2 it increases with p
         # (below-curve pairs are the small-p ones)
         ps = np.linspace(2.0, 30.0, 120)
-        ms = [jl_margin(ParameterTriple(p, p, 11)) for p in ps]
+        ms = [classify(ParameterTriple(p, p, 11)).jl_margin for p in ps]
         assert all(m2 > m1 for m1, m2 in zip(ms, ms[1:]))
         assert ms[0] < 0.0 < ms[-1]
 
@@ -181,12 +187,11 @@ class TestCurveRootFinding:
         # oracle: dense margin scan brackets the root independently
         q_star = jl_curve_q(11, 8.0)
         qs = np.linspace(1.0, 8.0, 4001)
-        ms = np.array([jl_margin(ParameterTriple(8.0, float(q), 11))
-                       for q in qs])
+        ms = curve_margins(8.0, qs, 11)[1]
         flip = np.nonzero(np.sign(ms[:-1]) != np.sign(ms[1:]))[0]
         assert flip.size == 1
         assert qs[flip[0]] <= q_star <= qs[flip[0] + 1]
-        assert abs(jl_margin(ParameterTriple(8.0, q_star, 11))) < 1e-6
+        assert abs(curve_margins(8.0, q_star, 11)[1]) < 1e-6
 
     def test_no_root_when_slice_below_curve(self):
         assert jl_curve_q(11, 3.0) is None      # p below the diagonal entry
@@ -240,8 +245,7 @@ class TestCurveRootFinding:
             return sign * (x - 2.0)
 
         xs = [0.0, 1.0, 2.0, 3.0]
-        assert _prescan_bisect(f, xs, 1e-12) == (
-            2.0, [sign * (x - 2.0) for x in xs], 1)
+        assert _prescan_bisect(f, xs) == (2.0, 1)
         assert calls == xs
 
     def test_prescan_search_reads_values(self):
@@ -253,7 +257,7 @@ class TestCurveRootFinding:
             calls.append(x)
             return 0.5 - x
 
-        root, _, flips = _prescan_bisect(f, [0.0, 0.25, 0.75, 1.0], 1e-12)
+        root, flips = _prescan_bisect(f, [0.0, 0.25, 0.75, 1.0])
         assert (root, flips) == (0.5, 1)
         assert len(calls) == 5
 
@@ -426,7 +430,8 @@ class TestValueSearch:
 
 def test_sobolev_margin_formula():
     t = ParameterTriple(5, 5, 3)
-    assert sobolev_margin(t) == pytest.approx((1 - 2 / 3) - 2 / 6, abs=1e-15)
+    assert classify(t).sobolev_margin == pytest.approx((1 - 2 / 3) - 2 / 6,
+                                                       abs=1e-15)
 
 
 def test_random_triples_all_identities(rng):

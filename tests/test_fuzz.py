@@ -46,7 +46,7 @@ def bases(profile):
     """Valid argvs as groups of tokens: a flag with its values, or one
     positional."""
     return [
-        [["classify"], ["9"], ["6"], ["11"], ["--tol-curve", "1e-9"]],
+        [["classify"], ["9"], ["6"], ["11"]],
         [["curve"], ["11"], ["--p-min", "7"], ["--p-max", "12"],
          ["--steps", "4"]],
         [["curve"], ["11"], ["--p-min", "12"], ["--p-max", "7"],

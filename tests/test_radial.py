@@ -139,12 +139,13 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
-        ("r_target", math.inf), ("v0_tol", math.inf),
+        ("r_target", math.inf), ("v0_tol", math.inf), ("r_target", True),
         ("grid_nodes", 15), ("grid_nodes", 64.5)])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, an
-        # infinite tolerance in an OverflowError, and a fractional node
-        # count in a TypeError from numpy
+        # infinite tolerance in an OverflowError, a fractional node count
+        # in a TypeError from numpy, and r_target True (read as 1) in an
+        # EntirePositive profile
         opts = SolverOptions(**{field: value})
         with pytest.raises(ConfigError, match=field):
             integrate(ParameterTriple(3, 3, 11), InitialData(1.0, 1.0), 1e6,
@@ -822,18 +823,24 @@ class TestSerialization:
 
     def test_parse_matches_row_path(self, symmetric_entire):
         # one numpy conversion for all cells; the oracle is float() per
-        # cell, on non-finite, signed-zero and subnormal cells too
+        # cell, on signed-zero and subnormal cells too.  A non-finite cell
+        # is refused
         u = symmetric_entire.u.copy()
-        u[:7] = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                 2.2250738585072009e-308, -1e-310]
+        u[:4] = [-0.0, 5e-324, 2.2250738585072009e-308, -1e-310]
         prof = dataclasses.replace(symmetric_entire, u=u)
         csv_text = profile_to_csv(prof)
-        parsed = profile_from_text(csv_text, to_json(profile_metadata(prof)))
+        json_text = to_json(profile_metadata(prof))
+        parsed = profile_from_text(csv_text, json_text)
         rows = np.array([[float(c) for c in ln.split(",")]
                          for ln in csv_text.strip().split("\n")[1:]])
         for k, col in enumerate((parsed.r, parsed.u, parsed.v, parsed.du,
                                  parsed.dv)):
             assert np.array_equal(col.view(np.int64), rows[:, k].view(np.int64))
+        for cell in (math.nan, math.inf, -math.inf):
+            u[4] = cell
+            bad = profile_to_csv(dataclasses.replace(symmetric_entire, u=u))
+            with pytest.raises(DomainError, match="not finite"):
+                profile_from_text(bad, json_text)
 
     @pytest.mark.parametrize("widths", [(6, 4), (4, 6), (5, 6), (4, 4)])
     def test_rows_of_unequal_width_refused(self, symmetric_entire, widths):

@@ -1,7 +1,9 @@
 """The README's experiment scripts run end to end and write their CSVs;
 the benchmark trajectory script reads every committed BENCH file, and the
-artifact digest script hashes every output of a benchmark op list."""
+artifact digest script hashes every output of a benchmark op list, to the
+same bytes as the recorded digests."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -81,6 +83,22 @@ def test_artifact_digests_of_the_stability_list():
     files = [n for n in names if not n.endswith(".stdout")]
     assert files == [f"op{i:03d}.{ext}" for i in range(11)
                      for ext in ("csv", "json")]
+
+
+# sha256 of the 174 digest lines of all three op lists at seed 7: every
+# stdout and artifact of the benchmark's ops, byte for byte.  A change that
+# moves any byte on purpose records the new value here and in CHANGES.md
+ARTIFACT_DIGESTS_SHA256 = \
+    "e62e8857174f14a53af766fffd74c982f8d2765c0aa1b8d67de6b2e6e5702444"
+
+
+def test_artifact_digests_of_every_list_are_unchanged():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "artifact_digests.py"),
+                           "--workload", "all", "--seed", "7"],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, ""), done.stdout
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == ARTIFACT_DIGESTS_SHA256, done.stdout
 
 
 def test_bench_trajectory_reads_both_layouts():
