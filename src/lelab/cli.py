@@ -345,7 +345,7 @@ def _cmd_eig(args, cfg: RunConfig):
             raise DomainError(f"the annulus node count must be an integer, got {m}")
         ladder = [Annulus(r_in, r_out, int(m))]
     else:
-        ladder = default_ladder(cfg.ladder_kmax)
+        ladder = default_ladder()
     payload = {
         "cmd": "eig", "p": args.p, "q": args.q, "N": args.N,
         "ladder": [[a.r_inner, a.r_outer, a.M] for a in ladder],
@@ -362,10 +362,16 @@ def _cmd_eig(args, cfg: RunConfig):
             verdict=sr.verdict, marginal=sr.marginal,
             lecv_consistent=sr.lecv_consistent,
             extended_rungs=sr.extended,
-            lambda_top=sr.lam_top,
-            # each rung's entry repeats the verdict, K1K2 and marginal
-            ladder=[{**rep.as_dict(), "verdict": sr.verdict, "K1K2": sr.k1k2,
-                     "marginal": sr.marginal} for rep in sr.reports],
+            lambda_top=sr.reports[-1].lam,
+            # each rung's entry repeats N, gamma, the verdict, K1K2 and
+            # marginal
+            ladder=[{"r_inner": rep.annulus.r_inner,
+                     "r_outer": rep.annulus.r_outer, "M": rep.annulus.M,
+                     "N": params.N, "gamma": sr.gamma, "lambda": rep.lam,
+                     "iterations": rep.iterations,
+                     "lambda_err": rep.lambda_err, "verdict": sr.verdict,
+                     "K1K2": sr.k1k2, "marginal": sr.marginal}
+                    for rep in sr.reports],
             payload_hash=h)
         csv = to_csv(["k", "M", "lambda", "lambda_err", "iterations"], rows)
         return csv, doc, [sr.verdict]
@@ -380,8 +386,7 @@ def _cmd_eig(args, cfg: RunConfig):
 # flag -> the config key it overrides and the flag's type
 _KEY_FLAGS = {
     "--tol-ode-rel": ("rtol", float), "--tol-ode-abs": ("atol", float),
-    "--tol-v0": ("v0_tol", float),
-    "--resolution": ("resolution", int), "--ladder": ("ladder_kmax", int),
+    "--tol-v0": ("v0_tol", float), "--resolution": ("resolution", int),
 }
 
 

@@ -13,15 +13,16 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .options import LADDER_KMAX, SolverOptions
+from .options import SolverOptions
 
 __all__ = ["RunConfig", "parse_config_file", "load_config"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settable values; the solver and ladder defaults are those of
-    ``SolverOptions`` and ``default_ladder``."""
+    """The settable values; the solver defaults are those of
+    ``SolverOptions``.  The eigen ladder has no setting: ``eig`` runs
+    ``default_ladder()`` or its ``--annulus``."""
 
     rtol: float = SolverOptions.rtol
     atol: float = SolverOptions.atol
@@ -29,7 +30,6 @@ class RunConfig:
     grid_nodes: int = SolverOptions.grid_nodes
     v0_tol: float = SolverOptions.v0_tol
     resolution: int = 400
-    ladder_kmax: int = LADDER_KMAX
     out: str = "."
     cache: bool = True
 
@@ -43,10 +43,9 @@ class RunConfig:
 
     def validate(self) -> None:
         self.solver_options()
-        for name in ("resolution", "ladder_kmax"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ConfigError(f"config key '{name}' must be an integer >= 1, got {v!r}")
+        v = self.resolution
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            raise ConfigError(f"config key 'resolution' must be an integer >= 1, got {v!r}")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

@@ -85,23 +85,9 @@ _U = 2.0 ** -53  # unit roundoff
 @dataclass(frozen=True)
 class EigReport:
     annulus: Annulus
-    N: int
-    gamma: float
     lam: float
     iterations: int
     lambda_err: float
-
-    def as_dict(self) -> dict:
-        return {
-            "r_inner": self.annulus.r_inner,
-            "r_outer": self.annulus.r_outer,
-            "M": self.annulus.M,
-            "N": self.N,
-            "gamma": self.gamma,
-            "lambda": self.lam,
-            "iterations": self.iterations,
-            "lambda_err": self.lambda_err,
-        }
 
 
 def principal_eigenvalue(annulus: Annulus, N: int, gamma: float) -> EigReport:
@@ -198,8 +184,8 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float) -> EigReport:
         eta = (160.0 + 20.0 * x + 2.0 * math.log2(M)) * _U
         err += eta * delta * delta / (eps * w1 * (1.0 + 4.0 * se)) + abs(b - a)
     lam = (D1 + delta) / h**4
-    return EigReport(annulus=annulus, N=N, gamma=float(gamma), lam=lam,
-                     iterations=n, lambda_err=err / h**4 + 8.0 * _U * lam)
+    return EigReport(annulus=annulus, lam=lam, iterations=n,
+                     lambda_err=err / h**4 + 8.0 * _U * lam)
 
 
 def richardson_limit(reports: list[EigReport]) -> float:
@@ -239,10 +225,6 @@ class StabilityReport:
     lecv_consistent: bool
     extended: int
 
-    @property
-    def lam_top(self) -> float:
-        return self.reports[-1].lam
-
 
 def singular_stability_verdict(
     params: ParameterTriple,
@@ -253,12 +235,11 @@ def singular_stability_verdict(
     An annulus with lambda < K1 K2 certifies instability; if every tested
     annulus has lambda >= K1 K2 the verdict is stable.  The rungs are
     ``ladder`` (``default_ladder()`` when None; an empty one is a
-    DomainError).  Because lambda -> C_gamma
-    with a known O(1/L^2) gap, rungs [10^-k, 10^k] with the default
-    ladder's 1024 k nodes, whatever the given rungs have, are
-    appended (up to k = 14) while the top-rung margin lambda - K1K2 is
-    positive but smaller than twice the gap estimate, i.e. while a wider
-    annulus could still flip the comparison.  ``marginal`` is set when the
+    DomainError).  Because lambda -> C_gamma with a known O(1/L^2) gap,
+    rungs ``ladder_rung(k)``, whatever the given rungs have, are appended
+    (up to k = 14) while the top-rung margin lambda - K1K2 is positive but
+    smaller than twice the gap estimate, i.e. while a wider annulus could
+    still flip the comparison.  ``marginal`` is set when the
     comparison remains inside the verdict band (1e-6 relative to
     max(1, K1K2)) at the final rung, or undecided at the extension cap.
     The first appended k is one past max(round(log10 r_outer),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -27,8 +26,15 @@ DEFAULT_BAND = 1e-12
 LADDER_KMAX, LADDER_M_PER_K = 5, 1024
 
 # the most interior nodes of an annulus: the eigen solve allocates a few
-# arrays of M doubles, and the widest default-style rung, k = 308, has 315,392
+# arrays of M doubles, 32 MiB each at the cap; the widest ladder rung,
+# k = 14, has 14,336
 MAX_NODES = 2 ** 22
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number and not a bool: bool is an Integral,
+    and so a Real, and True would pass as 1."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -40,11 +46,9 @@ class SolverOptions:
     v0_tol: float = 1e-13
 
     def validate(self) -> None:
-        # bool is an Integral, and so a Real: True would pass as 1
         for name in ("rtol", "atol", "r_target", "v0_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and v > 0.0 and math.isfinite(v)):
+            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if not self.rtol < 1.0:
             raise ConfigError(f"rtol must be below 1, got {self.rtol!r}")
@@ -61,7 +65,9 @@ class Annulus:
     M: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_inner < self.r_outer and math.isfinite(self.r_outer)):
+        if not (_is_real(self.r_inner) and _is_real(self.r_outer)
+                and 0.0 < self.r_inner < self.r_outer
+                and math.isfinite(self.r_outer)):
             raise DomainError("need 0 < r_inner < r_outer < inf")
         if not isinstance(self.M, numbers.Integral):
             raise DomainError(f"the node count must be an integer, got {self.M!r}")
@@ -73,18 +79,13 @@ class Annulus:
         return math.log(self.r_outer / self.r_inner)
 
 
-def ladder_rung(k: int, m_per_k: int = LADDER_M_PER_K) -> Annulus:
-    """The annulus [10^-k, 10^k] with M = m_per_k * k interior nodes."""
-    return Annulus(10.0 ** (-k), 10.0 ** k, m_per_k * k)
+def ladder_rung(k: int) -> Annulus:
+    """The annulus [10^-k, 10^k] with M = LADDER_M_PER_K * k interior nodes."""
+    return Annulus(10.0 ** (-k), 10.0 ** k, LADDER_M_PER_K * k)
 
 
-def default_ladder(k_max: int = LADDER_KMAX,
-                   m_per_k: int = LADDER_M_PER_K) -> list[Annulus]:
-    """The rungs k = 1..k_max (``ladder_rung``); DomainError when k_max < 1
-    (no rung) or 10^k_max overflows a double."""
-    if k_max < 1:
-        raise DomainError(f"a ladder needs a rung: k_max >= 1, got {k_max}")
-    if k_max > sys.float_info.max_10_exp:
-        raise DomainError(f"ladder rung k = {k_max} is past the double range: "
-                          f"need k <= {sys.float_info.max_10_exp}")
-    return [ladder_rung(k, m_per_k) for k in range(1, k_max + 1)]
+def default_ladder() -> list[Annulus]:
+    """The rungs k = 1..LADDER_KMAX (``ladder_rung``), the ladder of every
+    verdict that is not given one; the verdict appends wider rungs while a
+    wider annulus could still flip it."""
+    return [ladder_rung(k) for k in range(1, LADDER_KMAX + 1)]

@@ -14,9 +14,9 @@ x = (r/r_char)^2, r_char = sqrt(2N min(u0/v0^p, v0/u0^q)),
 
 (and symmetrically for v; ``_TaylorStart``) seeds the stepper at the
 r_start where its last two terms are below 1e-3 of the local error
-tolerance, at most r_char / 2: r = 0.5-1 on the documented shots, where an
-r^4 series had to stop near r = 0.01.  The output grid still starts at
-that r^4 radius, ``r_first``; its nodes below r_start are series values.
+tolerance, at most r_char / 2: r = 0.5-1 on the documented shots.  The
+output grid starts at ``r_first``, where the r^4 term reaches the local
+tolerance (near r = 0.01); its nodes below r_start are series values.
 
 Trajectories halt at the first zero crossing of u or v (located by
 bisection on the last step's quartic) or at r_max.  ``integrate`` is one
@@ -81,7 +81,7 @@ from .errors import (
 )
 from .closed_form import transverse_covector
 from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
-from .options import SolverOptions
+from .options import SolverOptions, _is_real
 # unused here: kept because bench/tracing.py wraps it under this module too
 from .serialize import to_csv  # noqa: F401
 
@@ -139,8 +139,8 @@ class InitialData:
     v0: float
 
     def __post_init__(self):
-        if not (self.u0 > 0.0 and self.v0 > 0.0
-                and math.isfinite(self.u0) and math.isfinite(self.v0)):
+        if not all(_is_real(x) and x > 0.0 and math.isfinite(x)
+                   for x in (self.u0, self.v0)):
             raise DomainError("initial values must be positive and finite")
 
 

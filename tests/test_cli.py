@@ -119,10 +119,10 @@ class TestConfig:
 
     def test_typed_values(self, tmp_path, capsys):
         cfg_file = tmp_path / "lab.cfg"
-        cfg_file.write_text("rtol = 1\nladder_kmax = 3\ncache = False\n"
+        cfg_file.write_text("rtol = 1\nresolution = 3\ncache = False\n"
                             'out = "c d"\n')
         cfg = parse_config_file(cfg_file)
-        assert cfg == {"rtol": 1.0, "ladder_kmax": 3, "cache": False,
+        assert cfg == {"rtol": 1.0, "resolution": 3, "cache": False,
                        "out": "c d"}
         assert type(cfg["rtol"]) is float
         # unquoted; and a '#' inside quotes is part of the string
@@ -222,7 +222,7 @@ CACHED_OPS = {
     "shot": ["solve", "8", "8", "11", "--u0", "1", "--shoot",
              "--v0-lo", "0.5", "--v0-hi", "2"],
     "compare": ["compare", "3", "3", "11", "--profile", "@"],
-    "eig": ["eig", "3", "3", "11", "--ladder", "2"],
+    "eig": ["eig", "3", "3", "11", "--annulus", "0.01", "100", "2048"],
 }
 
 
@@ -283,7 +283,7 @@ class TestScanCommand:
         ("scan", "scan_N11_r64_69c66df5b9dc.csv"),
         ("solve", "profile_p3_q3_N11_3035f761b5a7.csv"),
         ("shot", "profile_p8_q8_N11_814bbfe8b34f.csv"),
-        ("eig", "eig_p3_q3_N11_61211bb6a705.csv"),
+        ("eig", "eig_p3_q3_N11_51dddf8a8269.csv"),
     ])
     def test_file_names_pinned(self, tmp_path, capsys, name, shown):
         # the names of version 0.1.0 before the one artifact writer; they
@@ -291,7 +291,8 @@ class TestScanCommand:
         # platform, and any change to a payload moves them: solve and shot
         # moved when four solver settings left the payload's "opts", and
         # again when the event tolerance became a constant, eig when
-        # eig_tol and eig_max_iter left its payload
+        # eig_tol and eig_max_iter left its payload; eig's op is a single
+        # annulus since its two-rung ladder has no input left to ask for it
         rc, out, _ = run_cli(["--out", str(tmp_path), "--no-cache",
                               *CACHED_OPS[name]], capsys)
         assert rc == 0
@@ -301,7 +302,8 @@ class TestScanCommand:
         monkeypatch.delenv("LEL_CACHE_DIR", raising=False)
         solve = ["solve", "8", "8", "11", "--u0", "1"]
         for cmd, argv in (
-                ("eig", ["--ladder", "1", "eig", "8", "8", "11"]),
+                ("eig", ["eig", "8", "8", "11", "--annulus", "0.1", "10",
+                         "1024"]),
                 ("solve", solve + ["--v0", "1", "--r-max", "100"]),
                 ("shoot", solve + ["--shoot", "--v0-lo", "0.5", "--v0-hi", "2"])):
             args = ["--out", str(tmp_path / cmd)] + argv
@@ -606,12 +608,12 @@ class TestSolveCompareEig:
 
     def test_eig_ladder_monotone(self, tmp_path, capsys):
         out = tmp_path / "eig"
-        rc, _, _ = run_cli(["--out", str(out), "--no-cache", "--ladder", "3",
-                            "eig", "8", "8", "11"], capsys)
+        rc, _, _ = run_cli(["--out", str(out), "--no-cache", "eig", "8", "8",
+                            "11"], capsys)
         assert rc == 0
         rows = next(out.glob("eig_*.csv")).read_text().strip().splitlines()[1:]
         lams = [float(r.split(",")[2]) for r in rows]
-        assert len(lams) == 3
+        assert len(lams) == 5  # the default ladder, not extended
         assert all(b < a for a, b in zip(lams, lams[1:]))
         doc = json.loads(next(out.glob("eig_*.json")).read_text())
         assert doc["verdict"] == "SingularStable"
@@ -620,8 +622,8 @@ class TestSolveCompareEig:
     def test_eig_artifacts_carry_lambda_err(self, tmp_path, capsys):
         # the rounding bound of each rung, in the CSV and the JSON alike,
         # far inside the verdict band
-        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "--ladder",
-                            "2", "eig", "9", "6", "11"], capsys)
+        rc, _, _ = run_cli(["--out", str(tmp_path), "--no-cache", "eig", "9",
+                            "6", "11"], capsys)
         assert rc == 0
         head, *rows = next(tmp_path.glob("eig_*.csv")).read_text().split()
         assert head == "k,M,lambda,lambda_err,iterations"
@@ -704,15 +706,22 @@ class TestSolveCompareEig:
             assert "--steps" in err
         assert not list(tmp_path.glob("curve_*"))
 
-    def test_eig_rejects_ladder_below_one(self, tmp_path, capsys):
-        # an empty ladder has no verdict, and 0 is not a request for the
-        # config's ladder; the error names the key that --ladder overrides
-        for k in ("0", "-1"):
-            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache",
-                                  "--ladder", k, "eig", "8", "8", "11"], capsys)
-            assert rc == 2
-            assert "ladder_kmax" in err
-        assert not list(tmp_path.glob("eig_*"))
+    def test_eig_ladder_is_not_a_setting(self, tmp_path, capsys):
+        # the ladder has one shape: ladder_kmax is no config key and
+        # --ladder no flag, and neither run writes anything
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("ladder_kmax = 5\n")
+        out = tmp_path / "out"
+        rc, stdout, err = run_cli(["--config", str(cfg), "--out", str(out),
+                                   "--no-cache", "eig", "8", "8", "11"], capsys)
+        assert (rc, stdout) == (2, "")
+        assert "unknown config key 'ladder_kmax'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "--no-cache", "eig", "8", "8", "11",
+                  "--ladder", "5"])
+        assert exc.value.code == 2
+        assert "--ladder" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eig_rejects_non_finite_annulus_nodes(self, tmp_path, capsys):
         for m in ("nan", "inf"):
@@ -750,18 +759,6 @@ class TestSolveCompareEig:
                               "--no-cache", "eig", "3", "2", "11"], capsys)
         assert rc == 2
         assert f"unknown config key '{line.split()[0]}'" in err
-        assert not list(tmp_path.glob("eig_*"))
-
-    def test_eig_ladder_past_double_range_exits_2(self, tmp_path, capsys):
-        # 10.0 ** 309 ended in an OverflowError traceback, by flag and by
-        # config key alike
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("ladder_kmax = 309\n")
-        for argv in (["--ladder", "309"], ["--config", str(cfg)]):
-            rc, _, err = run_cli(["--out", str(tmp_path), "--no-cache", *argv,
-                                  "eig", "3", "3", "11"], capsys)
-            assert rc == 2, argv
-            assert "double range" in err
         assert not list(tmp_path.glob("eig_*"))
 
     def test_solve_rejects_zero_r_max(self, tmp_path, capsys):

@@ -7,8 +7,16 @@ import pytest
 from lelab import DomainError, ParameterTriple, derive_scaling, \
     hardy_rellich_constant, jl_curve_q
 from lelab.cli import main as cli_main
-from lelab.eigen import (Annulus, default_ladder, principal_eigenvalue,
-                         richardson_limit, singular_stability_verdict)
+from lelab.eigen import (Annulus, principal_eigenvalue, richardson_limit,
+                         singular_stability_verdict)
+from lelab.options import ladder_rung
+
+
+def coarse_ladder(k_max: int) -> list[Annulus]:
+    """The rungs [10^-k, 10^k], k = 1..k_max, with 512 k nodes: half the
+    default ladder's density."""
+    return [Annulus(10.0 ** -k, 10.0 ** k, 512 * k)
+            for k in range(1, k_max + 1)]
 
 
 def exact_zero_gamma_eigenvalue(N: int, annulus: Annulus) -> float:
@@ -60,7 +68,7 @@ class TestPrincipalEigenvalue:
     def test_matches_discrete_closed_form_at_zero_gamma(self, N):
         # lambda is D_1/h^4 at gamma = 0; the closed form's h, the log
         # width over M + 1, differs from the grid's step in its last bits
-        for ann in default_ladder(14):
+        for ann in map(ladder_rung, range(1, 15)):
             lam = principal_eigenvalue(ann, N, 0.0).lam
             exact = discrete_zero_gamma_eigenvalue(N, ann)
             assert lam == pytest.approx(exact, rel=1e-12), (N, ann)
@@ -166,6 +174,10 @@ class TestPrincipalEigenvalue:
             Annulus(1.0, 0.5, 64)
         with pytest.raises(DomainError):
             Annulus(1e-2, 1e2, 8)
+        # True once ran as the radius 1
+        for r_in, r_out in ((True, 10.0), (0.1, True), (math.nan, 10.0)):
+            with pytest.raises(DomainError, match="r_inner < r_outer"):
+                Annulus(r_in, r_out, 64)
         with pytest.raises(DomainError):
             principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 9.5)
 
@@ -177,22 +189,14 @@ class TestPrincipalEigenvalue:
 
 
 class TestLadder:
-    def test_rung_past_the_double_range_refused(self):
-        # 10.0 ** 309 overflows; k = 308 still forms its annulus
-        with pytest.raises(DomainError, match="double range"):
-            default_ladder(309)
-        assert default_ladder(308, 16)[-1].r_outer == 1e308
-
     def test_empty_ladder_refused(self):
         # no rung, no verdict: once an IndexError at the top rung
-        with pytest.raises(DomainError, match="k_max >= 1"):
-            default_ladder(0)
         with pytest.raises(DomainError, match="empty ladder"):
             singular_stability_verdict(ParameterTriple(9, 6, 11), ladder=[])
 
     def test_decreasing_and_extrapolates_to_constant(self):
         reports = [principal_eigenvalue(ann, 11, 0.4)
-                   for ann in default_ladder(4, 512)]
+                   for ann in coarse_ladder(4)]
         lams = [r.lam for r in reports]
         assert all(b < a for a, b in zip(lams, lams[1:]))
         c = hardy_rellich_constant(11, 0.4)
@@ -202,7 +206,7 @@ class TestLadder:
     def test_rung_matches_single_annulus(self):
         # the verdict solves each rung on its own, as a single annulus
         params = ParameterTriple(9, 6, 11)
-        ann = default_ladder(3, 512)
+        ann = coarse_ladder(3)
         rung = singular_stability_verdict(params, ann).reports[2].lam
         single = principal_eigenvalue(ann[-1], 11,
                                       derive_scaling(params).gamma).lam
@@ -230,7 +234,7 @@ class TestStabilityVerdict:
         q_star = jl_curve_q(11, 8.0)
         sr = singular_stability_verdict(
             ParameterTriple(8.0, q_star, 11),
-            ladder=default_ladder(3, 512),
+            ladder=coarse_ladder(3),
         )
         assert sr.extended == 11  # to the cap, k = 14
         assert sr.marginal
@@ -261,8 +265,8 @@ class TestStabilityVerdict:
             assert rep.lam == pytest.approx(exact, rel=1e-10)
 
     def test_high_dimension_ladder_cli(self, tmp_path):
-        rc = cli_main(["eig", "30", "20", "40", "--ladder", "8",
-                       "--out", str(tmp_path), "--no-cache"])
+        rc = cli_main(["eig", "30", "20", "40", "--annulus", "1e-8", "1e8",
+                       "8192", "--out", str(tmp_path), "--no-cache"])
         assert rc == 0
 
     def test_extension_contains_an_asymmetric_annulus(self):

@@ -10,14 +10,13 @@ enough that the search covers it.
 Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
-solve or ``--band`` of a compare, ``--ladder``, ``--steps`` or
-``--resolution`` below 1, an annulus node count that is not an integer
-from 16 to ``MAX_NODES``) must be refused with exit 2, and so must a shot with ``--v0``
-or ``--r-max``, which only a plain solve reads.  Sizes stay bounded:
-``--resolution`` <= 64, ``--ladder`` <= 3, ``--steps`` <= 16, no huge
-``--r-max``, and a small config keeps every integration short.  The
-annulus node count takes every edge token: a huge one is refused before
-its grid is allocated.
+solve or ``--band`` of a compare, ``--steps`` or ``--resolution`` below 1,
+an annulus node count that is not an integer from 16 to ``MAX_NODES``)
+must be refused with exit 2, and so must a shot with ``--v0`` or
+``--r-max``, which only a plain solve reads.  Sizes stay bounded:
+``--resolution`` <= 64, ``--steps`` <= 16, no huge ``--r-max``, and a
+small config keeps every integration short.  The annulus node count takes
+every edge token: a huge one is refused before its grid is allocated.
 """
 
 import math
@@ -33,7 +32,7 @@ BIG_INT = "1" + "0" * 399
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e308", BIG_INT)
 # slots where a huge finite value would make a long or large run get only
 # the tokens that must be refused
-BOUNDED = {"--steps", "--resolution", "--ladder", "--r-max"}
+BOUNDED = {"--steps", "--resolution", "--r-max"}
 BOUNDED_EDGE = ("0", "-1", "nan", "inf", "-inf")
 DROP = None
 
@@ -65,7 +64,7 @@ def bases(profile):
          ["--r-max", "10"]],
         [["compare"], ["3"], ["3"], ["11"], ["--profile", profile],
          ["--band", "1e-10"]],
-        [["eig"], ["9"], ["6"], ["11"], ["--ladder", "3"]],
+        [["eig"], ["9"], ["6"], ["11"]],
         [["eig"], ["3"], ["3"], ["11"], ["--annulus", "0.1", "10", "32"]],
     ]
 
@@ -121,7 +120,7 @@ def must_refuse(argv) -> bool:
         m = float(argv[argv.index("--annulus") + 3])
         if not (m.is_integer() and 16 <= m <= MAX_NODES):
             return True
-    flag = {"eig": "--ladder", "curve": "--steps", "scan": "--resolution"}.get(cmd)
+    flag = {"curve": "--steps", "scan": "--resolution"}.get(cmd)
     tok = _value(argv, flag) if flag else None
     return tok is not None and _invalid(tok, integer=True)
 

@@ -7,8 +7,10 @@ from lelab import DomainError, GridTooCoarse, ParameterTriple, derive_scaling
 from lelab.closed_form import SingularSolution
 from lelab.profiles import compare, truncate_profile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
-                          RadialProfile, SolverOptions, integrate, rescale,
-                          shoot)
+                          RadialProfile, SolverOptions, integrate,
+                          profile_from_text, profile_metadata, profile_to_csv,
+                          rescale, shoot)
+from lelab.serialize import to_json
 
 P33 = ParameterTriple(3, 3, 11)
 
@@ -26,6 +28,21 @@ def pseudo_profile(sc, u, v, r, dense=None, cls=ProfileClass.TRUNCATED):
         rtol=1e-10, atol=1e-12, stats=IntegratorStats(0, 0, 0.0, 0.0, 0),
         dense=dense,
     )
+
+
+# the shoot benchmark's five profiles, at the default options: the plain
+# (3,3,11) solve and its four shots
+WORKLOAD_PROFILES = {
+    "solve_3_3_11": lambda: integrate(P33, InitialData(1.0, 1.0), 1e6),
+    "shot_8_8_11": lambda: shoot(ParameterTriple(8, 8, 11), 1.0,
+                                 (0.5, 2.0)).profile,
+    "polished_9_6_11": lambda: shoot(ParameterTriple(9, 6, 11), 1.0,
+                                     (0.2, 5.0), polish=True).profile,
+    "polished_12_7_11": lambda: shoot(ParameterTriple(12, 7, 11), 1.0,
+                                      (0.2, 5.0), polish=True).profile,
+    "plain_6_4_11": lambda: shoot(ParameterTriple(6, 4, 11), 1.0,
+                                  (0.2, 5.0)).profile,
+}
 
 
 class TestCompare:
@@ -46,6 +63,30 @@ class TestCompare:
         with pytest.raises(DomainError, match="compared against"):
             compare(below_curve_profile,
                     derive_scaling(ParameterTriple(9, 6, 11)))
+
+    @pytest.mark.parametrize("band", [True, math.nan, 0.0, -1.0, math.inf])
+    def test_band_refused(self, below_curve_profile, band):
+        # True once ran with a band of 1 and reported band_rel True
+        with pytest.raises(DomainError, match="band_rel"):
+            compare(below_curve_profile, derive_scaling(P33), band_rel=band)
+
+    @pytest.mark.parametrize("make", WORKLOAD_PROFILES.values(),
+                             ids=WORKLOAD_PROFILES.keys())
+    def test_stored_profile_differs_from_live_only_in_radii(self, make):
+        # lelab compare reads the stored CSV and JSON, without dense output,
+        # so its crossings are log-linear secants on the grid, where the
+        # library bisects a live profile's dense output; only the crossing
+        # radii and the refined suprema may differ
+        live = make()
+        stored = profile_from_text(profile_to_csv(live),
+                                   to_json(profile_metadata(live)))
+        sc = derive_scaling(ParameterTriple(live.p, live.q, live.N))
+
+        def answer(rep):
+            return (len(rep.crossings_u), len(rep.crossings_v), rep.ordered,
+                    rep.degenerate, rep.interior_only, rep.band_rel)
+
+        assert answer(compare(stored, sc)) == answer(compare(live, sc))
 
     def test_degenerate_self_comparison(self):
         sc = derive_scaling(P33)
@@ -138,6 +179,12 @@ class TestRatioSuprema:
         assert trunc.classification is ProfileClass.TRUNCATED
         rep = compare(trunc, sc)
         assert rep.interior_only
+
+    @pytest.mark.parametrize("r_cut", [math.nan, True, 0.0])
+    def test_truncation_radius_refused(self, below_curve_profile, r_cut):
+        # nan once returned the whole profile unchanged
+        with pytest.raises(DomainError, match="truncation radius"):
+            truncate_profile(below_curve_profile, r_cut)
 
     def test_chain_violation_reported_for_small_window(self, below_curve_profile):
         # far below its supremum the truncated chain must fail; the report

@@ -155,6 +155,13 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             InitialData(0.0, 1.0)
 
+    @pytest.mark.parametrize("u0, v0", [(True, 1.0), (1.0, True),
+                                        (math.nan, 1.0), (1.0, math.inf)])
+    def test_initial_data_refused(self, u0, v0):
+        # True once integrated as 1 and was written as "u0": true
+        with pytest.raises(DomainError, match="initial values"):
+            InitialData(u0, v0)
+
     @pytest.mark.parametrize("u0, v0", [(1e-300, 1.0), (1.0, 1e-200)])
     def test_underflowing_initial_data_refused(self, u0, v0):
         # u0^q or v0^p underflows to 0: the series start once divided by it

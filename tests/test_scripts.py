@@ -3,10 +3,11 @@ the benchmark trajectory script reads every committed BENCH file, and the
 artifact digest script hashes every output of a benchmark op list, to the
 same bytes as the recorded digests."""
 
-import hashlib
+import difflib
 import importlib.util
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +86,10 @@ def test_artifact_digests_of_the_stability_list():
                      for ext in ("csv", "json")]
 
 
-# sha256 of the 174 digest lines of all three op lists at seed 7: every
-# stdout and artifact of the benchmark's ops, byte for byte.  A change that
-# moves any byte on purpose records the new value here and in CHANGES.md
-ARTIFACT_DIGESTS_SHA256 = \
-    "e62e8857174f14a53af766fffd74c982f8d2765c0aa1b8d67de6b2e6e5702444"
+# the 174 digest lines of all three op lists at seed 7: every stdout and
+# artifact of the benchmark's ops, byte for byte.  A change that moves any
+# byte on purpose records the new lines there and says so in CHANGES.md
+ARTIFACT_DIGESTS = Path(__file__).with_name("artifact_digests_seed7.txt")
 
 
 def test_artifact_digests_of_every_list_are_unchanged():
@@ -97,8 +97,11 @@ def test_artifact_digests_of_every_list_are_unchanged():
                            "--workload", "all", "--seed", "7"],
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, ""), done.stdout
-    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
-    assert digest == ARTIFACT_DIGESTS_SHA256, done.stdout
+    want = ARTIFACT_DIGESTS.read_text()
+    # on failure, only the lines that moved: - pinned, + now
+    moved = difflib.unified_diff(want.splitlines(), done.stdout.splitlines(),
+                                 "pinned", "now", n=0, lineterm="")
+    assert done.stdout == want, "\n".join(moved)
 
 
 def test_bench_trajectory_reads_both_layouts():
@@ -118,11 +121,24 @@ def test_bench_trajectory_reads_both_layouts():
     assert [tuple(ln.split()[:2]) for ln in lines] == want
     assert ("BENCH_11.json", "shoot_seed7") in want
     assert ("BENCH_17.json", "map_30s") in want
-    # BENCH_17 records the medians of its shoot pairs itself
+    # BENCH_17 records the medians of its shoot pairs itself, peak_rss_mb
+    # among them; the ops attempted are read from its runs
     doc = json.loads((files[0].parent / "BENCH_17.json").read_text())
     (row,) = [r for r in module.rows(files[0].parent / "BENCH_17.json")
               if r[1] == "shoot"]
+    assert module.METRICS == ("setup_s", "cold_s", "warm_s", "peak_rss_mb")
     for metric in module.METRICS:
         summary = doc["summary"]["shoot"][metric]
         assert row[3][metric] == pytest.approx(
             (summary["parent_median"], summary["change_median"]), rel=1e-12)
+    pairs = doc["workloads"]["shoot"]["pairs"]
+    assert row[3]["attempted"] == tuple(
+        statistics.median(p[side]["attempted"] for p in pairs)
+        for side in ("parent", "change"))
+    (line,) = [ln for ln in lines
+               if ln.split()[:2] == ["BENCH_17.json", "shoot"]]
+    parent, change = row[3]["peak_rss_mb"]
+    assert f"{parent:.1f} -> {change:8.1f}" in line
+    parent, change = row[3]["attempted"]
+    assert line.rstrip().endswith(f"{parent:.0f} -> {change:8.0f} "
+                                  f"({change / parent:5.3f})")

@@ -108,7 +108,8 @@ ARTIFACTS = {
     "scan": (["scan", "11", "--window", "1", "12", "1", "12",
               "--resolution", "16"], "scan_*.json",
              "3c84f378e01041ee557b74fc874643c50d4f5935c0008c9a863b2b3a828b1087"),
-    "eig": (["--ladder", "1", "eig", "9", "6", "11"], "eig_*.json",
+    "eig": (["eig", "9", "6", "11", "--annulus", "0.1", "10", "1024"],
+            "eig_*.json",
             "dc40af630f0439a76782cd22ac34e589afe770118552246c6911fd58c097ecf6"),
     "eig_extended": (["eig", "6.9", "6.9", "11"], "eig_*.json",
                      "b64afc1169647ccc6578eb65d3991e1ec405fba9722b72a7fa465e915bd8827e"),
