@@ -7,8 +7,12 @@ workload at one seed) or ``what``/``workloads``
 (``workloads[workload]["pairs"]``).  This prints, per file and workload,
 the number of pairs and the median on each side of ``setup_s``,
 ``cold_s``, ``warm_s``, ``peak_rss_mb`` and the ops ``attempted``, with the
-change's median over the parent's.  ``peak_rss_mb`` grows with the ops a
-run completes, so read the two together:
+change's median over the parent's.  After each metric's ratio comes the
+spread of the parent's runs, their interquartile range over their median,
+marked ``unresolved`` where it exceeds the metric's bound in
+``BENCHMARK.json``: a change of that metric within its bound cannot be
+told from noise there.  ``peak_rss_mb`` grows with the ops a run
+completes, so read the two together:
 
     python scripts/bench_trajectory.py              # every BENCH_*.json
     python scripts/bench_trajectory.py BENCH_17.json
@@ -28,6 +32,9 @@ METRICS = ("setup_s", "cold_s", "warm_s", "peak_rss_mb")
 # with the digits each shows
 COLUMNS = METRICS + ("attempted",)
 DIGITS = {"peak_rss_mb": 1, "attempted": 0}
+# each end-to-end metric's bound, relative to the parent's median
+BOUNDS = {m["name"]: m["bound"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def pair_lists(doc: dict) -> dict:
@@ -40,14 +47,22 @@ def pair_lists(doc: dict) -> dict:
             if "runs" in study}
 
 
+def spread(values: list) -> float:
+    """The interquartile range of ``values`` over their median."""
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / q2
+
+
 def rows(path: Path) -> list[tuple]:
-    """(file, workload, pairs, {metric: (parent median, change median)})."""
+    """(file, workload, pairs, {metric: (parent median, change median)},
+    {metric: the parent's spread}), the spreads of METRICS only."""
     out = []
     for name, pairs in pair_lists(json.loads(path.read_text())).items():
         medians = {m: tuple(statistics.median(p[side][m] for p in pairs)
                             for side in ("parent", "change"))
                    for m in COLUMNS}
-        out.append((path.name, name, len(pairs), medians))
+        spreads = {m: spread([p["parent"][m] for p in pairs]) for m in METRICS}
+        out.append((path.name, name, len(pairs), medians, spreads))
     return out
 
 
@@ -61,14 +76,18 @@ def main(argv: list[str]) -> int:
     table = [r for path in paths for r in rows(path)]
     width = max([len("workload")] + [len(r[1]) for r in table])
     print(f"{'file':<14} {'workload':<{width}} {'pairs':>5}"
-          + "".join(f"  {m + ': parent -> change (ratio)':<34}"
-                    for m in COLUMNS).rstrip())
-    for name, workload, n, medians in table:
+          + "".join(f"  {m + ': parent -> change (ratio) spread':<47}"
+                    for m in METRICS)
+          + f"  {'attempted: parent -> change (ratio)'}")
+    for name, workload, n, medians, spreads in table:
         cells = ""
         for m in COLUMNS:
             (p, c), d = medians[m], DIGITS.get(m, 4)
-            cells += f"  {p:10.{d}f} -> {c:8.{d}f} ({c / p:5.3f})    "
-        print(f"{name:<14} {workload:<{width}} {n:>5}{cells.rstrip()}")
+            cells += f"  {p:10.{d}f} -> {c:8.{d}f} ({c / p:5.3f})"
+            if m in spreads:
+                mark = "unresolved" if spreads[m] > BOUNDS[m] else ""
+                cells += f" {spreads[m]:5.2f} {mark:<10}"
+        print(f"{name:<14} {workload:<{width}} {n:>5}{cells}")
     return 0
 
 

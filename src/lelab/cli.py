@@ -28,7 +28,7 @@ from .config import RunConfig, load_config
 from .errors import ConvergenceError, DomainError
 from .exponents import (_TOL_CURVE, ParameterTriple, classify, derive_scaling,
                         jl_curve_q)
-from .options import DEFAULT_BAND, Annulus, default_ladder
+from .options import DEFAULT_BAND, V0_TOL, Annulus, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
@@ -255,6 +255,9 @@ def _cmd_scan(args, cfg: RunConfig):
 def _cmd_solve(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
     opts = cfg.solver_options()
+    # the plain shot's stopping width, as the last key of "opts", keeps
+    # every artifact name and cache key of the solve and shoot payloads
+    opts_payload = {**asdict(opts), "v0_tol": V0_TOL}
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
             raise DomainError("--shoot requires --v0-lo and --v0-hi")
@@ -264,7 +267,7 @@ def _cmd_solve(args, cfg: RunConfig):
         payload = {
             "cmd": "shoot", "p": args.p, "q": args.q, "N": args.N,
             "u0": args.u0, "v0_lo": args.v0_lo, "v0_hi": args.v0_hi,
-            "polish": bool(args.polish), "opts": asdict(opts),
+            "polish": bool(args.polish), "opts": opts_payload,
         }
     else:
         if args.v0 is None:
@@ -272,7 +275,7 @@ def _cmd_solve(args, cfg: RunConfig):
         payload = {
             "cmd": "solve", "p": args.p, "q": args.q, "N": args.N,
             "u0": args.u0, "v0": args.v0, "r_max": args.r_max,
-            "opts": asdict(opts),
+            "opts": opts_payload,
         }
 
     def produce(h):
@@ -281,7 +284,8 @@ def _cmd_solve(args, cfg: RunConfig):
             res = radial.shoot(params, args.u0, (args.v0_lo, args.v0_hi),
                                opts, polish=args.polish)
             profile = res.profile
-            # a shot stopped at v0_tol may still hit zero before r_target
+            # a plain shot stopped at V0_TOL may still hit zero before
+            # r_target
             reached = (profile.classification
                        is radial.ProfileClass.ENTIRE_POSITIVE)
             extra = {"v0_star": res.v0, "iterations": res.iterations,
@@ -386,7 +390,7 @@ def _cmd_eig(args, cfg: RunConfig):
 # flag -> the config key it overrides and the flag's type
 _KEY_FLAGS = {
     "--tol-ode-rel": ("rtol", float), "--tol-ode-abs": ("atol", float),
-    "--tol-v0": ("v0_tol", float), "--resolution": ("resolution", int),
+    "--resolution": ("resolution", int),
 }
 
 

@@ -22,19 +22,19 @@ __all__ = ["RunConfig", "parse_config_file", "load_config"]
 class RunConfig:
     """The settable values; the solver defaults are those of
     ``SolverOptions``.  The eigen ladder has no setting: ``eig`` runs
-    ``default_ladder()`` or its ``--annulus``."""
+    ``default_ladder()`` or its ``--annulus``.  Nor has a shot's stopping
+    width: ``--polish`` narrows it to 4 ulp from ``options.V0_TOL``."""
 
     rtol: float = SolverOptions.rtol
     atol: float = SolverOptions.atol
     r_target: float = SolverOptions.r_target
     grid_nodes: int = SolverOptions.grid_nodes
-    v0_tol: float = SolverOptions.v0_tol
     resolution: int = 400
     out: str = "."
     cache: bool = True
 
     def solver_options(self) -> SolverOptions:
-        """The five solver keys as validated ``SolverOptions``; a value that
+        """The four solver keys as validated ``SolverOptions``; a value that
         fails is a ConfigError that names its key."""
         opts = SolverOptions(**{f.name: getattr(self, f.name)
                                 for f in fields(SolverOptions)})

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import DomainError
 from .exponents import (CurvePosition, ParameterTriple, _bisect,
                         check_dimension, classify, derive_scaling)
-from .options import Annulus, default_ladder, ladder_rung
+from .options import Annulus, _is_finite, default_ladder, ladder_rung
 
 __all__ = [
     "Annulus",
@@ -121,8 +121,8 @@ def principal_eigenvalue(annulus: Annulus, N: int, gamma: float) -> EigReport:
     overflows a double on this grid.
     """
     N = check_dimension(N, 3)
-    if not (0.0 <= gamma < N - 2.0):
-        raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}")
+    if not (_is_finite(gamma) and 0.0 <= gamma < N - 2.0):
+        raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma!r:.40}")
     M = annulus.M
     start, stop = math.log(annulus.r_inner), math.log(annulus.r_outer)
     # rho[1] - rho[0] of np.linspace(start, stop, M + 2), formed as

@@ -27,7 +27,10 @@ class StepUnderflow(ConvergenceError):
 
 
 class GridTooCoarse(ConvergenceError):
-    """Sign structure inside one grid cell could not be resolved."""
+    """Sign structure inside one grid cell could not be resolved.  Only
+    ``profiles.compare`` of a live profile raises it, since it probes the
+    dense output inside a cell; a stored profile (``lelab compare``) has
+    none."""
 
 
 class MisclassifiedProfile(DomainError):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError
+from .options import _is_finite
 
 __all__ = [
     "ParameterTriple",
@@ -59,10 +60,10 @@ class ParameterTriple:
     N: int
 
     def __post_init__(self):
+        if not (_is_finite(self.p) and _is_finite(self.q)):
+            raise DomainError("exponents must be finite real numbers")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise DomainError("exponents must be finite")
         object.__setattr__(self, "N", check_dimension(self.N, 1))
         if not (self.p >= self.q > 0.0):
             raise DomainError(
@@ -74,12 +75,8 @@ class ParameterTriple:
 
 def check_dimension(N, least: int) -> int:
     """N as an int, refused unless it is an integer >= least that a double
-    can hold: every formula downstream works on float(N)."""
-    try:
-        ok = int(N) == N and N >= least and math.isfinite(float(N))
-    except (OverflowError, ValueError):  # inf, nan, or an int past 1e308
-        ok = False
-    if not ok:
+    can hold (not a bool): every formula downstream works on float(N)."""
+    if not (_is_finite(N) and int(N) == N and N >= least):
         raise DomainError(f"integer N >= {least} within double range required, "
                           f"got {N!r:.40}")
     return int(N)
@@ -142,8 +139,8 @@ def hardy_rellich_constant(N: int, gamma: float) -> float:
     """Optimal radial constant [((N-2)^2 - gamma^2)/4]^2 of the weighted
     Hardy-Rellich inequality; requires N >= 3 and 0 <= gamma < N-2."""
     N = check_dimension(N, 3)
-    if not (0.0 <= gamma < N - 2.0):
-        raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma}, N={N}")
+    if not (_is_finite(gamma) and 0.0 <= gamma < N - 2.0):
+        raise DomainError(f"0 <= gamma < N-2 required, got gamma={gamma!r:.40}, N={N}")
     return _c_gamma(N, gamma)
 
 
@@ -452,8 +449,8 @@ def jl_curve_q(N: int, p: float) -> float | None:
     ``_sobolev_q_lower``.
     """
     N = check_dimension(N, 3)
-    if p < 1.0:
-        raise DomainError(f"p >= 1 required, got {p}")
+    if not (_is_finite(p) and p >= 1.0):
+        raise DomainError(f"a finite p >= 1 required, got {p!r:.40}")
     if not math.isfinite(p * p):
         raise DomainError(f"p q overflows on the slice p={p}")
     q_lo = _sobolev_q_lower(N, p)

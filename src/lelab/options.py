@@ -1,8 +1,8 @@
 """The solvers' plain-value inputs, without numpy.
 
-``SolverOptions`` (radial solver and shooting), ``Annulus``, ``ladder_rung``
-and ``default_ladder`` (eigen ladder), and ``DEFAULT_BAND`` (the dead band
-of profile comparison).  The command line builds its cache payloads and
+``SolverOptions`` and ``V0_TOL`` (radial solver and shooting), ``Annulus``,
+``ladder_rung`` and ``default_ladder`` (eigen ladder), ``DEFAULT_BAND``
+(profile comparison).  The command line builds its cache payloads and
 parser defaults from these, so a cache hit needs no numerical layer;
 ``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles`` re-export them.
 """
@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
 
 __all__ = ["SolverOptions", "Annulus", "ladder_rung", "default_ladder",
-           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES"]
+           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES", "V0_TOL"]
+
+# relative width of the final v0 bracket of a shot without ``polish``
+V0_TOL = 1e-13
 
 # relative dead band of ``profiles.compare``, floored at the profile's rtol
 DEFAULT_BAND = 1e-12
@@ -31,10 +35,13 @@ LADDER_KMAX, LADDER_M_PER_K = 5, 1024
 MAX_NODES = 2 ** 22
 
 
-def _is_real(v) -> bool:
-    """Whether ``v`` is a real number and not a bool: bool is an Integral,
-    and so a Real, and True would pass as 1."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    """Whether ``v`` is a real number that a finite double holds, and not a
+    bool: bool is an Integral, and so a Real, and True would pass as 1.  The
+    comparison is exact, where ``math.isfinite`` raises OverflowError on an
+    int past the double range; float and int skip the slower ABC test."""
+    return (isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -43,13 +50,12 @@ class SolverOptions:
     atol: float = 1e-12
     r_target: float = 1e6
     grid_nodes: int = 2048
-    v0_tol: float = 1e-13
 
     def validate(self) -> None:
-        for name in ("rtol", "atol", "r_target", "v0_tol"):
+        for name in ("rtol", "atol", "r_target"):
             v = getattr(self, name)
-            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+            if not (_is_finite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {v!r:.40}")
         if not self.rtol < 1.0:
             raise ConfigError(f"rtol must be below 1, got {self.rtol!r}")
         n = self.grid_nodes
@@ -65,9 +71,8 @@ class Annulus:
     M: int
 
     def __post_init__(self):
-        if not (_is_real(self.r_inner) and _is_real(self.r_outer)
-                and 0.0 < self.r_inner < self.r_outer
-                and math.isfinite(self.r_outer)):
+        if not (_is_finite(self.r_inner) and _is_finite(self.r_outer)
+                and 0.0 < self.r_inner < self.r_outer):
             raise DomainError("need 0 < r_inner < r_outer < inf")
         if not isinstance(self.M, numbers.Integral):
             raise DomainError(f"the node count must be an integer, got {self.M!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from .closed_form import SingularSolution
 from .errors import DomainError, GridTooCoarse
 from .exponents import ScalingData, _bisect
-from .options import DEFAULT_BAND, _is_real
+from .options import DEFAULT_BAND, _is_finite
 from .radial import ProfileClass, RadialProfile
 
 __all__ = ["ComparisonReport", "compare", "truncate_profile"]
@@ -61,9 +61,9 @@ class ComparisonReport:
 
 def truncate_profile(profile: RadialProfile, r_cut: float) -> RadialProfile:
     """Restrict a profile to grid radii <= r_cut (dense output kept)."""
-    if not (_is_real(r_cut) and r_cut > profile.r[0]):
-        raise DomainError(f"truncation radius must be a number above the "
-                          f"first grid node, got {r_cut!r}")
+    if not (_is_finite(r_cut) and r_cut > profile.r[0]):
+        raise DomainError(f"truncation radius must be a finite number above "
+                          f"the first grid node, got {r_cut!r:.40}")
     n = int(np.searchsorted(profile.r, r_cut, side="right"))
     cls = profile.classification
     if cls is ProfileClass.ENTIRE_POSITIVE and n < profile.r.size:
@@ -172,8 +172,8 @@ def compare(profile: RadialProfile, scaling: ScalingData,
             f"profile of (p, q, N) = ({profile.p:g}, {profile.q:g}, "
             f"{profile.N}) compared against the singular pair of "
             f"({scaling.p:g}, {scaling.q:g}, {scaling.N})")
-    if not (_is_real(band_rel) and 0.0 < band_rel < math.inf):
-        raise DomainError(f"band_rel must be positive and finite, got {band_rel!r}")
+    if not (_is_finite(band_rel) and band_rel > 0.0):
+        raise DomainError(f"band_rel must be positive and finite, got {band_rel!r:.40}")
     band_rel = max(band_rel, profile.rtol)
     r = profile.r
     if np.any(r <= 0.0):

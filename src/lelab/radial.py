@@ -57,7 +57,8 @@ through ``_end`` and the builder's interpolation: the profile's float.
 The shot keeps only the march of the full-accuracy read of smallest |g|,
 returns its v0, an end of the final bracket, and runs that march on to
 r_target for the profile, instead of integrating from the origin again.
-``polish`` only narrows the final bracket from v0_tol to 4 ulp.
+``polish`` only narrows the final bracket from a relative width of
+``V0_TOL`` = 1e-13 to 4 ulp.
 ``iterations`` counts the probes of both phases and ``bracket_width`` is
 the final bracket (0 for the exact diagonal shot).
 """
@@ -81,9 +82,8 @@ from .errors import (
 )
 from .closed_form import transverse_covector
 from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
-from .options import SolverOptions, _is_real
-# unused here: kept because bench/tracing.py wraps it under this module too
-from .serialize import to_csv  # noqa: F401
+from .options import V0_TOL, SolverOptions, _is_finite
+from .serialize import to_csv
 
 __all__ = [
     "InitialData",
@@ -139,8 +139,7 @@ class InitialData:
     v0: float
 
     def __post_init__(self):
-        if not all(_is_real(x) and x > 0.0 and math.isfinite(x)
-                   for x in (self.u0, self.v0)):
+        if not all(_is_finite(x) and x > 0.0 for x in (self.u0, self.v0)):
             raise DomainError("initial values must be positive and finite")
 
 
@@ -346,7 +345,7 @@ def _march(params: ParameterTriple, init: InitialData, r_max: float,
     next step (compensated summation).  Where the march pauses does not
     change a bit of it.  ``opts`` must be valid: ``integrate`` and
     ``shoot`` check them."""
-    if not (r_max > 0.0 and math.isfinite(r_max)):
+    if not (_is_finite(r_max) and r_max > 0.0):
         raise DomainError("r_max must be positive and finite")
     taylor = _TaylorStart(params, init, opts, r_max)
     if taylor.r_first >= r_max:
@@ -619,7 +618,7 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     The search has two phases.  The coarse one marches its probes at
     rtol = max(rtol, 1e-6) and atol = max(atol, 1e-8), since far from the
     root only the sign and rough size of g matter, and stops at a relative
-    bracket width of max(tol, 1e-7).  Each end of its bracket is probed
+    bracket width of 1e-7.  Each end of its bracket is probed
     again at the caller's tolerances, unless g is known there at those
     already (no v0 is marched twice at one set of tolerances); if both keep
     their signs, the full-accuracy phase narrows that bracket, else it
@@ -627,20 +626,21 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     were integrated at the caller's tolerances, and a plain shot returns a
     v0 as good as its best probe, often within a few ulp of the polished
     one.  While the bracket spans more than a factor of 2, either phase
-    halves it in log v0.  ``polish``
-    only sets where the search stops: at 4 ulp, which places v0 on the
-    entire-solution manifold to a few ulp, or at v0_tol.  ``iterations``
-    counts the probes to R of both phases and ``bracket_width`` is the
-    final bracket.
+    halves it in log v0.  ``polish`` only sets where the search stops: at
+    4 ulp, which places v0 on the entire-solution manifold to a few ulp,
+    or at a relative width of ``V0_TOL`` = 1e-13.  ``iterations`` counts
+    the probes to R of both phases and ``bracket_width`` is the final
+    bracket.
     """
     opts = SolverOptions() if opts is None else opts
     opts.validate()
     scaling = derive_scaling(params)
-    lo, hi = float(v0_bracket[0]), float(v0_bracket[1])
-    if not (0.0 < lo < hi):
-        raise DomainError("need 0 < lo < hi in the v0 bracket")
-    if u0 <= 0.0:
-        raise DomainError("u0 must be positive")
+    lo, hi = v0_bracket
+    if not (_is_finite(lo) and _is_finite(hi) and 0.0 < lo < hi):
+        raise DomainError("need 0 < lo < hi < inf in the v0 bracket")
+    lo, hi = float(lo), float(hi)
+    if not (_is_finite(u0) and u0 > 0.0):
+        raise DomainError("u0 must be positive and finite")
 
     R = min(opts.r_target, _PROBE_RADIUS)
     read = _reader(params, scaling, u0, R, opts)
@@ -689,8 +689,8 @@ def shoot(params: ParameterTriple, u0: float, v0_bracket: tuple,
     coarse = replace(opts, rtol=max(opts.rtol, _COARSE_RTOL),
                      atol=max(opts.atol, _COARSE_ATOL))
     fine = probe(opts)
-    tol = 4.0 * _EPS if polish else opts.v0_tol
-    a, b = _bisect(probe(coarse), pa, pb, max(tol, _COARSE_WIDTH),
+    tol = 4.0 * _EPS if polish else V0_TOL
+    a, b = _bisect(probe(coarse), pa, pb, _COARSE_WIDTH,
                    _SHOOT_MAX_ITER, fpa, fpb, geometric=True)
     # the fine phase starts from the coarse bracket only if both its ends
     # keep their signs at the caller's tolerances
@@ -759,7 +759,7 @@ def rescale(profile: RadialProfile, scaling: ScalingData, R: float) -> RadialPro
     exactly; derivatives pick up one extra power of R.  The result solves
     the same system because alpha + 2 = beta p and beta + 2 = alpha q.
     """
-    if not (R > 0.0 and math.isfinite(R)):
+    if not (_is_finite(R) and R > 0.0):
         raise DomainError("R must be positive and finite")
     cu = R ** scaling.alpha
     cv = R ** scaling.beta
@@ -885,13 +885,10 @@ def profile_metadata(profile: RadialProfile) -> dict:
 
 
 def profile_to_csv(profile: RadialProfile) -> str:
-    """The profile's nodes as ``r,u,v,du,dv`` CSV rows.  One ``%.17g``
-    format per row writes the bytes ``serialize.to_csv`` would, without
-    its type test per cell."""
+    """The profile's nodes as ``r,u,v,du,dv`` CSV rows."""
     columns = (profile.r, profile.u, profile.v, profile.du, profile.dv)
-    return "r,u,v,du,dv\n" + "".join(
-        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
-        for row in zip(*(a.tolist() for a in columns)))
+    return to_csv(["r", "u", "v", "du", "dv"],
+                  zip(*(a.tolist() for a in columns)))
 
 
 def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:

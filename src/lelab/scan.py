@@ -28,12 +28,14 @@ lattice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .exponents import _TOL_CURVE, _curve_floor, check_dimension, curve_margins
+from .options import _is_finite
 
 __all__ = ["ScanResult", "scan_codes", "region_codes"]
 
@@ -76,11 +78,14 @@ def region_codes(p: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
 def scan_codes(N: int, window, resolution: int) -> ScanResult:
     """Region codes on a resolution^2 lattice over the given window."""
     N = check_dimension(N, 1)
-    p_min, p_max, q_min, q_max = map(float, window)
-    if not (1.0 <= p_min < p_max < math.inf and 1.0 <= q_min < q_max < math.inf):
+    # a bool or a value no finite double holds reads nan, which is refused
+    p_min, p_max, q_min, q_max = (float(x) if _is_finite(x) else math.nan
+                                  for x in window)
+    if not (1.0 <= p_min < p_max and 1.0 <= q_min < q_max):
         raise DomainError("window must satisfy 1 <= min < max < inf on both axes")
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    if not (isinstance(resolution, numbers.Integral)
+            and not isinstance(resolution, bool) and resolution >= 1):
+        raise DomainError(f"resolution must be an integer >= 1, got {resolution!r:.40}")
     p = np.linspace(p_min, p_max, resolution) if resolution > 1 else np.array([p_min])
     q = np.linspace(q_min, q_max, resolution) if resolution > 1 else np.array([q_min])
     codes = np.empty((resolution, resolution), dtype=np.int8)

@@ -88,27 +88,14 @@ def to_json(obj: Any, indent: int = 2) -> str:
 
 
 def to_csv(header: list[str], rows) -> str:
-    """Deterministic CSV text; numeric cells rendered with fmt_float,
-    string cells (such as preformatted repeated values) written as given."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, str):
-                cells.append(c)
-            elif isinstance(c, bool):
-                cells.append("true" if c else "false")
-            elif isinstance(c, int):
-                cells.append(str(c))
-            elif isinstance(c, float):
-                cells.append(fmt_float(c))
-            elif hasattr(c, "item"):
-                cells.append(fmt_float(float(c)))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
-    lines.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(lines)
+    """Deterministic CSV text.  The first row fixes one format per column:
+    a string cell (such as a preformatted repeated value) is written as
+    given, any other cell by fmt_float's %.17g, which prints an int's
+    digits.  One format per row, not a type test per cell."""
+    rows = list(rows)
+    first = rows[0] if rows else ()
+    fmt = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows)
 
 
 def payload_hash(payload: dict) -> str:

@@ -91,7 +91,7 @@ class TestConfig:
         assert "--tol-curve" in capsys.readouterr().err
 
     def test_solver_options_from_config(self, tmp_path):
-        # the six solver keys become the solvers' options, other keys not
+        # the four solver keys become the solvers' options, other keys not
         cfg_file = tmp_path / "lab.cfg"
         cfg_file.write_text("rtol = 1e-8\ngrid_nodes = 256\nresolution = 64\n")
         assert load_config(cfg_file).solver_options() == SolverOptions(
@@ -549,9 +549,10 @@ class TestSolveCompareEig:
         assert fa == fb
 
     def test_shoot_reports_reached_target(self, tmp_path, capsys):
-        # bisection alone stops at a coarse v0_tol on a shot that crashes
+        # a plain shot below the curve stops at V0_TOL and crashes before
+        # r_target
         rc, out, _ = run_cli(
-            ["--out", str(tmp_path / "coarse"), "--no-cache", "--tol-v0", "0.1",
+            ["--out", str(tmp_path / "coarse"), "--no-cache",
              "solve", "6", "4", "11", "--u0", "1", "--shoot",
              "--v0-lo", "0.2", "--v0-hi", "5"], capsys)
         assert rc == 0
@@ -721,6 +722,24 @@ class TestSolveCompareEig:
                   "--ladder", "5"])
         assert exc.value.code == 2
         assert "--ladder" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shot_stopping_width_is_not_a_setting(self, tmp_path, capsys):
+        # --polish alone chooses where a shot stops: v0_tol is no config key
+        # and --tol-v0 no flag, and neither run writes anything
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("v0_tol = 1e-6\n")
+        out = tmp_path / "out"
+        shot = ["solve", "9", "6", "11", "--u0", "1", "--shoot",
+                "--v0-lo", "0.2", "--v0-hi", "5"]
+        rc, stdout, err = run_cli(["--config", str(cfg), "--out", str(out),
+                                   "--no-cache", *shot], capsys)
+        assert (rc, stdout) == (2, "")
+        assert "unknown config key 'v0_tol'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), "--no-cache", *shot, "--tol-v0", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol-v0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eig_rejects_non_finite_annulus_nodes(self, tmp_path, capsys):

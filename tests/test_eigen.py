@@ -175,11 +175,14 @@ class TestPrincipalEigenvalue:
         with pytest.raises(DomainError):
             Annulus(1e-2, 1e2, 8)
         # True once ran as the radius 1
-        for r_in, r_out in ((True, 10.0), (0.1, True), (math.nan, 10.0)):
+        # and 10**400 ended in an OverflowError
+        for r_in, r_out in ((True, 10.0), (0.1, True), (math.nan, 10.0),
+                            (0.1, 10**400)):
             with pytest.raises(DomainError, match="r_inner < r_outer"):
                 Annulus(r_in, r_out, 64)
-        with pytest.raises(DomainError):
-            principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, 9.5)
+        for gamma in (9.5, True):  # True once ran as gamma = 1
+            with pytest.raises(DomainError, match="gamma"):
+                principal_eigenvalue(Annulus(1e-2, 1e2, 64), 11, gamma)
 
     @pytest.mark.parametrize("M", [64.7, 64.0, math.nan, "64"])
     def test_node_count_not_an_integer(self, M):

@@ -63,6 +63,15 @@ class TestDeriveScaling:
         with pytest.raises(DomainError):
             ParameterTriple(2.0, 3.0, 11)  # p < q
 
+    @pytest.mark.parametrize("p, q, N", [
+        pytest.param(10**400, 1, 11, id="10**400-1-11"), (30, True, 13),
+        (True, True, 11), (9, 6, True)])
+    def test_triple_refuses_bools_and_ints_past_the_doubles(self, p, q, N):
+        # 10**400 ended in an OverflowError; q = True classified (30, 1, 13)
+        # AboveCurve, and N = True was read as 1
+        with pytest.raises(DomainError):
+            ParameterTriple(p, q, N)
+
     @settings(max_examples=200, deadline=None)
     @given(triple_strategy())
     def test_algebraic_identities(self, t):
@@ -170,6 +179,8 @@ class TestHardyRellichConstant:
             hardy_rellich_constant(11, 9.0)
         with pytest.raises(DomainError):
             hardy_rellich_constant(11, -0.1)
+        with pytest.raises(DomainError):
+            hardy_rellich_constant(11, True)  # once read as gamma = 1
 
 
 class TestCurveRootFinding:
@@ -215,6 +226,9 @@ class TestCurveRootFinding:
             jl_curve_q(11, 0.5)
         with pytest.raises(DomainError):
             jl_curve_q(2, 3.0)
+        for p in (True, 10**400):  # once read as p = 1, an OverflowError
+            with pytest.raises(DomainError):
+                jl_curve_q(11, p)
 
     @pytest.mark.parametrize("N, p_min, p_max, most", [(13, 4.0, 12.0, 4514),
                                                        (11, 7.0, 12.0, 4469)])
@@ -473,6 +487,22 @@ def test_blocked_scan_matches_whole_lattice(resolution, window):
         assert res.codes.tobytes() == whole.tobytes()
         assert res.counts == tuple(np.bincount(whole.ravel(),
                                                minlength=3).tolist())
+
+
+@pytest.mark.parametrize("window, resolution, match", [
+    ((1.0, 12.0, 1.0, 12.0), True, "resolution"),
+    ((1.0, 12.0, 1.0, 12.0), 0, "resolution"),
+    ((1.0, 12.0, 1.0, 12.0), 4.0, "resolution"),
+    ((True, 12.0, 1.0, 12.0), 4, "window"),
+    pytest.param((1.0, 10**400, 1.0, 12.0), 4, "window", id="10**400")])
+def test_scan_refuses_bools_and_ints_past_the_doubles(window, resolution,
+                                                      match):
+    # resolution True ended in a TypeError from numpy, a window end True
+    # was read as 1, and 10**400 ended in an OverflowError
+    from lelab.scan import scan_codes
+
+    with pytest.raises(DomainError, match=match):
+        scan_codes(11, window, resolution)
 
 
 def test_region_codes_match_classify(rng):

@@ -37,8 +37,7 @@ BOUNDED_EDGE = ("0", "-1", "nan", "inf", "-inf")
 DROP = None
 
 CONFIG = ("r_target = 10\n"
-          "grid_nodes = 64\n"
-          "v0_tol = 1e-6\n")
+          "grid_nodes = 64\n")
 
 
 def bases(profile):
@@ -57,8 +56,7 @@ def bases(profile):
         [["solve"], ["3"], ["3"], ["11"], ["--u0", "1"], ["--v0", "1"],
          ["--r-max", "10"], ["--tol-ode-rel", "1e-10"]],
         [["solve"], ["8"], ["8"], ["11"], ["--u0", "1"], ["--shoot"],
-         ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--polish"],
-         ["--tol-v0", "1e-6"]],
+         ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--polish"]],
         [["solve"], ["8"], ["8"], ["11"], ["--u0", "1"], ["--shoot"],
          ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--v0", "1"],
          ["--r-max", "10"]],

@@ -64,9 +64,11 @@ class TestCompare:
             compare(below_curve_profile,
                     derive_scaling(ParameterTriple(9, 6, 11)))
 
-    @pytest.mark.parametrize("band", [True, math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("band", [True, math.nan, 0.0, -1.0, math.inf,
+                                      pytest.param(10**400, id="10**400")])
     def test_band_refused(self, below_curve_profile, band):
-        # True once ran with a band of 1 and reported band_rel True
+        # True once ran with a band of 1 and reported band_rel True, and
+        # 10**400 ended in an OverflowError
         with pytest.raises(DomainError, match="band_rel"):
             compare(below_curve_profile, derive_scaling(P33), band_rel=band)
 
@@ -180,9 +182,11 @@ class TestRatioSuprema:
         rep = compare(trunc, sc)
         assert rep.interior_only
 
-    @pytest.mark.parametrize("r_cut", [math.nan, True, 0.0])
+    @pytest.mark.parametrize("r_cut", [math.nan, True, 0.0,
+                                       pytest.param(10**400, id="10**400")])
     def test_truncation_radius_refused(self, below_curve_profile, r_cut):
-        # nan once returned the whole profile unchanged
+        # nan once returned the whole profile unchanged, and 10**400 ended
+        # in an OverflowError
         with pytest.raises(DomainError, match="truncation radius"):
             truncate_profile(below_curve_profile, r_cut)
 

@@ -13,12 +13,13 @@ from lelab import BracketError, ConfigError, DomainError, ParameterTriple, \
     StepUnderflow, derive_scaling
 from lelab.closed_form import SingularSolution
 from lelab.errors import MisclassifiedProfile
+from lelab.options import V0_TOL
 from lelab.radial import (_EVENT_TOL, InitialData, IntegratorStats,
                           ProfileClass, RadialProfile, SolverOptions, _horner,
                           _TaylorStart, decay_identity_check, integrate,
                           ode_residual, profile_from_text, profile_metadata,
                           profile_to_csv, rescale, shoot)
-from lelab.serialize import to_csv, to_json
+from lelab.serialize import fmt_float, to_json
 
 from references import reference_integrate
 
@@ -132,20 +133,24 @@ class TestIntegrate:
         assert prof.classification is ProfileClass.ENTIRE_POSITIVE
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            integrate(P33, InitialData(1.0, 1.0), -1.0)
+        # r_max True once marched to r = 1 and returned Truncated
+        for r_max in (-1.0, True):
+            with pytest.raises(DomainError, match="r_max"):
+                integrate(P33, InitialData(1.0, 1.0), r_max)
         with pytest.raises(ConfigError):
             integrate(P33, InitialData(1.0, 1.0), 1.0, SolverOptions(rtol=-1))
 
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
-        ("r_target", math.inf), ("v0_tol", math.inf), ("r_target", True),
+        ("r_target", math.inf), ("r_target", True),
+        pytest.param("r_target", 10**400, id="r_target-10**400"),
         ("grid_nodes", 15), ("grid_nodes", 64.5)])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, an
         # infinite tolerance in an OverflowError, a fractional node count
-        # in a TypeError from numpy, and r_target True (read as 1) in an
-        # EntirePositive profile
+        # in a TypeError from numpy, r_target True (read as 1) in an
+        # EntirePositive profile, and an int past the doubles in an
+        # OverflowError
         opts = SolverOptions(**{field: value})
         with pytest.raises(ConfigError, match=field):
             integrate(ParameterTriple(3, 3, 11), InitialData(1.0, 1.0), 1e6,
@@ -156,9 +161,12 @@ class TestIntegrate:
             InitialData(0.0, 1.0)
 
     @pytest.mark.parametrize("u0, v0", [(True, 1.0), (1.0, True),
-                                        (math.nan, 1.0), (1.0, math.inf)])
+                                        (math.nan, 1.0), (1.0, math.inf),
+                                        pytest.param(10**400, 1.0,
+                                                     id="10**400-1.0")])
     def test_initial_data_refused(self, u0, v0):
-        # True once integrated as 1 and was written as "u0": true
+        # True once integrated as 1 and was written as "u0": true; an int
+        # past the doubles ended in an OverflowError
         with pytest.raises(DomainError, match="initial values"):
             InitialData(u0, v0)
 
@@ -351,11 +359,15 @@ class TestShoot:
         # and 1.10 (u hits zero)
         assert 1.05 < res.v0 < 1.10
 
-    def test_bracket_already_narrow(self, marches):
-        # a bracket inside v0_tol needs no probe: the end of smaller |g| is
-        # returned, with the march that read it (which hit zero, as an end
-        # must); no v0 is marched again
-        opts = SolverOptions(r_target=1000.0, v0_tol=10.0)
+    def test_bracket_already_narrow(self, marches, monkeypatch):
+        # a bracket inside both stopping widths needs no probe: the end of
+        # smaller |g| is returned, with the march that read it (which hit
+        # zero, as an end must); no v0 is marched again
+        from lelab import radial
+
+        monkeypatch.setattr(radial, "V0_TOL", 10.0)
+        monkeypatch.setattr(radial, "_COARSE_WIDTH", 10.0)
+        opts = SolverOptions(r_target=1000.0)
         res = shoot(P32, 1.0, (0.05, 5.0), opts)
         assert (res.v0, res.iterations, res.bracket_width) == (0.05, 0, 4.95)
         assert res.profile.v0 == 0.05
@@ -392,19 +404,18 @@ class TestShoot:
     def test_plain_probe_count_below_curve(self):
         # below the curve too the transverse mode is real (kappa_min =
         # -2.47 on (6,4,11)), and the search reads values: bisection to
-        # v0_tol takes 46 probes
+        # V0_TOL takes 46 probes
         res = shoot(ParameterTriple(6, 4, 11), 1.0, (0.2, 5.0))
         assert res.iterations <= 24
-        assert res.bracket_width <= SolverOptions().v0_tol * res.v0
+        assert res.bracket_width <= V0_TOL * res.v0
 
     def test_bracket_end_near_blowup(self):
         # at v0 = 1e33 u hits zero at r = 1.9e-148, whose value
         # (r_ev / R)^kappa_min would overflow a double
-        res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 1e33),
-                    SolverOptions(v0_tol=1e-6))
+        res = shoot(ParameterTriple(9, 6, 11), 1.0, (0.2, 1e33))
         assert res.v0 == pytest.approx(1.0357844085, abs=1e-5)
-        # the wide bracket is halved in log v0: 185 probes when it was
-        # halved in v0
+        # the wide bracket is halved in log v0: 26 probes, where halving
+        # it in v0 took 185
         assert res.iterations <= 80
 
     def test_polish_sets_only_the_stopping_width(self, marches):
@@ -422,11 +433,10 @@ class TestShoot:
             assert [r for r, _ in marched[:2]] == [1e6, 1e6]
             assert {r for r, _ in marched[2:]} == {1e2}
         plain, polished = shots[False], shots[True]
-        assert abs(plain.v0 - polished.v0) <= \
-            SolverOptions().v0_tol * max(1.0, polished.v0)
+        assert abs(plain.v0 - polished.v0) <= V0_TOL * max(1.0, polished.v0)
         assert plain.bracket_width > polished.bracket_width
         # the same v0 are marched up to the plain search's last probe, which
-        # closes its bracket at v0_tol; the polished search's secants reach
+        # closes its bracket at V0_TOL; the polished search's secants reach
         # 4 ulp in no more probes (22 each)
         n = 2 + plain.iterations - 1
         assert runs[False][:n] == runs[True][:n]
@@ -442,6 +452,18 @@ class TestShoot:
         with pytest.raises(DomainError):
             shoot(ParameterTriple(1.2, 1.1, 5), 1.0, (0.05, 5.0))
         assert radii == []
+
+    @pytest.mark.parametrize("u0, bracket", [
+        pytest.param(10**400, (0.2, 5.0), id="u0-10**400"),
+        pytest.param(True, (0.2, 5.0), id="u0-True"),
+        pytest.param(1.0, (True, 5.0), id="lo-True"),
+        pytest.param(1.0, (0.2, 10**400), id="hi-10**400"),
+        pytest.param(1.0, (0.2, math.inf), id="hi-inf")])
+    def test_bools_and_ints_past_the_doubles_refused(self, u0, bracket):
+        # u0 = 10**400 ended in an OverflowError, and a bracket end True
+        # was read as 1
+        with pytest.raises(DomainError):
+            shoot(ParameterTriple(9, 6, 11), u0, bracket)
 
     def test_polished_diagonal_is_exact(self):
         res = shoot(ParameterTriple(8, 8, 11), 1.0, (0.5, 2.0), SolverOptions(),
@@ -591,7 +613,7 @@ class TestTwoPhaseShot:
         (coarse_start, coarse_ends), (fine_start, fine_ends) = marches.brackets
         assert coarse_start == fine_start == (0.2, 5.0)
         assert min(coarse_ends) > 1.005 * plain.v0
-        assert abs(res.v0 - plain.v0) <= SolverOptions().v0_tol * plain.v0
+        assert abs(res.v0 - plain.v0) <= V0_TOL * plain.v0
         assert res.profile.classification is not ProfileClass.TRUNCATED
 
 
@@ -627,15 +649,11 @@ class TestResumedShot:
         ((6, 4, 11), (0.2, 5.0), SolverOptions(), False),
         # no pause: the probes march to r_target = R
         ((9, 6, 11), (0.2, 5.0), SolverOptions(r_target=50.0), False),
-        # the search stops at the coarse bracket: its best end is returned
-        ((9, 6, 11), (0.2, 5.0), SolverOptions(v0_tol=1e-7), False),
     ])
     def test_profile_is_a_fresh_integration(self, marches, triple, bracket,
                                             opts, polish):
         params = ParameterTriple(*triple)
         res = shoot(params, 1.0, bracket, opts, polish=polish)
-        if opts.v0_tol == 1e-7:
-            assert res.v0 in marches.brackets[0][1]
         fresh = integrate(params, InitialData(1.0, res.v0), opts.r_target, opts)
         got = res.profile
         for name in ("r", "u", "v", "du", "dv"):
@@ -780,8 +798,10 @@ class TestRescale:
 
     def test_rejects_bad_scale(self, symmetric_entire):
         sc = derive_scaling(P33)
-        with pytest.raises(DomainError):
-            rescale(symmetric_entire, sc, 0.0)
+        # True once rescaled by 1, and 10**400 ended in an OverflowError
+        for R in (0.0, True, 10**400):
+            with pytest.raises(DomainError):
+                rescale(symmetric_entire, sc, R)
 
 
 class TestDecayIdentity:
@@ -819,14 +839,14 @@ class TestSerialization:
         assert prof2.classification is symmetric_entire.classification
 
     def test_csv_matches_row_path(self, symmetric_entire):
-        # one %.17g format per row; the oracle is to_csv cell by cell,
+        # one %.17g format per row; the oracle is fmt_float cell by cell,
         # non-finite values and a negative zero included
         u = symmetric_entire.u.copy()
         u[:4] = [math.nan, math.inf, -math.inf, -0.0]
         prof = dataclasses.replace(symmetric_entire, u=u)
         rows = zip(prof.r, prof.u, prof.v, prof.du, prof.dv)
-        assert profile_to_csv(prof) == to_csv(["r", "u", "v", "du", "dv"],
-                                              rows)
+        expected = "".join(",".join(map(fmt_float, row)) + "\n" for row in rows)
+        assert profile_to_csv(prof) == "r,u,v,du,dv\n" + expected
 
     def test_parse_matches_row_path(self, symmetric_entire):
         # one numpy conversion for all cells; the oracle is float() per

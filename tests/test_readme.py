@@ -1,5 +1,7 @@
-"""Every ``lelab`` command of the README's usage block must run."""
+"""Every ``lelab`` command of the README's usage block must run, and its
+list of global flags is the parser's."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -28,3 +30,16 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 0, (argv, err)
+
+
+def test_readme_global_flags_match_the_parser():
+    # the sentence that opens "Global flags:" names every flag of the root
+    # parser but --help and --version
+    from lelab.cli import _build_parser
+
+    paragraph = README.read_text().split("Global flags:", 1)[1]
+    sentence = re.split(r"\.\s", paragraph, maxsplit=1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", sentence))
+    parser_flags = {s for a in _build_parser()._actions
+                    for s in a.option_strings if s.startswith("--")}
+    assert named == parser_flags - {"--help", "--version"}

@@ -142,3 +142,16 @@ def test_bench_trajectory_reads_both_layouts():
     parent, change = row[3]["attempted"]
     assert line.rstrip().endswith(f"{parent:.0f} -> {change:8.0f} "
                                   f"({change / parent:5.3f})")
+    # a metric whose parent runs spread wider than its bound is marked
+    # unresolved: the parent's interquartile range over its median
+    marks = {(r[0], r[1], m, round(s, 2))
+             for p in files if p.name in ("BENCH_26.json", "BENCH_27.json")
+             for r in module.rows(p) for m, s in r[4].items()
+             if s > module.BOUNDS[m]}
+    assert marks == {("BENCH_26.json", "map", "peak_rss_mb", 0.13),
+                     ("BENCH_26.json", "stability", "peak_rss_mb", 0.16),
+                     ("BENCH_27.json", "stability_seeds401-410", "cold_s", 0.28)}
+    for file, workload in [("BENCH_26.json", "map"),
+                           ("BENCH_27.json", "stability_seeds401-410")]:
+        (line,) = [ln for ln in lines if ln.split()[:2] == [file, workload]]
+        assert line.count("unresolved") == 1

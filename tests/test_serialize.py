@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lelab.cli import main
-from lelab.serialize import fmt_float, payload_hash, to_json
+from lelab.serialize import fmt_float, payload_hash, to_csv, to_json
 
 
 def reference_json(obj, indent=2):
@@ -90,6 +90,41 @@ class TestEmitter:
         assert payload_hash({"cmd": "solve", "p": 9.0, "q": 6.0, "N": 11,
                              "shoot": True, "bracket": [0.2, 5.0]}) \
             == "ce61dc59a248"
+
+
+def reference_csv(header, rows):
+    """The CSV writer as it was, with a type test per cell: the oracle for
+    ``to_csv``'s bytes."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            c if isinstance(c, str) else str(c) if isinstance(c, int)
+            else fmt_float(float(c)) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+# a column holds text or numbers, as every caller's columns do
+CELLS = {"text": st.text(alphabet="abc-.0123456789e", max_size=6),
+         "int": st.integers(-2**53, 2**53), "float": st.floats(),
+         "float64": st.floats().map(np.float64),
+         "int64": st.integers(-2**40, 2**40).map(np.int64)}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=5))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=6))
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_csv_bytes_match_the_per_cell_writer(table):
+    # one %-format per row, fixed by the first: the bytes of a type test
+    # per cell, on ints, numpy scalars, NaN, infinities and -0.0 too
+    header, rows = table
+    assert to_csv(header, rows) == reference_csv(header, rows)
 
 
 # one document of every artifact kind, by test id: (argv, the file glob or

@@ -161,6 +161,11 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
             assert layer in names, (op, names)
         assert "radial.profile_from_text" in {
             span[3] for span in tracer.spans if span[1] == "compare"}
+        # the profile CSV goes through serialize.to_csv: 2,048 rows of 5
+        # cells
+        assert "serialize.to_csv" in {
+            span[3] for span in tracer.spans if span[1] == "shoot"}
+        assert tracer.counts["shoot"]["csv_cells"] == 2048 * 5
         tracer.uninstall()
         spans, counts = len(tracer.spans), dict(tracer.counts)
         for argv, _ in ops.values():
