@@ -28,7 +28,7 @@ from .config import RunConfig, load_config
 from .errors import ConvergenceError, DomainError
 from .exponents import (_TOL_CURVE, ParameterTriple, classify, derive_scaling,
                         jl_curve_q)
-from .options import DEFAULT_BAND, V0_TOL, Annulus, default_ladder
+from .options import DEFAULT_BAND, GRID_NODES, V0_TOL, Annulus, default_ladder
 from .serialize import fmt_float, payload_hash, to_csv, to_json
 
 __all__ = ["main"]
@@ -255,9 +255,9 @@ def _cmd_scan(args, cfg: RunConfig):
 def _cmd_solve(args, cfg: RunConfig):
     params = ParameterTriple(args.p, args.q, args.N)
     opts = cfg.solver_options()
-    # the plain shot's stopping width, as the last key of "opts", keeps
-    # every artifact name and cache key of the solve and shoot payloads
-    opts_payload = {**asdict(opts), "v0_tol": V0_TOL}
+    # the grid and a plain shot's stopping width, the last keys of "opts",
+    # keep every artifact name and cache key of the solve and shoot payloads
+    opts_payload = {**asdict(opts), "grid_nodes": GRID_NODES, "v0_tol": V0_TOL}
     if args.shoot:
         if args.v0_lo is None or args.v0_hi is None:
             raise DomainError("--shoot requires --v0-lo and --v0-hi")
@@ -323,14 +323,14 @@ def _cmd_compare(args, cfg: RunConfig):
     payload = {
         "cmd": "compare", "p": args.p, "q": args.q, "N": args.N,
         "profile_hash": payload_hash({"csv": csv_text, "json": json_text}),
-        "band": args.band,
+        "band": DEFAULT_BAND,
     }
 
     def produce(h):
         from . import profiles, radial
         profile = radial.profile_from_text(csv_text, json_text)
         scaling = derive_scaling(params)
-        rep = profiles.compare(profile, scaling, band_rel=args.band)
+        rep = profiles.compare(profile, scaling)
         rows = [("u", r) for r in rep.crossings_u] + \
                [("v", r) for r in rep.crossings_v]
         doc = _document("comparison", p=args.p, q=args.q, N=args.N,
@@ -460,8 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_triple(sp)
     sp.add_argument("--profile", type=str, required=True,
                     help="basename (or .csv path) of a stored profile")
-    sp.add_argument("--band", type=float, default=DEFAULT_BAND,
-                    help="relative dead band, floored at the profile's rtol")
 
     sp = sub.add_parser("eig", parents=[parent],
                         help="annulus eigenvalue ladder and stability verdict")
@@ -500,7 +498,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    except MemoryError as exc:  # a lattice or grid too large to allocate
+    except MemoryError as exc:  # a scan lattice too large to allocate
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 4
 

@@ -22,19 +22,19 @@ __all__ = ["RunConfig", "parse_config_file", "load_config"]
 class RunConfig:
     """The settable values; the solver defaults are those of
     ``SolverOptions``.  The eigen ladder has no setting: ``eig`` runs
-    ``default_ladder()`` or its ``--annulus``.  Nor has a shot's stopping
-    width: ``--polish`` narrows it to 4 ulp from ``options.V0_TOL``."""
+    ``default_ladder()`` or its ``--annulus``.  Nor have a shot's stopping
+    width, a profile's grid and the floor of ``compare``'s band:
+    ``options.V0_TOL``, ``GRID_NODES`` and ``DEFAULT_BAND``."""
 
     rtol: float = SolverOptions.rtol
     atol: float = SolverOptions.atol
     r_target: float = SolverOptions.r_target
-    grid_nodes: int = SolverOptions.grid_nodes
     resolution: int = 400
     out: str = "."
     cache: bool = True
 
     def solver_options(self) -> SolverOptions:
-        """The four solver keys as validated ``SolverOptions``; a value that
+        """The three solver keys as validated ``SolverOptions``; a value that
         fails is a ConfigError that names its key."""
         opts = SolverOptions(**{f.name: getattr(self, f.name)
                                 for f in fields(SolverOptions)})

@@ -1,10 +1,11 @@
 """The solvers' plain-value inputs, without numpy.
 
-``SolverOptions`` and ``V0_TOL`` (radial solver and shooting), ``Annulus``,
-``ladder_rung`` and ``default_ladder`` (eigen ladder), ``DEFAULT_BAND``
-(profile comparison).  The command line builds its cache payloads and
-parser defaults from these, so a cache hit needs no numerical layer;
-``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles`` re-export them.
+``SolverOptions``, ``GRID_NODES`` and ``V0_TOL`` (radial solver and
+shooting), ``Annulus``, ``ladder_rung`` and ``default_ladder`` (eigen
+ladder), ``DEFAULT_BAND`` (profile comparison).  The command line builds
+its cache payloads and parser defaults from these, so a cache hit needs no
+numerical layer; ``lelab.radial``, ``lelab.eigen`` and ``lelab.profiles``
+re-export them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ from dataclasses import dataclass
 from .errors import ConfigError, DomainError
 
 __all__ = ["SolverOptions", "Annulus", "ladder_rung", "default_ladder",
-           "DEFAULT_BAND", "LADDER_KMAX", "LADDER_M_PER_K", "MAX_NODES", "V0_TOL"]
+           "DEFAULT_BAND", "GRID_NODES", "LADDER_KMAX", "LADDER_M_PER_K",
+           "MAX_NODES", "V0_TOL"]
 
 # relative width of the final v0 bracket of a shot without ``polish``
 V0_TOL = 1e-13
 
-# relative dead band of ``profiles.compare``, floored at the profile's rtol
+# log-spaced output nodes of every radial profile
+GRID_NODES = 2048
+
+# floor of the relative dead band of ``profiles.compare``, the profile's rtol
 DEFAULT_BAND = 1e-12
 
 # the default ladder: rungs k = 1..LADDER_KMAX (``ladder_rung``), with
@@ -49,7 +54,6 @@ class SolverOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     r_target: float = 1e6
-    grid_nodes: int = 2048
 
     def validate(self) -> None:
         for name in ("rtol", "atol", "r_target"):
@@ -58,10 +62,6 @@ class SolverOptions:
                 raise ConfigError(f"{name} must be positive and finite, got {v!r:.40}")
         if not self.rtol < 1.0:
             raise ConfigError(f"rtol must be below 1, got {self.rtol!r}")
-        n = self.grid_nodes
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                and n >= 16):
-            raise ConfigError(f"grid_nodes must be an integer >= 16, got {n!r}")
 
 
 @dataclass(frozen=True)

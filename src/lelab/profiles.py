@@ -154,14 +154,13 @@ def _refine_max(ratio, r, i, f_dense, sing_val):
     return y1, float(r[i])
 
 
-def compare(profile: RadialProfile, scaling: ScalingData,
-            band_rel: float = DEFAULT_BAND) -> ComparisonReport:
+def compare(profile: RadialProfile, scaling: ScalingData) -> ComparisonReport:
     """Sign-change count and ratio suprema of a profile against (u_s, v_s).
 
     The profile must belong to the scaling's triple (p, q, N).  The dead
-    band is band_rel (positive and finite) floored at the profile's own
-    rtol: below it a sign of u/u_s - 1 is the solver's error, not the
-    solution's; the report carries the band used.
+    band is the profile's own rtol, floored at ``DEFAULT_BAND``: below it a
+    sign of u/u_s - 1 is the solver's error, not the solution's; the report
+    carries the band used.
 
     On an ordered profile the chain M1 <= M2^p and M2 <= M1^q holds for the
     true suprema over (0, inf); the report carries the signed deficits
@@ -172,9 +171,7 @@ def compare(profile: RadialProfile, scaling: ScalingData,
             f"profile of (p, q, N) = ({profile.p:g}, {profile.q:g}, "
             f"{profile.N}) compared against the singular pair of "
             f"({scaling.p:g}, {scaling.q:g}, {scaling.N})")
-    if not (_is_finite(band_rel) and band_rel > 0.0):
-        raise DomainError(f"band_rel must be positive and finite, got {band_rel!r:.40}")
-    band_rel = max(band_rel, profile.rtol)
+    band_rel = max(DEFAULT_BAND, profile.rtol)
     r = profile.r
     if np.any(r <= 0.0):
         raise DomainError("profile grid must be positive")

@@ -82,7 +82,7 @@ from .errors import (
 )
 from .closed_form import transverse_covector
 from .exponents import ParameterTriple, ScalingData, _bisect, derive_scaling
-from .options import V0_TOL, SolverOptions, _is_finite
+from .options import GRID_NODES, V0_TOL, SolverOptions, _is_finite
 from .serialize import to_csv
 
 __all__ = [
@@ -566,7 +566,7 @@ def _profile(params: ParameterTriple, init: InitialData, opts: SolverOptions,
     r_event = None if kind is None else r_end
     classification = kind or (ProfileClass.ENTIRE_POSITIVE
                               if r_end >= opts.r_target else ProfileClass.TRUNCATED)
-    grid = np.geomspace(taylor.r_first, r_end, opts.grid_nodes)
+    grid = np.geomspace(taylor.r_first, r_end, GRID_NODES)
     grid[0] = taylor.r_first
     grid[-1] = r_end
     vals = dense.grid(grid)
@@ -894,7 +894,8 @@ def profile_to_csv(profile: RadialProfile) -> str:
 def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
     """The profile that ``profile_to_csv`` and ``profile_metadata`` stored;
     DomainError for a document that is not one (cut short, non-numeric or
-    non-finite cells, keys missing)."""
+    non-finite cells, keys missing, a (p, q, N) or tolerances that
+    ``ParameterTriple`` or ``SolverOptions`` refuse)."""
     import json as _json
 
     try:
@@ -912,9 +913,10 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
         if not np.isfinite(data).all():  # float() reads "nan" and "inf"
             raise ValueError("a radial-profile CSV cell is not finite")
         stats = meta["stats"]
+        params = ParameterTriple(**meta["params"])
+        SolverOptions(rtol=meta["rtol"], atol=meta["atol"]).validate()
         return RadialProfile(
-            p=float(meta["params"]["p"]), q=float(meta["params"]["q"]),
-            N=int(meta["params"]["N"]),
+            p=params.p, q=params.q, N=params.N,
             u0=float(meta["u0"]), v0=float(meta["v0"]),
             r=data[:, 0], u=data[:, 1], v=data[:, 2], du=data[:, 3],
             dv=data[:, 4],
@@ -928,5 +930,5 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
             ),
             dense=None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise DomainError(f"malformed stored profile: {exc!r}") from exc

@@ -351,7 +351,7 @@ def test_c8_solver_verification():
         (P32, InitialData(1.0, 0.9), 100.0),
     ]
     for params, init, r_max in cases:
-        prof = integrate(params, init, r_max, SolverOptions(grid_nodes=512))
+        prof = integrate(params, init, r_max)
         ref = reference_integrate(params, init, prof.r)
         for got, want in ((prof.u, ref[0]), (prof.v, ref[2])):
             worst = max(worst, float(np.max(np.abs(got - want))

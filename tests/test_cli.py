@@ -38,12 +38,12 @@ class TestConfig:
             'out = "results"\n'
             "cache = false\n"
         )
-        cfg = load_config(cfg_file, {"grid_nodes": 256})
+        cfg = load_config(cfg_file, {"atol": 1e-11})
         assert cfg.rtol == 1e-8
         assert cfg.resolution == 64
         assert cfg.out == "results"
         assert cfg.cache is False
-        assert cfg.grid_nodes == 256
+        assert cfg.atol == 1e-11
 
     def test_unknown_key_named(self, tmp_path):
         cfg_file = tmp_path / "lab.cfg"
@@ -68,7 +68,7 @@ class TestConfig:
         assert "'resolution'" in err
 
     @pytest.mark.parametrize("key, value", [
-        ("rtol", "1e-8"), ("atol", None), ("grid_nodes", 64.5),
+        ("rtol", "1e-8"), ("atol", None), ("r_target", "1e6"),
         ("resolution", 4.0), ("resolution", True), ("r_target", True)])
     def test_mistyped_override_refused(self, key, value):
         # a value of the wrong type is a ConfigError naming its key, not a
@@ -90,12 +90,27 @@ class TestConfig:
         assert exc.value.code == 2
         assert "--tol-curve" in capsys.readouterr().err
 
-    def test_solver_options_from_config(self, tmp_path):
-        # the four solver keys become the solvers' options, other keys not
+    def test_grid_is_not_a_setting(self, tmp_path, capsys):
+        # a profile always has options.GRID_NODES nodes: grid_nodes is an
+        # unknown key, in a config file and as an override
         cfg_file = tmp_path / "lab.cfg"
-        cfg_file.write_text("rtol = 1e-8\ngrid_nodes = 256\nresolution = 64\n")
+        cfg_file.write_text("grid_nodes = 64\n")
+        rc, _, err = run_cli(["--config", str(cfg_file), "--out",
+                              str(tmp_path / "out"), "--no-cache", "solve",
+                              "3", "3", "11", "--u0", "1", "--v0", "1",
+                              "--r-max", "10"], capsys)
+        assert rc == 2
+        assert "unknown config key 'grid_nodes'" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="unknown config key 'grid_nodes'"):
+            load_config(None, {"grid_nodes": 64})
+
+    def test_solver_options_from_config(self, tmp_path):
+        # the three solver keys become the solvers' options, other keys not
+        cfg_file = tmp_path / "lab.cfg"
+        cfg_file.write_text("rtol = 1e-8\natol = 1e-11\nresolution = 64\n")
         assert load_config(cfg_file).solver_options() == SolverOptions(
-            rtol=1e-8, grid_nodes=256)
+            rtol=1e-8, atol=1e-11)
 
     def test_relative_tolerances_below_one(self, tmp_path):
         # a relative tolerance of 1 or more accepts anything
@@ -495,19 +510,12 @@ class TestScanCommand:
         assert "cache hit" in err
         assert output.read_bytes() == original
 
-    @pytest.mark.parametrize("argv, config", [
-        (["scan", "11", "--resolution", "1000000000000"], ""),
-        (["solve", "3", "3", "11", "--u0", "1", "--v0", "1", "--r-max", "10"],
-         "grid_nodes = 1000000000000\n"),
-    ], ids=["scan", "solve"])
-    def test_unallocatable_lattice_exits_4(self, tmp_path, capsys, argv,
-                                           config):
-        # these ended in numpy's allocation traceback (exit 1); 1e12 nodes
+    def test_unallocatable_lattice_exits_4(self, tmp_path, capsys):
+        # this ended in numpy's allocation traceback (exit 1); 1e12 nodes
         # fail at the first allocation, before any memory is committed
-        cfg = tmp_path / "big.cfg"
-        cfg.write_text(config)
         rc, _, err = run_cli(["--out", str(tmp_path / "out"), "--no-cache",
-                              "--config", str(cfg), *argv], capsys)
+                              "scan", "11", "--resolution", "1000000000000"],
+                             capsys)
         assert rc == 4
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -606,6 +614,21 @@ class TestSolveCompareEig:
         assert rep["band_rel"] == 1e-10
         assert rep["crossings_u"] == [] and rep["crossings_v"] == []
         assert rep["ordered"] is True
+
+    def test_compare_band_floor(self, tmp_path, capsys):
+        # below an rtol of 1e-12 the band stays at its floor, 1e-12
+        out = tmp_path / "fine"
+        rc, stdout, _ = run_cli(
+            ["--out", str(out), "--no-cache", "--tol-ode-rel", "1e-13",
+             "solve", "3", "3", "11", "--u0", "1", "--v0", "1", "--r-max",
+             "100"], capsys)
+        assert rc == 0
+        rc, _, _ = run_cli(
+            ["--out", str(out), "--no-cache", "compare", "3", "3", "11",
+             "--profile", str(out / stdout.split()[0])], capsys)
+        assert rc == 0
+        rep = json.loads(next(out.glob("compare_*.json")).read_text())["report"]
+        assert rep["band_rel"] == 1e-12
 
     def test_eig_ladder_monotone(self, tmp_path, capsys):
         out = tmp_path / "eig"
@@ -880,10 +903,8 @@ class TestSolveCompareEig:
 def stored_profile(tmp_path_factory):
     """The CSV and JSON text of a short stored (3,3,11) profile."""
     out = tmp_path_factory.mktemp("stored")
-    (out / "small.cfg").write_text("grid_nodes = 64\n")
-    assert main(["--out", str(out), "--no-cache", "--config",
-                 str(out / "small.cfg"), "solve", "3", "3", "11", "--u0", "1",
-                 "--v0", "1", "--r-max", "10"]) == 0
+    assert main(["--out", str(out), "--no-cache", "solve", "3", "3", "11",
+                 "--u0", "1", "--v0", "1", "--r-max", "10"]) == 0
     csv = next(out.glob("profile_*.csv"))
     return csv.read_text(), csv.with_suffix(".json").read_text()
 
@@ -909,14 +930,33 @@ class TestCompareRefuses:
                             json_text)
         assert rc == 0
 
-    @pytest.mark.parametrize("band", ["0", "-1", "nan", "inf", "-inf"])
-    def test_band_not_positive_and_finite(self, tmp_path, capsys,
-                                          stored_profile, band):
+    def test_band_is_not_a_flag(self, tmp_path, capsys, stored_profile):
+        # the band is the stored rtol floored at DEFAULT_BAND
         csv_text, json_text = stored_profile
+        with pytest.raises(SystemExit) as exc:
+            _compare(tmp_path, capsys, ("3", "3", "11"), csv_text, json_text,
+                     "--band", "1e-10")
+        assert exc.value.code == 2
+        assert "--band" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("rtol", "Infinity"), ("rtol", "NaN"), ("rtol", "-1"), ("rtol", "0"),
+        ("atol", "Infinity"), ("atol", "NaN"), ("atol", "-1"),
+        ("N", "11.5"), ("N", "true")])
+    def test_metadata_value_refused(self, tmp_path, capsys, stored_profile,
+                                    key, value):
+        # json reads NaN and Infinity; an rtol of Infinity once compared
+        # with exit 0 and "band_rel": null, NaN and -1 with the band 1e-12,
+        # and N = 11.5 as N = 11
+        csv_text, json_text = stored_profile
+        meta = json.loads(json_text)
+        (meta["params"] if key == "N" else meta)[key] = "VALUE"
+        text = json.dumps(meta).replace('"VALUE"', value)
         rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"), csv_text,
-                              json_text, f"--band={band}")
+                              text)
         assert rc == 2
-        assert "band" in err
+        assert "malformed stored profile" in err
         assert not (tmp_path / "out").exists()
 
     def test_csv_cut_mid_file(self, tmp_path, capsys, stored_profile):

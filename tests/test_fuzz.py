@@ -10,12 +10,11 @@ enough that the search covers it.
 Every argv must end in a documented exit code (0, 2, 3, 4), or in argparse's
 own exit (0 or 2), never in another exception.  A value that a command
 documents as invalid (a non-positive or non-finite ``--r-max`` of a plain
-solve or ``--band`` of a compare, ``--steps`` or ``--resolution`` below 1,
-an annulus node count that is not an integer from 16 to ``MAX_NODES``)
-must be refused with exit 2, and so must a shot with ``--v0`` or
-``--r-max``, which only a plain solve reads.  Sizes stay bounded:
-``--resolution`` <= 64, ``--steps`` <= 16, no huge ``--r-max``, and a
-small config keeps every integration short.  The annulus node count takes
+solve, ``--steps`` or ``--resolution`` below 1, an annulus node count that
+is not an integer from 16 to ``MAX_NODES``) must be refused with exit 2,
+and so must a shot with ``--v0`` or ``--r-max``, which only a plain solve
+reads.  Sizes stay bounded: ``--resolution`` <= 64, ``--steps`` <= 16, no
+huge ``--r-max``, and a small config keeps every integration short.  The annulus node count takes
 every edge token: a huge one is refused before its grid is allocated.
 """
 
@@ -36,8 +35,7 @@ BOUNDED = {"--steps", "--resolution", "--r-max"}
 BOUNDED_EDGE = ("0", "-1", "nan", "inf", "-inf")
 DROP = None
 
-CONFIG = ("r_target = 10\n"
-          "grid_nodes = 64\n")
+CONFIG = "r_target = 10\n"
 
 
 def bases(profile):
@@ -60,8 +58,7 @@ def bases(profile):
         [["solve"], ["8"], ["8"], ["11"], ["--u0", "1"], ["--shoot"],
          ["--v0-lo", "0.5"], ["--v0-hi", "2"], ["--v0", "1"],
          ["--r-max", "10"]],
-        [["compare"], ["3"], ["3"], ["11"], ["--profile", profile],
-         ["--band", "1e-10"]],
+        [["compare"], ["3"], ["3"], ["11"], ["--profile", profile]],
         [["eig"], ["9"], ["6"], ["11"]],
         [["eig"], ["3"], ["3"], ["11"], ["--annulus", "0.1", "10", "32"]],
     ]
@@ -110,9 +107,6 @@ def must_refuse(argv) -> bool:
         if "--shoot" in argv:
             return "--v0" in argv or "--r-max" in argv
         tok = _value(argv, "--r-max")
-        return tok is not None and _invalid(tok, integer=False)
-    if cmd == "compare":
-        tok = _value(argv, "--band")
         return tok is not None and _invalid(tok, integer=False)
     if cmd == "eig" and "--annulus" in argv:
         m = float(argv[argv.index("--annulus") + 3])

@@ -5,6 +5,7 @@ import pytest
 
 from lelab import DomainError, GridTooCoarse, ParameterTriple, derive_scaling
 from lelab.closed_form import SingularSolution
+from lelab.options import DEFAULT_BAND
 from lelab.profiles import compare, truncate_profile
 from lelab.radial import (InitialData, IntegratorStats, ProfileClass,
                           RadialProfile, SolverOptions, integrate,
@@ -64,13 +65,13 @@ class TestCompare:
             compare(below_curve_profile,
                     derive_scaling(ParameterTriple(9, 6, 11)))
 
-    @pytest.mark.parametrize("band", [True, math.nan, 0.0, -1.0, math.inf,
-                                      pytest.param(10**400, id="10**400")])
-    def test_band_refused(self, below_curve_profile, band):
-        # True once ran with a band of 1 and reported band_rel True, and
-        # 10**400 ended in an OverflowError
-        with pytest.raises(DomainError, match="band_rel"):
-            compare(below_curve_profile, derive_scaling(P33), band_rel=band)
+    def test_band_is_rtol_floored(self, below_curve_profile):
+        # the band is the profile's rtol, and DEFAULT_BAND = 1e-12 below it
+        sc = derive_scaling(P33)
+        assert compare(below_curve_profile, sc).band_rel == 1e-10
+        fine = integrate(P33, InitialData(1.0, 1.0), 100.0,
+                         SolverOptions(rtol=1e-13))
+        assert compare(fine, sc).band_rel == DEFAULT_BAND == 1e-12
 
     @pytest.mark.parametrize("make", WORKLOAD_PROFILES.values(),
                              ids=WORKLOAD_PROFILES.keys())

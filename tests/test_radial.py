@@ -73,8 +73,7 @@ class TestIntegrate:
             (P32, InitialData(1.0, 0.9), 100.0),
         ]
         for params, init, r_max in cases:
-            prof = integrate(params, init, r_max,
-                             SolverOptions(grid_nodes=512))
+            prof = integrate(params, init, r_max)
             ref = reference_integrate(params, init, prof.r)
             for got, want in ((prof.u, ref[0]), (prof.v, ref[2])):
                 sup = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -143,13 +142,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("field, value", [
         ("rtol", 2.0), ("rtol", 1.0), ("rtol", math.inf), ("atol", math.inf),
         ("r_target", math.inf), ("r_target", True),
-        pytest.param("r_target", 10**400, id="r_target-10**400"),
-        ("grid_nodes", 15), ("grid_nodes", 64.5)])
+        pytest.param("r_target", 10**400, id="r_target-10**400")])
     def test_options_refused(self, field, value):
         # rtol 2 once ended (3,3,11) in UHitsZero after 36 steps, an
-        # infinite tolerance in an OverflowError, a fractional node count
-        # in a TypeError from numpy, r_target True (read as 1) in an
-        # EntirePositive profile, and an int past the doubles in an
+        # infinite tolerance in an OverflowError, r_target True (read as 1)
+        # in an EntirePositive profile, and an int past the doubles in an
         # OverflowError
         opts = SolverOptions(**{field: value})
         with pytest.raises(ConfigError, match=field):
@@ -896,8 +893,7 @@ class TestSolverProperties:
     def test_monotone_and_flux_invariants(self, p, s, N, v0):
         q = 1.0 + (p - 1.0) * s
         params = ParameterTriple(p, q, N)
-        prof = integrate(params, InitialData(1.0, v0), 20.0,
-                         SolverOptions(grid_nodes=128))
+        prof = integrate(params, InitialData(1.0, v0), 20.0)
         assert np.all(np.diff(prof.u) < 0.0)
         assert np.all(np.diff(prof.v) < 0.0)
         for w in (prof.du, prof.dv):

@@ -1,11 +1,12 @@
-"""Every ``lelab`` command of the README's usage block must run, and its
-list of global flags is the parser's."""
+"""Every ``lelab`` command of the README's usage block must run, its list
+of global flags is the parser's, and its config example parses."""
 
 import re
 import shlex
 from pathlib import Path
 
 from lelab.cli import main
+from lelab.config import load_config, parse_config_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +44,13 @@ def test_readme_global_flags_match_the_parser():
     parser_flags = {s for a in _build_parser()._actions
                     for s in a.option_strings if s.startswith("--")}
     assert named == parser_flags - {"--help", "--version"}
+
+
+def test_readme_config_example_parses(tmp_path):
+    # a key the config no longer has would be refused as unknown
+    text = README.read_text().split("The config file is a flat", 1)[1]
+    example = tmp_path / "example.cfg"
+    example.write_text(text.split("```", 2)[1])
+    keys = parse_config_file(example)
+    assert {"rtol", "resolution", "out", "cache"} <= set(keys)
+    load_config(example)
