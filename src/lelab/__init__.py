@@ -18,7 +18,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    GridTooCoarse,
     LaneEmdenError,
     MisclassifiedProfile,
     StepUnderflow,
@@ -40,7 +39,7 @@ from .exponents import (
 __all__ = [
     "__version__",
     "LaneEmdenError", "DomainError", "ConfigError", "MisclassifiedProfile",
-    "ConvergenceError", "BracketError", "StepUnderflow", "GridTooCoarse",
+    "ConvergenceError", "BracketError", "StepUnderflow",
     "ParameterTriple", "ScalingData", "RegionVerdict",
     "SobolevClass", "CurvePosition",
     "derive_scaling", "curve_margins", "classify",

@@ -26,12 +26,5 @@ class StepUnderflow(ConvergenceError):
     """The adaptive step size collapsed below the floor 16 eps r."""
 
 
-class GridTooCoarse(ConvergenceError):
-    """Sign structure inside one grid cell could not be resolved.  Only
-    ``profiles.compare`` of a live profile raises it, since it probes the
-    dense output inside a cell; a stored profile (``lelab compare``) has
-    none."""
-
-
 class MisclassifiedProfile(DomainError):
     """Operation requires a profile classification the input does not have."""

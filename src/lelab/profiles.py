@@ -9,6 +9,10 @@ Sign changes are counted with a dead band relative to |u_s| so that
 rounding-level oscillations of a trajectory that has locked onto the
 singular asymptote are not reported as crossings.  The band is never
 narrower than the relative tolerance the profile was integrated to.
+Everything is read off the profile grid: a crossing is a log-linear
+secant between grid nodes, and the suprema are grid maxima.  A live
+profile and the same profile stored and read back (``lelab compare``)
+therefore give the same report; the dense output is not read.
 Suprema over the unbounded domain are necessarily truncated at the
 profile's outer radius; profiles that are not entire-positive are flagged
 interior-only.
@@ -22,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import SingularSolution
-from .errors import DomainError, GridTooCoarse
-from .exponents import ScalingData, _bisect
+from .errors import DomainError
+from .exponents import ScalingData
 from .options import DEFAULT_BAND, _is_finite
 from .radial import ProfileClass, RadialProfile
 
@@ -76,82 +80,25 @@ def truncate_profile(profile: RadialProfile, r_cut: float) -> RadialProfile:
     )
 
 
-def _field_dense(profile: RadialProfile, comp_idx: int):
-    dense = profile.dense
-    if dense is None:
-        return None
-
-    def f(r: float) -> float:
-        return dense(r)[comp_idx]
-
-    return f
-
-
-def _refine_crossing(f, sing_val, a: float, b: float) -> float:
-    """Bisect f(r) - sing_val(r) = 0 on [a, b] using the dense output."""
-    pos_a = f(a) - sing_val(a) > 0.0
-    a, b = _bisect(lambda r: 1 if (f(r) - sing_val(r) > 0.0) == pos_a else -1,
-                   a, b, 1e-10, 200)
-    return 0.5 * (a + b)
-
-
 def _loglinear_root(r0, r1, d0, d1) -> float:
-    # no dense output: secant in log r on the relative difference
+    """Secant in log r on the relative difference between two grid nodes."""
     t = d0 / (d0 - d1)
     return math.exp(math.log(r0) + t * (math.log(r1) - math.log(r0)))
 
 
-def _crossings_one_field(r, rel_diff, band, f_dense, sing_val):
-    """Crossing radii of one field from its dead-band-quantized sign states."""
+def _crossings_one_field(r, rel_diff, band):
+    """Crossing radii of one field from its dead-band-quantized sign states:
+    a log-linear secant between the last node outside the band on one side
+    and the first on the other."""
     state = np.zeros(r.size, dtype=int)
     state[rel_diff > band] = 1
     state[rel_diff < -band] = -1
     idx = np.nonzero(state)[0]
     # consecutive nonzero states of opposite sign: one comparison for all
     flips = np.nonzero(state[idx[1:]] != state[idx[:-1]])[0]
-    crossings = []
-    for i, j in zip(idx[flips].tolist(), idx[flips + 1].tolist()):
-        if f_dense is None:
-            crossings.append(_loglinear_root(float(r[i]), float(r[j]),
-                                             float(rel_diff[i]), float(rel_diff[j])))
-            continue
-        root = _refine_crossing(f_dense, sing_val, float(r[i]), float(r[j]))
-        if j - i <= 1:
-            # adjacent nodes: make sure the cell hides no extra alternations
-            sub = np.geomspace(r[i], r[j], 17)
-            sgn = []
-            for s in sub:
-                sv = sing_val(float(s))
-                d = (f_dense(float(s)) - sv) / sv
-                sgn.append(1 if d > band else (-1 if d < -band else 0))
-            nz = [s for s in sgn if s != 0]
-            flips = sum(1 for a, b2 in zip(nz, nz[1:]) if a != b2)
-            if flips > 1:
-                raise GridTooCoarse(
-                    f"{flips} sign alternations inside one grid cell near "
-                    f"r={root:.6g}"
-                )
-        crossings.append(root)
-    return crossings
-
-
-def _refine_max(ratio, r, i, f_dense, sing_val):
-    """Parabolic refinement (in log r) of a grid maximum of the ratio."""
-    if i == 0 or i == r.size - 1 or f_dense is None:
-        return float(ratio[i]), float(r[i])
-    x0, x1, x2 = math.log(r[i - 1]), math.log(r[i]), math.log(r[i + 1])
-    y0, y1, y2 = float(ratio[i - 1]), float(ratio[i]), float(ratio[i + 1])
-    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if den == 0.0 or not math.isfinite(den):
-        return y1, float(r[i])
-    xv = x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / den
-    if not (x0 < xv < x2) or not math.isfinite(xv):
-        return y1, float(r[i])
-    rv = math.exp(xv)
-    val = f_dense(rv) / sing_val(rv)
-    if val > y1:
-        return float(val), rv
-    return y1, float(r[i])
+    return [_loglinear_root(float(r[i]), float(r[j]),
+                            float(rel_diff[i]), float(rel_diff[j]))
+            for i, j in zip(idx[flips].tolist(), idx[flips + 1].tolist())]
 
 
 def compare(profile: RadialProfile, scaling: ScalingData) -> ComparisonReport:
@@ -160,7 +107,9 @@ def compare(profile: RadialProfile, scaling: ScalingData) -> ComparisonReport:
     The profile must belong to the scaling's triple (p, q, N).  The dead
     band is the profile's own rtol, floored at ``DEFAULT_BAND``: below it a
     sign of u/u_s - 1 is the solver's error, not the solution's; the report
-    carries the band used.
+    carries the band used.  Each crossing is the log-linear secant between
+    the last grid node outside the band on one side and the first on the
+    other; M1 and M2 are the grid maxima of u/u_s and v/v_s.
 
     On an ordered profile the chain M1 <= M2^p and M2 <= M1^q holds for the
     true suprema over (0, inf); the report carries the signed deficits
@@ -185,17 +134,15 @@ def compare(profile: RadialProfile, scaling: ScalingData) -> ComparisonReport:
     cross_u: list = []
     cross_v: list = []
     if not degenerate:
-        cross_u = _crossings_one_field(r, rel_u, band_rel,
-                                       _field_dense(profile, 0), sing.u)
-        cross_v = _crossings_one_field(r, rel_v, band_rel,
-                                       _field_dense(profile, 2), sing.v)
+        cross_u = _crossings_one_field(r, rel_u, band_rel)
+        cross_v = _crossings_one_field(r, rel_v, band_rel)
 
     ratio_u = rel_u + 1.0
     ratio_v = rel_v + 1.0
     i1 = int(np.argmax(ratio_u))
     i2 = int(np.argmax(ratio_v))
-    m1, rm1 = _refine_max(ratio_u, r, i1, _field_dense(profile, 0), sing.u)
-    m2, rm2 = _refine_max(ratio_v, r, i2, _field_dense(profile, 2), sing.v)
+    m1, rm1 = float(ratio_u[i1]), float(r[i1])
+    m2, rm2 = float(ratio_v[i2]), float(r[i2])
 
     ordered = bool(
         not degenerate

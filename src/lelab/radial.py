@@ -894,8 +894,8 @@ def profile_to_csv(profile: RadialProfile) -> str:
 def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
     """The profile that ``profile_to_csv`` and ``profile_metadata`` stored;
     DomainError for a document that is not one (cut short, non-numeric or
-    non-finite cells, keys missing, a (p, q, N) or tolerances that
-    ``ParameterTriple`` or ``SolverOptions`` refuse)."""
+    non-finite cells, radii that decrease, keys missing, a (p, q, N) or
+    tolerances that ``ParameterTriple`` or ``SolverOptions`` refuse)."""
     import json as _json
 
     try:
@@ -912,6 +912,8 @@ def profile_from_text(csv_text: str, json_text: str) -> RadialProfile:
                         dtype=float).reshape(-1, 5)
         if not np.isfinite(data).all():  # float() reads "nan" and "inf"
             raise ValueError("a radial-profile CSV cell is not finite")
+        if np.any(np.diff(data[:, 0]) < 0.0):
+            raise ValueError("the radii of a radial-profile CSV decrease")
         stats = meta["stats"]
         params = ParameterTriple(**meta["params"])
         SolverOptions(rtol=meta["rtol"], atol=meta["atol"]).validate()

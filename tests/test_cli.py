@@ -989,6 +989,24 @@ class TestCompareRefuses:
         assert "malformed stored profile" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reorder", [
+        lambda rows: rows[::-1],
+        lambda rows: rows[:100] + [rows[1500]] + rows[101:1500] + [rows[100]]
+        + rows[1501:]], ids=["reversed", "rows_100_1500_swapped"])
+    def test_radii_that_decrease(self, tmp_path, capsys, stored_profile,
+                                 reorder):
+        # both once compared with exit 0: the reversed rows listed the u
+        # crossings from the outside in, and the swap gave out-of-order
+        # crossings, among them a spurious pair a few 1e-6 apart
+        csv_text, json_text = stored_profile
+        header, *rows = csv_text.splitlines(keepends=True)
+        assert len(rows) > 1500
+        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
+                              "".join([header, *reorder(rows)]), json_text)
+        assert rc == 2
+        assert "malformed stored profile" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bytes_that_are_not_text(self, tmp_path, capsys, stored_profile):
         csv_text, json_text = stored_profile
         rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
@@ -1020,8 +1038,7 @@ def test_cli_import_loads_no_scipy():
 # 2 for the DomainError family (bad input), 3 for the ConvergenceError
 # family (a solver that did not converge)
 EXIT_CODES = {"DomainError": 2, "ConfigError": 2, "MisclassifiedProfile": 2,
-              "ConvergenceError": 3, "BracketError": 3, "StepUnderflow": 3,
-              "GridTooCoarse": 3}
+              "ConvergenceError": 3, "BracketError": 3, "StepUnderflow": 3}
 
 
 @pytest.mark.parametrize("name, code", EXIT_CODES.items(), ids=EXIT_CODES)

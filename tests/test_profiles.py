@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lelab import DomainError, GridTooCoarse, ParameterTriple, derive_scaling
+from lelab import DomainError, ParameterTriple, derive_scaling
 from lelab.closed_form import SingularSolution
 from lelab.options import DEFAULT_BAND
 from lelab.profiles import compare, truncate_profile
@@ -21,13 +21,13 @@ def below_curve_profile():
     return integrate(P33, InitialData(1.0, 1.0), 1e5)
 
 
-def pseudo_profile(sc, u, v, r, dense=None, cls=ProfileClass.TRUNCATED):
+def pseudo_profile(sc, u, v, r, cls=ProfileClass.TRUNCATED):
     return RadialProfile(
         p=sc.p, q=sc.q, N=sc.N, u0=math.inf, v0=math.inf,
         r=r, u=u, v=v, du=np.gradient(u, r), dv=np.gradient(v, r),
         classification=cls, r_event=None,
         rtol=1e-10, atol=1e-12, stats=IntegratorStats(0, 0, 0.0, 0.0, 0),
-        dense=dense,
+        dense=None,
     )
 
 
@@ -54,11 +54,19 @@ class TestCompare:
         assert rep.crossings_u == rep.crossings_v  # symmetric trajectory
         assert not rep.ordered
         assert rep.chain_deficit_p is None and rep.chain_deficit_q is None
-        # refined crossing radii satisfy u = u_s via dense re-evaluation
+        # each crossing lies strictly between the two out-of-band nodes that
+        # bracket it, and the dense output's u - u_s changes sign there
+        prof = below_curve_profile
         sol = SingularSolution(sc)
+        outside = np.nonzero(np.abs(prof.u / sol.u(prof.r) - 1.0)
+                             > rep.band_rel)[0]
         for r_star in rep.crossings_u[:3]:
-            u_val = below_curve_profile.dense(r_star)[0]
-            assert u_val == pytest.approx(sol.u(r_star), rel=1e-7)
+            k = int(np.searchsorted(prof.r[outside], r_star))
+            a, b = (float(prof.r[outside[k - 1]]), float(prof.r[outside[k]]))
+            assert a < r_star < b
+            du_a = prof.dense(a)[0] - sol.u(a)
+            du_b = prof.dense(b)[0] - sol.u(b)
+            assert du_a * du_b < 0.0
 
     def test_refuses_profile_of_another_triple(self, below_curve_profile):
         with pytest.raises(DomainError, match="compared against"):
@@ -75,21 +83,15 @@ class TestCompare:
 
     @pytest.mark.parametrize("make", WORKLOAD_PROFILES.values(),
                              ids=WORKLOAD_PROFILES.keys())
-    def test_stored_profile_differs_from_live_only_in_radii(self, make):
-        # lelab compare reads the stored CSV and JSON, without dense output,
-        # so its crossings are log-linear secants on the grid, where the
-        # library bisects a live profile's dense output; only the crossing
-        # radii and the refined suprema may differ
+    def test_stored_profile_compares_as_live(self, make):
+        # lelab compare reads the stored CSV and JSON, without dense output;
+        # compare reads only the grid, so the library gives the same report,
+        # crossing radii and suprema included
         live = make()
         stored = profile_from_text(profile_to_csv(live),
                                    to_json(profile_metadata(live)))
         sc = derive_scaling(ParameterTriple(live.p, live.q, live.N))
-
-        def answer(rep):
-            return (len(rep.crossings_u), len(rep.crossings_v), rep.ordered,
-                    rep.degenerate, rep.interior_only, rep.band_rel)
-
-        assert answer(compare(stored, sc)) == answer(compare(live, sc))
+        assert compare(stored, sc) == compare(live, sc)
 
     def test_degenerate_self_comparison(self):
         sc = derive_scaling(P33)
@@ -140,24 +142,7 @@ class TestCompare:
                 for i, j in zip(outside, outside[1:])
                 if (rel[i] > 0.0) != (rel[j] > 0.0)]
             assert expected
-            assert _crossings_one_field(r, rel, band, None, None) == expected
-
-    def test_grid_too_coarse_detection(self):
-        sc = derive_scaling(P33)
-        sol = SingularSolution(sc)
-        # several alternations hidden inside one coarse cell: u wobbles
-        # around u_s at a frequency the 24-node grid cannot represent
-        r = np.geomspace(1.0, 10.0, 24)
-
-        def dense(rr):
-            wob = 1.0 + 1e-3 * math.sin(200.0 * math.log(rr))
-            uu = sol.u(rr) * wob
-            return (uu, 0.0, float(sol.v(rr)), 0.0)
-
-        u = np.array([dense(float(x))[0] for x in r])
-        prof = pseudo_profile(sc, u, sol.v(r) * 0.999, r, dense=dense)
-        with pytest.raises(GridTooCoarse):
-            compare(prof, sc)
+            assert _crossings_one_field(r, rel, band) == expected
 
 
 class TestRatioSuprema:

@@ -54,3 +54,18 @@ def test_readme_config_example_parses(tmp_path):
     keys = parse_config_file(example)
     assert {"rtol", "resolution", "out", "cache"} <= set(keys)
     load_config(example)
+
+
+def test_readme_exit_codes_name_the_exported_errors():
+    # the "Exit codes:" paragraph names in backticks every error class that
+    # lelab exports, and no class it no longer has; a class name is a
+    # capitalized word, which `N` and `p q` are not
+    import lelab
+
+    paragraph = README.read_text().split("Exit codes:", 1)[1].split("\n\n")[0]
+    named = set(re.findall(r"`([A-Z][a-z]\w*)`", paragraph))
+    exported = {n for n in lelab.__all__
+                if isinstance(getattr(lelab, n), type)
+                and issubclass(getattr(lelab, n), lelab.LaneEmdenError)
+                and n != "LaneEmdenError"}
+    assert named == exported
