@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import hashlib
 import importlib
 import os
 import shutil
@@ -66,9 +67,9 @@ def _cache_root(out_dir: Path) -> Path:
 # Algorithm revision per cached command, part of the cache key, so that
 # entries written by an older algorithm are not served.  Bump a command's
 # entry whenever the bytes it writes change; CHANGES.md records each bump and
-# its reason.  compare is left alone while a given profile compares to the
-# same bytes: its key hashes the stored profile.
-_REVISION = {"curve": 5, "scan": 1, "solve": 5, "shoot": 10, "compare": 2,
+# its reason.  compare's key also hashes the stored profile's bytes, so an
+# edited profile is a miss however it parses.
+_REVISION = {"curve": 5, "scan": 1, "solve": 5, "shoot": 10, "compare": 3,
              "eig": 5}
 
 
@@ -315,19 +316,29 @@ def _cmd_compare(args, cfg: RunConfig):
         prof_base = prof_base.with_suffix("")
     csv_path = prof_base.with_suffix(".csv")
     json_path = prof_base.with_suffix(".json")
-    try:
-        csv_text = csv_path.read_text()
-        json_text = json_path.read_text()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"malformed stored profile: {exc}") from exc
+    # the key hashes the stored bytes, each file prefixed by its length:
+    # a hit decodes and parses nothing
+    stored = [csv_path.read_bytes(), json_path.read_bytes()]
+    digest = hashlib.sha256()
+    for data in stored:
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
     payload = {
         "cmd": "compare", "p": args.p, "q": args.q, "N": args.N,
-        "profile_hash": payload_hash({"csv": csv_text, "json": json_text}),
+        "profile_hash": digest.hexdigest()[:12],
         "band": DEFAULT_BAND,
     }
 
     def produce(h):
         from . import profiles, radial
+        try:
+            # the newline translation of a text-mode read: a profile
+            # written in text mode on Windows ends its lines in CRLF
+            csv_text, json_text = (
+                data.decode().replace("\r\n", "\n").replace("\r", "\n")
+                for data in stored)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"malformed stored profile: {exc}") from exc
         profile = radial.profile_from_text(csv_text, json_text)
         scaling = derive_scaling(params)
         rep = profiles.compare(profile, scaling)

@@ -97,7 +97,6 @@ __all__ = [
     "rescale",
     "DecayReport",
     "decay_identity_check",
-    "ode_residual",
     "profile_to_csv",
     "profile_metadata",
     "profile_from_text",
@@ -835,29 +834,6 @@ def decay_identity_check(profile: RadialProfile) -> DecayReport:
     residual = abs(profile.u0 - total / (N - 2.0)) / profile.u0
     share = tail / total if math.isfinite(tail) else 1.0
     return DecayReport(residual=residual, tail_share=share, fitted_slope=-beta_hat)
-
-
-def ode_residual(profile: RadialProfile) -> float:
-    """Max relative residual of (r^{N-1} u')' = -r^{N-1} v^p (and the v
-    equation) by 4th-order finite differences on the log grid."""
-    r = profile.r
-    if r.size < 7:
-        raise DomainError("profile grid too small for the residual stencil")
-    lr = np.log(r)
-    h = np.diff(lr)
-    if np.max(np.abs(h - h[0])) > 1e-8 * h[0]:
-        raise DomainError("residual stencil requires a uniform log grid")
-    h0 = float(h[0])
-    worst = 0.0
-    for (w, src) in ((profile.du, profile.v ** profile.p),
-                     (profile.dv, profile.u ** profile.q)):
-        F = r ** (profile.N - 1.0) * w
-        dF = (-F[4:] + 8.0 * F[3:-1] - 8.0 * F[1:-3] + F[:-4]) / (12.0 * h0)
-        dFdr = dF / r[2:-2]
-        rhs = -(r ** (profile.N - 1.0) * src)[2:-2]
-        scale = (r ** (profile.N - 1.0) * (np.abs(src) + np.abs(w) / r))[2:-2]
-        worst = max(worst, float(np.max(np.abs(dFdr - rhs) / scale)))
-    return worst
 
 
 # ----------------------------------------------------------------------

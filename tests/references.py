@@ -20,6 +20,9 @@ of C_gamma - K1 K2.
 A classical fixed-step RK4 integrator over the same output nodes (10
 substeps per node interval) serves as the independent reference
 for solver verification; it shares only the closed-form series start.
+
+``ode_residual`` checks a profile against both equations by fourth-order
+finite differences on its log grid.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 from lelab.closed_form import SingularSolution, _check_positive_radii
 from lelab.errors import DomainError
 from lelab.exponents import ParameterTriple, ScalingData
-from lelab.radial import InitialData, SolverOptions, _TaylorStart
+from lelab.radial import (InitialData, RadialProfile, SolverOptions,
+                          _TaylorStart)
 
 
 def eval_singular(scaling: ScalingData, r):
@@ -190,3 +194,26 @@ def reference_integrate(params: ParameterTriple, init: InitialData,
         r = rb
         out[:, k] = y
     return out
+
+
+def ode_residual(profile: RadialProfile) -> float:
+    """Max relative residual of (r^{N-1} u')' = -r^{N-1} v^p (and the v
+    equation) by 4th-order finite differences on the log grid."""
+    r = profile.r
+    if r.size < 7:
+        raise DomainError("profile grid too small for the residual stencil")
+    lr = np.log(r)
+    h = np.diff(lr)
+    if np.max(np.abs(h - h[0])) > 1e-8 * h[0]:
+        raise DomainError("residual stencil requires a uniform log grid")
+    h0 = float(h[0])
+    worst = 0.0
+    for (w, src) in ((profile.du, profile.v ** profile.p),
+                     (profile.dv, profile.u ** profile.q)):
+        F = r ** (profile.N - 1.0) * w
+        dF = (-F[4:] + 8.0 * F[3:-1] - 8.0 * F[1:-3] + F[:-4]) / (12.0 * h0)
+        dFdr = dF / r[2:-2]
+        rhs = -(r ** (profile.N - 1.0) * src)[2:-2]
+        scale = (r ** (profile.N - 1.0) * (np.abs(src) + np.abs(w) / r))[2:-2]
+        worst = max(worst, float(np.max(np.abs(dFdr - rhs) / scale)))
+    return worst

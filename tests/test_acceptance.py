@@ -16,15 +16,16 @@ from lelab.eigen import (Annulus, _gap_estimate, default_ladder,
                          principal_eigenvalue, richardson_limit)
 from lelab.profiles import compare, truncate_profile
 from lelab.radial import (InitialData, SolverOptions, decay_identity_check,
-                          integrate, ode_residual, rescale, shoot)
+                          integrate, rescale, shoot)
 from lelab.scan import scan_codes
 from lelab.cli import main as cli_main
 from lelab.closed_form import SingularSolution
 from lelab.radial import IntegratorStats, ProfileClass, RadialProfile
 
 from conftest import valid_triples
-from references import (default_sample_radii, reference_integrate,
-                        singular_residuals, supersolution_residuals)
+from references import (default_sample_radii, ode_residual,
+                        reference_integrate, singular_residuals,
+                        supersolution_residuals)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -14,9 +14,9 @@ from lelab import cli, jl_diagonal
 from lelab.cli import main
 from lelab.config import RunConfig, load_config, parse_config_file
 from lelab.errors import ConfigError
-from lelab.options import SolverOptions
+from lelab.options import DEFAULT_BAND, SolverOptions
 from lelab.scan import region_codes, scan_codes
-from lelab.serialize import to_csv
+from lelab.serialize import payload_hash, to_csv
 
 
 def run_cli(args, capsys):
@@ -1007,12 +1007,23 @@ class TestCompareRefuses:
         assert "malformed stored profile" in err
         assert not (tmp_path / "out").exists()
 
-    def test_bytes_that_are_not_text(self, tmp_path, capsys, stored_profile):
-        csv_text, json_text = stored_profile
-        rc, _, err = _compare(tmp_path, capsys, ("3", "3", "11"),
-                              b"\xff\xfe" + csv_text.encode(), json_text)
-        assert rc == 2
-        assert "malformed stored profile" in err
+    def test_bytes_that_are_not_text(self, tmp_path, capsys, monkeypatch,
+                                     stored_profile):
+        # the key reads bytes; they are decoded on a miss, before anything
+        # is written to --out or to the cache
+        monkeypatch.setenv("LEL_CACHE_DIR", str(tmp_path / "cache"))
+        base = tmp_path / "profile"
+        for bad in (".csv", ".json"):
+            for suffix, text in zip((".csv", ".json"), stored_profile):
+                head = b"\xff\xfe" if suffix == bad else b""
+                base.with_suffix(suffix).write_bytes(head + text.encode())
+            rc, _, err = run_cli(["--out", str(tmp_path / "out"), "compare",
+                                  "3", "3", "11", "--profile", str(base)],
+                                 capsys)
+            assert rc == 2, bad
+            assert "malformed stored profile" in err
+            assert not (tmp_path / "out").exists()
+            assert not (tmp_path / "cache").exists()
 
     def test_metadata_without_keys(self, tmp_path, capsys, stored_profile):
         csv_text, _ = stored_profile
@@ -1020,6 +1031,59 @@ class TestCompareRefuses:
                               '{"kind": "radial_profile"}')
         assert rc == 2
         assert "malformed stored profile" in err
+
+
+class TestCompareKey:
+    """compare keys a stored profile by its files' bytes."""
+
+    @staticmethod
+    def _compare(tmp_path, capsys, name, csv, json_bytes):
+        base = tmp_path / name
+        base.with_suffix(".csv").write_bytes(csv)
+        base.with_suffix(".json").write_bytes(json_bytes)
+        out = tmp_path / f"out_{name}"
+        rc, stdout, err = run_cli(["--out", str(out), "compare", "3", "3",
+                                   "11", "--profile", str(base)], capsys)
+        assert rc == 0
+        return stdout, "cache hit" in err, _artifacts(out)
+
+    def test_key_is_the_stored_bytes(self, tmp_path, capsys, monkeypatch,
+                                     stored_profile):
+        monkeypatch.setenv("LEL_CACHE_DIR", str(tmp_path / "cache"))
+        csv, json_bytes = (text.encode() for text in stored_profile)
+        stdout, hit, files = self._compare(tmp_path, capsys, "a", csv,
+                                           json_bytes)
+        assert not hit
+        # the same bytes under another name: a hit, the same artifacts
+        assert self._compare(tmp_path, capsys, "b", csv, json_bytes) == \
+            (stdout, True, files)
+        # one more newline, or CRLF line ends (as a text-mode writer on
+        # Windows leaves them), parse to the same profile, but are misses:
+        # the same report bytes under another payload hash
+        shown = pathlib.Path(stdout.split("\n")[0])
+        h = shown.stem.rsplit("_", 1)[1]
+        for name, other in (("c", csv + b"\n"),
+                            ("d", csv.replace(b"\n", b"\r\n"))):
+            stdout2, hit2, files2 = self._compare(tmp_path, capsys, name,
+                                                  other, json_bytes)
+            assert not hit2
+            shown2 = pathlib.Path(stdout2.split("\n")[0])
+            h2 = shown2.stem.rsplit("_", 1)[1]
+            assert h2 != h
+            assert files2[shown2.with_suffix(".csv").name] == \
+                files[shown.with_suffix(".csv").name]
+            assert files2[shown2.name].replace(h2.encode(), h.encode()) == \
+                files[shown.name]
+            # profile_hash: 12 hex digits of one SHA-256 over each file's
+            # 8-byte big-endian length and then its bytes
+            for shown_hash, stored in ((h, csv), (h2, other)):
+                key = hashlib.sha256()
+                for data in (stored, json_bytes):
+                    key.update(len(data).to_bytes(8, "big") + data)
+                payload = {"cmd": "compare", "p": 3.0, "q": 3.0, "N": 11,
+                           "profile_hash": key.hexdigest()[:12],
+                           "band": DEFAULT_BAND}
+                assert payload_hash(payload) == shown_hash
 
 
 def test_cli_import_loads_no_scipy():

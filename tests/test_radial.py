@@ -17,11 +17,11 @@ from lelab.options import V0_TOL
 from lelab.radial import (_EVENT_TOL, InitialData, IntegratorStats,
                           ProfileClass, RadialProfile, SolverOptions, _horner,
                           _TaylorStart, decay_identity_check, integrate,
-                          ode_residual, profile_from_text, profile_metadata,
-                          profile_to_csv, rescale, shoot)
+                          profile_from_text, profile_metadata, profile_to_csv,
+                          rescale, shoot)
 from lelab.serialize import fmt_float, to_json
 
-from references import reference_integrate
+from references import ode_residual, reference_integrate
 
 P33 = ParameterTriple(3, 3, 11)
 P32 = ParameterTriple(3, 2, 11)

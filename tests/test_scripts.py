@@ -1,7 +1,8 @@
 """The README's experiment scripts run end to end and write their CSVs;
 the benchmark trajectory script reads every committed BENCH file, and the
 artifact digest script hashes every output of a benchmark op list, to the
-same bytes as the recorded digests."""
+same bytes as the recorded digests; one smoke round of the benchmark's
+shoot list passes its oracles."""
 
 import difflib
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH_RUN = SCRIPTS.parent / "bench" / "run.py"
 
 
 def load(name, tmp_path, monkeypatch):
@@ -102,6 +104,18 @@ def test_artifact_digests_of_every_list_are_unchanged():
     moved = difflib.unified_diff(want.splitlines(), done.stdout.splitlines(),
                                  "pinned", "now", n=0, lineterm="")
     assert done.stdout == want, "\n".join(moved)
+
+
+def test_bench_shoot_smoke_run_passes_its_oracles():
+    # one round of the shoot list: the oracles, check_compare among them,
+    # read every artifact of the cold pass, and the warm pass's hits must
+    # give the same bytes
+    done = subprocess.run([sys.executable, str(BENCH_RUN), "--workload",
+                           "shoot", "--smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    res = json.loads(done.stdout.strip().split("\n")[-1])
+    assert (res["correct"], res["failed"]) == (True, 0), done.stdout
 
 
 def test_bench_trajectory_reads_both_layouts():
